@@ -212,7 +212,7 @@ def _dispatch(name: str, args, cfg: RunConfig) -> int:
     if name == "initial":
         I = _load_ideal(args)
         w = jsonio.weight_from_json(_inline_json(args.weight))
-        _emit(jsonio.ideal_to_json(initial_ideal(I, w, cap=cap)), cfg)
+        _emit(jsonio.ideal_to_json(initial_ideal(I, w)), cfg)
         return 0
 
     if name == "groebner-complex":

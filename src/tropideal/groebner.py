@@ -19,7 +19,7 @@ from . import monomials as mon
 from .errors import (DegenerateInputError, InputError,
                      InvariantViolationError, SizeGuardError)
 from .ideals import TruncIdeal, _initial_layers
-from .matroids import (VMatroid, contract, fundamental_circuit,
+from .matroids import (VMatroid, _bits, _mask_of, contract, fundamental_circuit,
                        lex_min_basis_of_subset)
 from .polyhedra import (Cell, PolyComplex, fm_solve, normal_complex,
                         quotient_lineality, refine)
@@ -27,7 +27,7 @@ from .polynomials import TropPoly
 from .semiring import INF, Trop
 
 
-def groebner_poly(I: TruncIdeal, d: int, sigma=(), cap: int | None = None) -> TropPoly:
+def groebner_poly(I: TruncIdeal, d: int, sigma=()) -> TropPoly:
     """The stratum polynomial whose normal complex cuts out the degree-d cells.
 
     Terms are indexed by the bases of the layer contracted by the monomials
@@ -45,15 +45,9 @@ def groebner_poly(I: TruncIdeal, d: int, sigma=(), cap: int | None = None) -> Tr
     total = tuple(sum(u[i] for u in nonsigma) for i in range(I.num_vars))
     pairs = []
     for mask, p in C.valuation_items():
-        used = tuple(0 for _ in range(I.num_vars))
         acc = list(total)
-        rest = mask
-        while rest:
-            low = rest & -rest
-            idx = low.bit_length() - 1
-            u = C.ground[idx]
-            acc = [a - e for a, e in zip(acc, u)]
-            rest ^= low
+        for idx in _bits(mask):
+            acc = [a - e for a, e in zip(acc, C.ground[idx])]
         pairs.append((tuple(acc), Trop(p)))
     return TropPoly(I.num_vars, pairs)
 
@@ -75,16 +69,6 @@ class GroebnerCell:
 
 def _fingerprint(layers: Sequence[VMatroid]) -> tuple:
     return tuple(frozenset(M.basis_masks()) for M in layers)
-
-
-def _has_loop(layers: Sequence[VMatroid]) -> bool:
-    for M in layers:
-        union = 0
-        for m in M.basis_masks():
-            union |= m
-        if union != (1 << len(M.ground)) - 1:
-            return True
-    return False
 
 
 @dataclass
@@ -133,7 +117,7 @@ def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
             complexes = []
             for d in range(I.degree_bound + 1):
                 try:
-                    F = groebner_poly(I, d, sigma, cap=cap)
+                    F = groebner_poly(I, d, sigma)
                     complexes.append(normal_complex(F, sigma, cap=cap))
                 except SizeGuardError as exc:
                     raise SizeGuardError("degree %d, stratum %s: %s"
@@ -145,9 +129,9 @@ def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
             out = []
             for cell in refined.stratum(sigma):
                 w = _witness_weight(nv, sigma, cell)
-                layers = _initial_layers(I, w, cap=cap)
-                out.append(GroebnerCell(cell, w, _fingerprint(layers),
-                                        in_variety=not _has_loop(layers)))
+                layers = _initial_layers(I, w)
+                has_loop = any(_layer_loops(M.basis_masks(), len(M.ground)) for M in layers)
+                out.append(GroebnerCell(cell, w, _fingerprint(layers), in_variety=not has_loop))
             strata[sigma] = out
     return GroebnerComplex(I, strata)
 
@@ -257,10 +241,8 @@ def tropical_basis(I: TruncIdeal, complex_: GroebnerComplex | None = None,
         loop_idx = (loops_mask & -loops_mask).bit_length() - 1
         sigma_mons = [u for u in ground if mon.uses_sigma(u, sigma)]
         BA = lex_min_basis_of_subset(M, sigma_mons)
-        sigma_mask = 0
-        for u in sigma_mons:
-            sigma_mask |= 1 << M.index_of(u)
-        layer_basis = min(gc.fingerprint[d], key=_mask_indices)
+        sigma_mask = _mask_of(M.index_of(u) for u in sigma_mons)
+        layer_basis = min(gc.fingerprint[d], key=lambda m: tuple(_bits(m)))
         B = (layer_basis & ~sigma_mask) | BA
         if M.value_mask(B) is None:
             raise InvariantViolationError("degenerated basis is not a basis of the layer")
@@ -271,17 +253,6 @@ def tropical_basis(I: TruncIdeal, complex_: GroebnerComplex | None = None,
             polys.append(f)
     polys.sort(key=lambda f: (f.degree(), [(u, str(c)) for u, c in f.terms()]))
     return polys
-
-
-def _mask_indices(mask: int) -> tuple:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
 
 
 def _layer_loops(basis_masks, nelems: int) -> int:

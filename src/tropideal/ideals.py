@@ -18,7 +18,9 @@ from . import monomials as mon
 from .config import Budget
 from .errors import (DimensionError, InputError, InvariantViolationError,
                      OutOfRangeError)
-from .matroids import VMatroid, circuits, contract, initial_matroid, is_vector
+from .linalg import echelon
+from .matroids import (VMatroid, _mask_of, circuits, contract, initial_matroid,
+                       is_vector)
 from .polynomials import TropPoly
 from .semiring import INF, Trop, all_infinite, dot, weight_sigma
 
@@ -26,14 +28,36 @@ from .semiring import INF, Trop, all_infinite, dot, weight_sigma
 # Classical-side input ------------------------------------------------------------
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017); the first 12 reach only 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n at or past _MR_LIMIT is refused."""
+    if not isinstance(n, int) or n < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    if n >= _MR_LIMIT:
+        raise InputError("p-adic valuation needs p below %d, got %d" % (_MR_LIMIT, n))
+    if n in _MR_BASES:
+        return True
+    if any(n % b == 0 for b in _MR_BASES):
+        return False
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for b in _MR_BASES:
+        x = pow(b, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
@@ -198,58 +222,11 @@ def hilbert(I: TruncIdeal, d: int) -> int:
     return I.hilbert(d)
 
 
-# Exact linear algebra for tropicalization ----------------------------------------
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]]]:
-    """Reduced row echelon form with leftmost-column pivoting; exact."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots, rows[:r]
-
-
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-    return det
+# Tropicalization ----------------------------------------------------------------
 
 
 def _layer_from_row_space(ground: Sequence[tuple], pivots: list[int],
-                          reduced: list[list[Fraction]], valuation: Valuation,
+                          reduced: list[list[int]], d: int, valuation: Valuation,
                           budget: Budget) -> VMatroid:
     """The valuated matroid dual to the column matroid of a reduced row basis.
 
@@ -259,7 +236,8 @@ def _layer_from_row_space(ground: Sequence[tuple], pivots: list[int],
     permutation), the maximal minor on the complement of B equals, up to
     sign, the minor of A on rows indexed by pivot columns inside B and
     columns indexed by free columns outside B.  Signs do not affect
-    valuations.
+    valuations.  The rows given are d times that form, so an s x s minor
+    of theirs has valuation s * v(d) above the minor of A.
     """
     N = len(ground)
     k = len(pivots)
@@ -268,8 +246,9 @@ def _layer_from_row_space(ground: Sequence[tuple], pivots: list[int],
     free = [c for c in range(N) if c not in set(pivots)]
     if not free:
         return VMatroid(ground, 0, {0: 0})
-    # A-block: row i corresponds to pivot column pivots[i]
+    # A-block, scaled by d: row i corresponds to pivot column pivots[i]
     A = [[reduced[i][c] for c in free] for i in range(k)]
+    vd = valuation.of(Fraction(d)).value
     row_of_pivot = {p: i for i, p in enumerate(pivots)}
     col_of_free = {c: j for j, c in enumerate(free)}
     corank = N - k
@@ -280,15 +259,9 @@ def _layer_from_row_space(ground: Sequence[tuple], pivots: list[int],
         Bset = set(B)
         sub_rows = [row_of_pivot[c] for c in B if c in pivset]
         sub_cols = [col_of_free[c] for c in free if c not in Bset]
-        if len(sub_rows) != len(sub_cols):
-            continue  # cannot happen: |B| = |free|
-        d = _det([[A[i][j] for j in sub_cols] for i in sub_rows])
-        v = valuation.of(d)
-        if not v.is_inf:
-            mask = 0
-            for c in B:
-                mask |= 1 << c
-            val[mask] = v.value
+        mpivots, _, minor = echelon([[A[i][j] for j in sub_cols] for i in sub_rows])
+        if len(mpivots) == len(sub_rows):
+            val[_mask_of(B)] = valuation.of(Fraction(minor)).value - len(sub_rows) * vd
     return VMatroid(ground, corank, val)
 
 
@@ -298,7 +271,8 @@ def tropicalize(inp: ClassicalInput, D: int, cap: int | None = None) -> TruncIde
     For each degree d the Macaulay matrix of all monomial multiples of the
     generators is row reduced exactly; the layer matroid is dual to the
     column matroid of the row space, with the valuation of each maximal
-    minor as the dual value.
+    minor as the dual value.  Rows are cleared of denominators first, so
+    the elimination and every minor stay in the integers.
     """
     if D < 0:
         raise InputError("truncation degree must be nonnegative")
@@ -308,19 +282,20 @@ def tropicalize(inp: ClassicalInput, D: int, cap: int | None = None) -> TruncIde
     for d in range(D + 1):
         ground = tuple(mon.monomials_of_degree(nv, d))
         index = {u: i for i, u in enumerate(ground)}
-        rows: list[list[Fraction]] = []
+        rows: list[list[int]] = []
         for g in inp.generators:
             dg = g.degree()
             if dg > d:
                 continue
+            scale = math.lcm(*(c.denominator for c in g.coeffs.values()))
             for u in mon.monomials_of_degree(nv, d - dg):
-                shifted = g.times_monomial(u)
-                row = [Fraction(0)] * len(ground)
-                for v, c in shifted.coeffs.items():
-                    row[index[v]] = c
+                row = [0] * len(ground)
+                for v, c in g.coeffs.items():
+                    row[index[mon.mul(v, u)]] = c.numerator * (scale // c.denominator)
                 rows.append(row)
-        pivots, reduced = _rref(rows)
-        layers.append(_layer_from_row_space(ground, pivots, reduced, inp.valuation, budget))
+        pivots, reduced, det = echelon(rows)
+        layers.append(_layer_from_row_space(ground, pivots, reduced, det, inp.valuation,
+                                            budget))
     return TruncIdeal(nv, layers, mode="rational")
 
 
@@ -388,10 +363,7 @@ def nonrealizable_ideal(n: int, D: int, cap: int | None = None) -> TruncIdeal:
                 if not ok:
                     break
             if ok:
-                mask = 0
-                for i in B:
-                    mask |= 1 << i
-                val[mask] = Fraction(0)
+                val[_mask_of(B)] = Fraction(0)
         layers.append(VMatroid(ground, d + 1, val))
     return TruncIdeal(nv, layers, mode="rational")
 
@@ -434,16 +406,12 @@ def check_compatibility(I: TruncIdeal, cap: int | None = None) -> Optional[Compa
         for i in range(I.num_vars):
             shift = [next_index[mon.times_var(u, i)] for u in gd]
             for U in itertools.combinations(range(len(gd)), rd + 1):
-                umask = 0
-                for j in U:
-                    umask |= 1 << j
+                umask = _mask_of(U)
                 # p_d(U - j) per removed element, and the shifted positions
                 removed = [vd.get(umask ^ (1 << j)) for j in U]
                 lifted = [shift[j] for j in U]
                 for V in itertools.combinations(range(len(gn)), rn - 1):
-                    vmask = 0
-                    for j in V:
-                        vmask |= 1 << j
+                    vmask = _mask_of(V)
                     best = None
                     count_min = 0
                     for pos in range(len(U)):
@@ -486,7 +454,7 @@ def contains(I: TruncIdeal, f: TropPoly, cap: int | None = None) -> bool:
     return is_vector(M, vec, cap=cap)
 
 
-def _initial_layers(I: TruncIdeal, w: Sequence[Trop], cap: int | None = None) -> list[VMatroid]:
+def _initial_layers(I: TruncIdeal, w: Sequence[Trop]) -> list[VMatroid]:
     sigma = weight_sigma(w)
     layers = []
     for d in range(I.degree_bound + 1):
@@ -496,14 +464,14 @@ def _initial_layers(I: TruncIdeal, w: Sequence[Trop], cap: int | None = None) ->
         C = contract(M, sigma_mons)
         what = [dot(w, u) for u in C.ground]
         assert all(not t.is_inf for t in what)
-        N = initial_matroid(C, [t.value for t in what], cap=cap)
+        N = initial_matroid(C, [t.value for t in what])
         extra = set(sigma_mons)
         bases = [set(B) | extra for B in N.bases_as_sets()]
         layers.append(VMatroid.from_bases(ground, bases))
     return layers
 
 
-def initial_ideal(I: TruncIdeal, w: Sequence[Trop], cap: int | None = None) -> TruncIdeal:
+def initial_ideal(I: TruncIdeal, w: Sequence[Trop]) -> TruncIdeal:
     """The Boolean tower of initial matroids with respect to the weight w.
 
     In each degree the monomials supported on the infinite coordinates of w
@@ -516,7 +484,7 @@ def initial_ideal(I: TruncIdeal, w: Sequence[Trop], cap: int | None = None) -> T
                              % (len(w), I.num_vars))
     if all_infinite(w):
         raise InputError("initial ideal needs a weight with a finite coordinate")
-    return TruncIdeal(I.num_vars, _initial_layers(I, w, cap=cap), mode="boolean")
+    return TruncIdeal(I.num_vars, _initial_layers(I, w), mode="boolean")
 
 
 def boolean_image(I: TruncIdeal) -> TruncIdeal:

@@ -15,7 +15,7 @@ from . import monomials as mon
 from .errors import ParseError
 from .groebner import Certificate, GroebnerCell, GroebnerComplex, VarietySubcomplex
 from .ideals import ClassicalInput, QPoly, TruncIdeal, Valuation
-from .matroids import OrdMatroid, VMatroid
+from .matroids import OrdMatroid, VMatroid, _bits, _mask_of
 from .polyhedra import Cell, PolyComplex
 from .polynomials import TropPoly
 from .semiring import Trop
@@ -114,27 +114,16 @@ def _ground_label(e) -> str:
 def vmatroid_to_json(M: VMatroid, boolean: bool = False) -> dict:
     out = {"ground": [_ground_label(e) for e in M.ground], "rank": M.rank}
     if boolean:
-        out["bases"] = [sorted(_mask_indices(m)) for m in M.basis_masks()]
+        out["bases"] = [list(_bits(m)) for m in M.basis_masks()]
     else:
-        out["valuation"] = [{"set": sorted(_mask_indices(m)), "val": _frac_str(v)}
+        out["valuation"] = [{"set": list(_bits(m)), "val": _frac_str(v)}
                             for m, v in M.valuation_items()]
     return out
 
 
 def ordmatroid_to_json(M: OrdMatroid) -> dict:
     return {"ground": [_ground_label(e) for e in M.ground], "rank": M.rank,
-            "bases": sorted(sorted(_mask_indices(m)) for m in M.bases)}
-
-
-def _mask_indices(mask: int) -> list:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+            "bases": sorted(list(_bits(m)) for m in M.bases)}
 
 
 def vmatroid_from_json(obj, ground=None) -> VMatroid:
@@ -151,20 +140,14 @@ def vmatroid_from_json(obj, ground=None) -> VMatroid:
             idxs = _expect(item, "set", list, "valuation entry %d" % i)
             if any(not isinstance(j, int) or j < 0 or j >= n for j in idxs):
                 raise ParseError("valuation entry %d has bad indices" % i)
-            mask = 0
-            for j in idxs:
-                mask |= 1 << j
-            val[mask] = _parse_frac(_expect(item, "val", None, "valuation entry %d" % i))
+            val[_mask_of(idxs)] = _parse_frac(_expect(item, "val", None, "valuation entry %d" % i))
         return VMatroid(ground, rank, val)
     if "bases" in obj:
         masks = []
         for i, idxs in enumerate(obj["bases"]):
-            mask = 0
-            for j in idxs:
-                if not isinstance(j, int) or j < 0 or j >= n:
-                    raise ParseError("basis %d has bad indices" % i)
-                mask |= 1 << j
-            masks.append(mask)
+            if any(not isinstance(j, int) or j < 0 or j >= n for j in idxs):
+                raise ParseError("basis %d has bad indices" % i)
+            masks.append(_mask_of(idxs))
         M = VMatroid.from_bases(ground, masks)
         if M.rank != rank:
             raise ParseError("declared rank %d but bases have size %d" % (rank, M.rank))
@@ -224,30 +207,6 @@ def cell_to_json(cell: Cell) -> dict:
             "dim": cell.dim()}
 
 
-def cell_to_text(cell: Cell) -> str:
-    names = ["w%d" % i for i in cell.free]
-
-    def side(coeffs):
-        bits = []
-        for c, nm in zip(coeffs, names):
-            if c == 0:
-                continue
-            if c == 1:
-                bits.append("+%s" % nm)
-            elif c == -1:
-                bits.append("-%s" % nm)
-            else:
-                bits.append("%+s*%s" % (_frac_str(c), nm))
-        return " ".join(bits) if bits else "0"
-
-    lines = ["stratum sigma=%s dim=%s" % (sorted(cell.sigma), cell.dim())]
-    for c, r in cell.eqs:
-        lines.append("  %s = %s" % (side(c), _frac_str(r)))
-    for c, r in cell.ineqs:
-        lines.append("  %s <= %s" % (side(c), _frac_str(r)))
-    return "\n".join(lines)
-
-
 def complex_to_json(C: PolyComplex) -> dict:
     strata = []
     for sigma in sorted(C.strata, key=lambda s: (len(s), sorted(s))):
@@ -262,7 +221,7 @@ def _gcell_to_json(gc: GroebnerCell, verbose: bool) -> dict:
     out["fingerprint"] = gc.fingerprint_digest()
     out["in_variety"] = gc.in_variety
     if verbose:
-        out["fingerprint_full"] = [sorted(sorted(_mask_indices(m)) for m in layer)
+        out["fingerprint_full"] = [sorted(list(_bits(m)) for m in layer)
                                    for layer in gc.fingerprint]
     return out
 

@@ -73,16 +73,11 @@ class OrdMatroid:
         return [e for i, e in enumerate(self.ground) if not (union >> i) & 1]
 
     def rank_of(self, subset) -> int:
-        mask = subset if isinstance(subset, int) else _mask_of(self._index[e] for e in subset)
-        return max(bin(mask & B).count("1") for B in self.bases)
+        return rank_of(self, subset)
 
     def is_basis(self, subset) -> bool:
         mask = subset if isinstance(subset, int) else _mask_of(self._index[e] for e in subset)
         return mask in self.bases
-
-    def is_independent(self, subset) -> bool:
-        mask = subset if isinstance(subset, int) else _mask_of(self._index[e] for e in subset)
-        return self.rank_of(mask) == bin(mask).count("1")
 
     def circuit_masks(self) -> list[int]:
         """All circuits, as masks.  Every fundamental circuit of a matroid is a
@@ -416,7 +411,7 @@ def is_vector(M: VMatroid, v: Sequence[Trop], cap: int | None = None) -> bool:
     return True
 
 
-def initial_matroid(M: VMatroid, w: Sequence[Fraction], cap: int | None = None) -> OrdMatroid:
+def initial_matroid(M: VMatroid, w: Sequence[Fraction]) -> OrdMatroid:
     """Bases minimizing p(B) - sum of w over B, for a finite weight on the ground."""
     n = len(M.ground)
     if len(w) != n:
@@ -433,9 +428,11 @@ def initial_matroid(M: VMatroid, w: Sequence[Fraction], cap: int | None = None) 
     return OrdMatroid(M.ground, arg)
 
 
-def rank_of(M: VMatroid, subset) -> int:
+def rank_of(M, subset) -> int:
+    """Rank of a subset (labels or a mask) in an OrdMatroid or a VMatroid."""
     mask = subset if isinstance(subset, int) else _mask_of(M._index[e] for e in subset)
-    return max(bin(mask & B).count("1") for B in M.basis_masks())
+    bases = M.bases if isinstance(M, OrdMatroid) else M._val
+    return max(bin(mask & B).count("1") for B in bases)
 
 
 def lex_min_basis_of_subset(M: VMatroid, subset) -> int:
@@ -490,9 +487,7 @@ def coloop_extension(M, F: Sequence[Hashable]):
     if len(set(F)) != len(F):
         raise LabelCollisionError("duplicate labels in the extension")
     ground = tuple(M.ground) + F
-    add = 0
-    for j in range(len(M.ground), len(ground)):
-        add |= 1 << j
+    add = _mask_of(range(len(M.ground), len(ground)))
     if isinstance(M, OrdMatroid):
         return OrdMatroid(ground, [m | add for m in M.bases])
     if isinstance(M, VMatroid):

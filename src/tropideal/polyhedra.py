@@ -1,11 +1,14 @@
 """Exact rational polyhedral cells and complexes in stratified space.
 
 A cell lives in one stratum (the points whose infinite coordinates are
-exactly sigma) and is stored as a closed system of exact rational
-equalities and inequalities over the finite coordinates, plus an opaque
-label.  Feasibility, relative-interior points and dimensions come from
-Fourier-Motzkin elimination with midpoint back-substitution; everything
-is exact, there is no floating point and no perturbation.
+exactly sigma) and is stored as a closed system of equalities and
+inequalities over the finite coordinates, plus an opaque label.  Every
+row is scaled to primitive integers (canonical_row), and rows stay
+integer through equality substitution and each Fourier-Motzkin step;
+rationals appear only in bounds and points.  Feasibility,
+relative-interior points and dimensions come from Fourier-Motzkin
+elimination with midpoint back-substitution; everything is exact, there
+is no floating point and no perturbation.
 """
 
 from __future__ import annotations
@@ -13,15 +16,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .config import Budget
 from .errors import InputError, InvariantViolationError
+from .linalg import echelon
 from .polynomials import TropPoly
 from .semiring import Trop
 
-Row = tuple  # (coeffs: tuple[Fraction, ...], rhs: Fraction)
+Row = tuple  # (coeffs: tuple[int, ...], rhs: int), primitive: the gcd of all entries is 1
 
 
 def _fracs(xs) -> tuple:
@@ -29,107 +33,43 @@ def _fracs(xs) -> tuple:
 
 
 def canonical_row(coeffs, rhs, equality: bool = False) -> Row:
-    """Integer-cleared primitive form; equalities get a fixed sign."""
-    coeffs = _fracs(coeffs)
-    rhs = Fraction(rhs)
-    denoms = [c.denominator for c in coeffs] + [rhs.denominator]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in coeffs] + [int(rhs * lcm)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    """Primitive integer form; equalities get a positive leading coefficient."""
+    vals = _fracs((*coeffs, rhs))
+    scale = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (scale // v.denominator) for v in vals]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    if equality:
-        lead = next((v for v in ints if v != 0), 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-    return (tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]))
+    if equality and next((v for v in ints if v != 0), 0) < 0:
+        ints = [-v for v in ints]
+    return tuple(ints[:-1]), ints[-1]
 
 
 # Core exact linear programming ------------------------------------------------------
 
 
-def _gauss_equalities(eqs: Sequence[Row], m: int):
-    """RREF of the equality system; None when inconsistent.
-
-    Returns a list of (pivot_column, coeffs, rhs) with unit pivots and the
-    pivot columns cleared from all other rows.
-    """
-    rows = [(list(c), Fraction(r)) for c, r in eqs]
-    pivots: list[tuple[int, list, Fraction]] = []
-    used: set[int] = set()
-    for coeffs, rhs in rows:
-        coeffs = coeffs[:]
-        # reduce by existing pivots
-        for col, prow, prhs in pivots:
-            f = coeffs[col]
-            if f:
-                coeffs = [a - f * b for a, b in zip(coeffs, prow)]
-                rhs = rhs - f * prhs
-        col = next((c for c in range(m) if coeffs[c] != 0), None)
-        if col is None:
-            if rhs != 0:
-                return None
-            continue
-        pv = coeffs[col]
-        coeffs = [a / pv for a in coeffs]
-        rhs = rhs / pv
-        for j, (pcol, prow, prhs) in enumerate(pivots):
-            f = prow[col]
-            if f:
-                pivots[j] = (pcol, [a - f * b for a, b in zip(prow, coeffs)], prhs - f * rhs)
-        pivots.append((col, coeffs, rhs))
-        used.add(col)
-    return pivots
-
-
-def _substitute(ineq, pivots):
-    coeffs, rhs, strict = ineq
-    coeffs = list(coeffs)
-    rhs = Fraction(rhs)
-    for col, prow, prhs in pivots:
-        f = coeffs[col]
-        if f:
-            coeffs = [a - f * b for a, b in zip(coeffs, prow)]
-            rhs = rhs - f * prhs
-    return coeffs, rhs, strict
-
-
-def _direction_key(coeffs, rhs):
-    """Scale by a positive rational so the coefficient vector is primitive integer."""
-    lcm = 1
-    for c in coeffs:
-        d = c.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return None, rhs
-    scale = Fraction(lcm, g)
-    return tuple(v // g for v in ints), rhs * scale
-
-
 def _dedupe(ineqs):
     """Keep the tightest constraint per direction; detect constant violations.
 
-    Returns None when a constant row is violated.
+    A row's direction is its coefficient vector divided by the gcd g of the
+    coefficients, and its bound is rhs / g.  Returns None when a constant
+    row is violated.
     """
     best: dict[tuple, tuple[Fraction, bool]] = {}
     for coeffs, rhs, strict in ineqs:
-        prim, prhs = _direction_key(coeffs, rhs)
-        if prim is None:
-            if prhs < 0 or (strict and prhs == 0):
+        g = gcd(*coeffs)
+        if g == 0:
+            if rhs < 0 or (strict and rhs == 0):
                 return None
             continue
+        prim = tuple(c // g for c in coeffs)
+        bound = Fraction(rhs, g)
         old = best.get(prim)
-        if old is None or prhs < old[0] or (prhs == old[0] and strict and not old[1]):
-            best[prim] = (prhs, strict)
-    return [(list(Fraction(c) for c in k), v[0], v[1]) for k, v in best.items()]
+        if old is None or bound < old[0] or (bound == old[0] and strict and not old[1]):
+            best[prim] = (bound, strict)
+    # the primitive integer row of a direction and a bound p/q is (q * prim, p)
+    return [([c * b.denominator for c in k], b.numerator, strict)
+            for k, (b, strict) in best.items()]
 
 
 def _fm_eliminate(ineqs, var: int):
@@ -159,12 +99,26 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs, bias: int = 0) -> Optional[tuple
     equalities are eliminated first and each remaining variable is chosen
     inside the relative interior of its feasible interval.
     """
-    pivots = _gauss_equalities(eqs, m)
-    if pivots is None:
-        return None
-    pivot_cols = {c for c, _, _ in pivots}
-    free = [c for c in range(m) if c not in pivot_cols]
-    rows = _dedupe(_substitute(iq, pivots) for iq in _normalize_ineqs(ineqs, m))
+    eq_rows = [coeffs + (rhs,) for coeffs, rhs, _ in _normalize_rows(eqs, m)]
+    pivots, prows, d = echelon(eq_rows)
+    if pivots and pivots[-1] == m:
+        return None  # the equalities reduce to 0 = nonzero
+    if d < 0:
+        d, prows = -d, [[-x for x in prow] for prow in prows]
+    free = [c for c in range(m) if c not in pivots]
+    substituted = []
+    for coeffs, rhs, strict in _normalize_rows(ineqs, m):
+        row = coeffs + (rhs,)
+        if pivots:
+            # d * row minus row[c] times the pivot row of c; each pivot row
+            # carries d at its own column, so the pivot columns become 0
+            new = [d * x for x in row]
+            for c, prow in zip(pivots, prows):
+                if row[c]:
+                    new = [a - row[c] * b for a, b in zip(new, prow)]
+            row = new
+        substituted.append((row[:m], row[m], strict))
+    rows = _dedupe(substituted)
     if rows is None:
         return None
     levels = []
@@ -183,7 +137,7 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs, bias: int = 0) -> Optional[tuple
             if a == 0:
                 continue
             rest = rhs - sum(coeffs[j] * values[j] for j in values if coeffs[j] != 0 and j != v)
-            bound = rest / a
+            bound = Fraction(rest, a)
             if a > 0:
                 if upper is None or bound < upper[0] or (bound == upper[0] and strict):
                     upper = (bound, strict)
@@ -202,40 +156,23 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs, bias: int = 0) -> Optional[tuple
             values[v] = lower[0]
         else:
             return None
-    for col, prow, prhs in pivots:
-        values[col] = prhs - sum(prow[j] * values[j] for j in values if j != col and prow[j] != 0)
+    for col, prow in zip(pivots, prows):
+        values[col] = Fraction(prow[m] - sum(prow[j] * values[j] for j in free if prow[j] != 0), d)
     return tuple(values[c] for c in range(m))
 
 
-def _normalize_ineqs(ineqs, m):
+def _normalize_rows(rows, m):
     out = []
-    for item in ineqs:
+    for item in rows:
         if len(item) == 2:
             coeffs, rhs = item
             strict = False
         else:
             coeffs, rhs, strict = item
-        coeffs = list(_fracs(coeffs))
         if len(coeffs) != m:
-            raise InputError("inequality row has wrong width")
-        out.append((coeffs, Fraction(rhs), bool(strict)))
+            raise InputError("row has wrong width")
+        out.append((*canonical_row(coeffs, rhs), bool(strict)))
     return out
-
-
-def _rank(rows: Sequence, m: int) -> int:
-    mat = [list(_fracs(r)) for r in rows]
-    rank = 0
-    for c in range(m):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c] / mat[rank][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
 
 
 # Cells and complexes ------------------------------------------------------------------
@@ -244,8 +181,8 @@ def _rank(rows: Sequence, m: int) -> int:
 class Cell:
     """A closed polyhedron inside one stratum, with a label.
 
-    Rows are (coeffs, rhs) over the cell's free coordinates; equality rows
-    mean a.w = b, inequality rows a.w <= b.  Relative interiors are
+    Rows are primitive integer (coeffs, rhs) over the cell's free
+    coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  Relative interiors are
     derived, never stored as strict systems.
     """
 
@@ -284,7 +221,7 @@ class Cell:
                           if sum(a * x for a, x in zip(c, p)) == r)
         self._tight = tight
         rows = [c for c, _ in self.eqs] + [self.ineqs[i][0] for i in tight]
-        self._dim = m - _rank(rows, m)
+        self._dim = m - len(echelon(rows)[0])
 
     def relint_point(self) -> Optional[tuple]:
         self._solve()

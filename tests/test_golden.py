@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
 
 import pytest
+
+from tropideal import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -26,9 +29,8 @@ def _inp(name: str) -> str:
 
 
 def _terms(*pairs) -> str:
-    return '{"vars": %d, "terms": [%s]}' % (
-        len(pairs[0][0]),
-        ", ".join('{"exp": %s, "coeff": "%s"}' % (list(u), c) for u, c in pairs))
+    return json.dumps({"vars": len(pairs[0][0]),
+                       "terms": [{"exp": list(u), "coeff": c} for u, c in pairs]})
 
 
 # name -> (argv, exit code)
@@ -68,7 +70,6 @@ CASES = {
 
 def run_case(argv) -> tuple[int, str]:
     out = io.StringIO()
-    from tropideal import cli
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(list(argv))
     return code, out.getvalue()

@@ -169,6 +169,70 @@ def test_point_ideal_matches_padic_tropicalization():
     assert tropicalize(J, 3).layers == point_ideal((Trop(0), Trop(1)), 3).layers
 
 
+def laplace_det(rows):
+    """Test-local determinant over Fraction by cofactor expansion."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * rows[0][j] * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j] != 0)
+
+
+def principal_layer_by_minors(g, valuation, d):
+    """Degree-d layer of <g> from its Macaulay rows, which are independent.
+
+    p(B) is the valuation of the maximal minor on the columns outside B.
+    """
+    ground = monomials_of_degree(g.num_vars, d)
+    rows = []
+    for u in monomials_of_degree(g.num_vars, d - g.degree()):
+        shifted = g.times_monomial(u).coeffs
+        rows.append([shifted.get(v, Fraction(0)) for v in ground])
+    corank = len(ground) - len(rows)
+    val = {}
+    for B in itertools.combinations(range(len(ground)), corank):
+        rest = [c for c in range(len(ground)) if c not in B]
+        minor = laplace_det([[row[c] for c in rest] for row in rows])
+        if minor != 0:
+            val[frozenset(ground[i] for i in B)] = valuation.of(minor)
+    return VMatroid(ground, corank, val)
+
+
+@pytest.mark.parametrize("g", [
+    QPoly(2, {(1, 0): 5, (0, 1): 1}),                                  # 5x + y
+    QPoly(3, {(1, 0, 0): 25, (0, 1, 0): Fraction(1, 5), (0, 0, 1): 3}),
+    QPoly(3, {(2, 0, 0): 5, (1, 1, 0): Fraction(-10, 3), (0, 0, 2): 1}),
+])
+def test_padic_tropicalize_matches_fraction_minors(g):
+    # the pivots of these Macaulay matrices are divisible by 5, so the
+    # integer elimination must correct every s x s minor by s * v(d)
+    val = Valuation("padic", 5)
+    I = tropicalize(ClassicalInput((g,), val), 3)
+    for d in range(g.degree(), 4):
+        assert I.layers[d] == principal_layer_by_minors(g, val, d)
+
+
+def test_padic_prime_check_is_fast_and_bounded():
+    import time
+    t0 = time.perf_counter()
+    Valuation("padic", 2 ** 61 - 1)
+    assert time.perf_counter() - t0 < 0.5
+    with pytest.raises(InputError):
+        Valuation("padic", (2 ** 31 - 1) * (2 ** 61 - 1))
+    # the smallest strong pseudoprime to the first 12 prime bases
+    with pytest.raises(InputError):
+        Valuation("padic", 318665857834031151167461)
+
+
+def test_is_prime_matches_trial_division():
+    from tropideal.ideals import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(10 ** 4 + 1) if _is_prime(n)] == \
+        [n for n in range(10 ** 4 + 1) if trial(n)]
+
+
 # the divisibility-valued tower ------------------------------------------------------
 
 

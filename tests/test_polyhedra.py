@@ -49,6 +49,43 @@ def test_fm_solve_strict():
     assert p is not None and -1 < p[0] < 1
 
 
+def test_fm_solve_random_feasible_systems():
+    # rows built around a known rational point: the system is feasible, so
+    # fm_solve must return an exact Fraction point satisfying every row
+    rng = random.Random(99)
+
+    def rat():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+    for trial in range(400):
+        m = rng.randint(1, 4)
+        x0 = [rat() for _ in range(m)]
+        eqs, ineqs = [], []
+        for _ in range(rng.randint(0, m)):
+            a = [rat() for _ in range(m)]
+            eqs.append((a, sum(c * x for c, x in zip(a, x0))))
+        for _ in range(rng.randint(0, 6)):
+            a = [rat() for _ in range(m)]
+            strict = rng.random() < 0.5
+            slack = Fraction(rng.randint(1 if strict else 0, 3), rng.randint(1, 4))
+            ineqs.append((a, sum(c * x for c, x in zip(a, x0)) + slack, strict))
+        p = fm_solve(m, eqs, ineqs, bias=trial)
+        assert p is not None and len(p) == m
+        assert all(type(x) is Fraction for x in p)
+        for a, r in eqs:
+            assert sum(c * x for c, x in zip(a, p)) == r
+        for a, r, strict in ineqs:
+            lhs = sum(c * x for c, x in zip(a, p))
+            assert lhs < r if strict else lhs <= r
+
+
+def test_fm_solve_determined_by_equalities():
+    p = fm_solve(2, [((2, 1), 3), ((1, -1), Fraction(1, 2))], [])
+    assert p == (Fraction(7, 6), Fraction(2, 3))
+    assert all(type(x) is Fraction for x in p)
+    assert fm_solve(2, [((1, 1), 1), ((2, 2), 3)], []) is None
+
+
 def poly(pairs, nvars):
     return TropPoly(nvars, {u: Trop(c) for u, c in pairs})
 
