@@ -37,6 +37,11 @@ def _mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def _as_mask(M, subset) -> int:
+    """subset as a bitmask over M's ground: a mask already, or ground labels."""
+    return subset if isinstance(subset, int) else _mask_of(M._index[e] for e in subset)
+
+
 class OrdMatroid:
     """An ordinary matroid given by its bases over an ordered ground set."""
 
@@ -47,9 +52,7 @@ class OrdMatroid:
         self._index = {e: i for i, e in enumerate(self.ground)}
         if len(self._index) != len(self.ground):
             raise InputError("duplicate ground labels")
-        masks = set()
-        for B in bases:
-            masks.add(B if isinstance(B, int) else _mask_of(self._index[e] for e in B))
+        masks = {_as_mask(self, B) for B in bases}
         if not masks:
             raise InvalidMatroidError("a matroid needs at least one basis")
         sizes = {bin(m).count("1") for m in masks}
@@ -76,8 +79,7 @@ class OrdMatroid:
         return rank_of(self, subset)
 
     def is_basis(self, subset) -> bool:
-        mask = subset if isinstance(subset, int) else _mask_of(self._index[e] for e in subset)
-        return mask in self.bases
+        return _as_mask(self, subset) in self.bases
 
     def circuit_masks(self) -> list[int]:
         """All circuits, as masks.  Every fundamental circuit of a matroid is a
@@ -99,7 +101,7 @@ class OrdMatroid:
 
     def is_cycle(self, subset) -> bool:
         """Cycles are unions of circuits."""
-        mask = subset if isinstance(subset, int) else _mask_of(self._index[e] for e in subset)
+        mask = _as_mask(self, subset)
         if mask == 0:
             return True
         cover = 0
@@ -139,7 +141,7 @@ class VMatroid:
         items = valuation.items() if hasattr(valuation, "items") else valuation
         raw: dict[int, Fraction] = {}
         for key, value in items:
-            mask = key if isinstance(key, int) else _mask_of(self._index[e] for e in key)
+            mask = _as_mask(self, key)
             if bin(mask).count("1") != rank:
                 raise InvalidMatroidError("valuated set of size %d in a rank-%d matroid"
                                           % (bin(mask).count("1"), rank))
@@ -159,7 +161,7 @@ class VMatroid:
         return self._val.get(mask)
 
     def value(self, subset) -> Trop:
-        mask = subset if isinstance(subset, int) else _mask_of(self._index[e] for e in subset)
+        mask = _as_mask(self, subset)
         v = self._val.get(mask)
         return INF if v is None else Trop(v)
 
@@ -321,8 +323,7 @@ def fundamental_circuit(M: VMatroid, B, e) -> VVector:
     canonicalized to minimum coordinate 0.  B may be a label set or a
     bitmask; e is always a ground label.
     """
-    mask = B if isinstance(B, int) else _mask_of(M._index[x] for x in B)
-    return _fundamental_circuit_idx(M, mask, M._index[e])
+    return _fundamental_circuit_idx(M, _as_mask(M, B), M._index[e])
 
 
 def _fundamental_circuit_idx(M: VMatroid, mask: int, ei: int) -> VVector:
@@ -430,14 +431,14 @@ def initial_matroid(M: VMatroid, w: Sequence[Fraction]) -> OrdMatroid:
 
 def rank_of(M, subset) -> int:
     """Rank of a subset (labels or a mask) in an OrdMatroid or a VMatroid."""
-    mask = subset if isinstance(subset, int) else _mask_of(M._index[e] for e in subset)
+    mask = _as_mask(M, subset)
     bases = M.bases if isinstance(M, OrdMatroid) else M._val
     return max(bin(mask & B).count("1") for B in bases)
 
 
 def lex_min_basis_of_subset(M: VMatroid, subset) -> int:
     """Greedy lexicographically smallest basis of the restriction to subset."""
-    mask = subset if isinstance(subset, int) else _mask_of(M._index[e] for e in subset)
+    mask = _as_mask(M, subset)
     chosen = 0
     size = 0
     for i in _bits(mask):
@@ -454,25 +455,20 @@ def contract(M: VMatroid, A) -> VMatroid:
     The choice only shifts the valuation by a global scalar, which the
     canonical normalization removes.
     """
-    amask = A if isinstance(A, int) else _mask_of(M._index[e] for e in A)
+    amask = _as_mask(M, A)
     if amask == 0:
         return M
     BA = lex_min_basis_of_subset(M, amask)
     s = bin(BA).count("1")
     keep = [i for i in range(len(M.ground)) if not (amask >> i) & 1]
     ground = tuple(M.ground[i] for i in keep)
-    old_of_new = keep
     newrank = M.rank - s
     val: dict[int, Fraction] = {}
     for mask, p in M._val.items():
         if mask & BA != BA or mask & amask != BA:
             continue
         rest = mask ^ BA
-        newmask = 0
-        for j, i in enumerate(old_of_new):
-            if (rest >> i) & 1:
-                newmask |= 1 << j
-        val[newmask] = p
+        val[_mask_of(j for j, i in enumerate(keep) if (rest >> i) & 1)] = p
     if not val:
         raise InvalidMatroidError("contraction produced no basis; B_A was not extendable")
     return VMatroid(ground, newrank, val)

@@ -422,11 +422,12 @@ def _locate(cells: Sequence[Cell], point) -> Optional[int]:
 
 
 def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComplex:
-    """Common refinement: intersections of one cell per input complex.
+    """Common refinement: the nonempty intersections of one cell per input complex.
 
-    Each nonempty intersection is keyed by the unique tuple of input cells
-    whose relative interiors contain its witness point, which both removes
-    duplicates and gives the concatenated label.
+    A pairwise left fold.  A nonempty intersection is keyed by the flat tuple of
+    input cells whose relative interiors hold its witness point; a tuple meets only
+    if its prefixes do, so none is lost.  Cells are listed by key, with rows
+    concatenated and labels tupled in input order.
     """
     if not complexes:
         raise InputError("refine needs at least one complex")
@@ -442,28 +443,29 @@ def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComp
     out = PolyComplex(first.ambient, {}, quotiented=first.quotiented)
     for sigma in first.strata:
         lists = [c.strata[sigma] for c in complexes]
-        found: dict[tuple, Cell] = {}
-        for combo in itertools.product(*lists):
-            budget.charge(1, "refinement pairs")
-            eqs = [row for cell in combo for row in cell.eqs]
-            ineqs = [(c, r, False) for cell in combo for (c, r) in cell.ineqs]
-            m = len(combo[0].free)
-            p = fm_solve(m, eqs, ineqs)
-            if p is None:
-                continue
-            located = tuple(_locate(lst, p) for lst in lists)
-            if any(i is None for i in located):
-                raise InvariantViolationError("refinement point escaped the input complexes")
-            if located in found:
-                continue
-            reps = [lists[i][j] for i, j in enumerate(located)]
-            cell = Cell(first.ambient, sigma,
-                        [row for rep in reps for row in rep.eqs],
-                        [row for rep in reps for row in rep.ineqs],
-                        label=tuple(rep.label for rep in reps),
-                        free=combo[0].free)
-            found[located] = cell
-        out.strata[sigma] = [found[k] for k in sorted(found)]
+        partial = {(j,): [cell] for j, cell in enumerate(lists[0])}
+        for k in range(1, len(lists)):
+            found: dict[tuple, list] = {}
+            for reps in partial.values():
+                for cell in lists[k]:
+                    budget.charge(1, "refinement pairs")
+                    p = fm_solve(len(cell.free), [row for c in (*reps, cell) for row in c.eqs],
+                                 [row for c in (*reps, cell) for row in c.ineqs])
+                    if p is None:
+                        continue
+                    located = tuple(_locate(lst, p) for lst in lists[:k + 1])
+                    if None in located:
+                        raise InvariantViolationError("refinement point escaped the input complexes")
+                    if located not in found:
+                        found[located] = [lists[i][j] for i, j in enumerate(located)]
+            partial = found
+        out.strata[sigma] = [
+            Cell(first.ambient, sigma,
+                 [row for rep in reps for row in rep.eqs],
+                 [row for rep in reps for row in rep.ineqs],
+                 label=tuple(rep.label for rep in reps),
+                 free=reps[0].free)
+            for _, reps in sorted(partial.items())]
     return out
 
 

@@ -445,3 +445,19 @@ def test_criterion_11_elimination_axioms():
     assert circuit_checks > 100 and vector_checks > 100
     report(11, "circuit elimination on %d aligned pairs and vector elimination on %d "
                "pairs, all witnessed" % (circuit_checks, vector_checks))
+
+
+# 12 ----------------------------------------------------------------------------------
+
+
+def test_criterion_12_point_variety_at_degree_five():
+    a = (Trop(0), Trop(Fraction(3, 2)), Trop(-2))
+    V = variety(point_ideal(a, 5), "projective")
+    cells = V.in_variety_cells()
+    assert len(cells) == 1
+    sigma, gc = cells[0]
+    assert sigma == frozenset() and gc.cell.dim() == 0
+    # the witness is the point up to the all-ones line
+    assert len({w.value - x.value for w, x in zip(gc.witness, a)}) == 1
+    report(12, "the D=5 point ideal's projective variety is the single cell at its point, "
+               "among %d cells" % V.cell_count())

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropideal.errors import InputError, InvariantViolationError
 from tropideal.polyhedra import (Cell, PolyComplex, feasible_dim, fm_solve,
@@ -211,6 +214,73 @@ def test_refine_identity():
     R = refine([A, allspace])
     assert R.cell_count() == 3
     assert sorted(c.dim() for c in R.stratum(())) == sorted(c.dim() for c in A.stratum(()))
+
+
+def refine_by_product(complexes):
+    """Reference: solve every tuple of the product of the inputs' cells."""
+    first = complexes[0]
+    out = PolyComplex(first.ambient, {}, quotiented=first.quotiented)
+    for sigma in first.strata:
+        lists = [c.strata[sigma] for c in complexes]
+        found = {}
+        for combo in itertools.product(*lists):
+            p = fm_solve(len(combo[0].free), [row for cell in combo for row in cell.eqs],
+                         [row for cell in combo for row in cell.ineqs])
+            if p is None:
+                continue
+            located = tuple(next(i for i, cell in enumerate(lst) if cell.contains_relint(p))
+                            for lst in lists)
+            if located in found:
+                continue
+            reps = [lists[i][j] for i, j in enumerate(located)]
+            found[located] = Cell(first.ambient, sigma,
+                                  [row for rep in reps for row in rep.eqs],
+                                  [row for rep in reps for row in rep.ineqs],
+                                  label=tuple(rep.label for rep in reps),
+                                  free=combo[0].free)
+        out.strata[sigma] = [found[k] for k in sorted(found)]
+    return out
+
+
+def assert_same_refinement(R, S):
+    assert set(R.strata) == set(S.strata)
+    for sigma in R.strata:
+        got, want = R.strata[sigma], S.strata[sigma]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.free, a.eqs, a.ineqs, a.label) == (b.free, b.eqs, b.ineqs, b.label)
+            assert a.relint_point() == b.relint_point()
+
+
+@st.composite
+def polys_and_stratum(draw):
+    nvars = draw(st.integers(2, 3))
+    sigma = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    polys = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=4),
+                          min_size=2, max_size=3))
+    return [TropPoly(nvars, {u: Trop(c) for u, c in terms.items()}).strip_sigma(sigma)
+            for terms in polys], sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys_and_stratum())
+def test_refine_fold_matches_product_oracle(case):
+    polys, sigma = case
+    complexes = [normal_complex(f, sigma) for f in polys]
+    assert_same_refinement(refine(complexes), refine_by_product(complexes))
+
+
+def test_refine_empty_input_stratum():
+    empty = PolyComplex(2, {frozenset(): []})
+    for complexes in ([axis_complex(0), empty], [empty, axis_complex(1)],
+                      [axis_complex(0), empty, axis_complex(1)]):
+        R = refine(complexes)
+        assert R.strata == {frozenset(): []}
+        assert_same_refinement(R, refine_by_product(complexes))
+    three = [axis_complex(0), axis_complex(1), axis_complex(0)]
+    assert_same_refinement(refine(three), refine_by_product(three))
 
 
 def test_quotient_lineality():
