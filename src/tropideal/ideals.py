@@ -19,8 +19,8 @@ from .config import Budget
 from .errors import (DimensionError, InputError, InvariantViolationError,
                      OutOfRangeError)
 from .linalg import echelon
-from .matroids import (VMatroid, _mask_of, circuits, contract, initial_matroid,
-                       is_vector)
+from .matroids import (VMatroid, _bits, _int_valuations, _mask_of, circuits, contract,
+                       initial_matroid, is_vector)
 from .polynomials import TropPoly
 from .semiring import INF, Trop, all_infinite, dot, weight_sigma
 
@@ -384,6 +384,31 @@ class CompatibilityWitness:
                    [mon.label(u) for u in self.U], [mon.label(v) for v in self.V]))
 
 
+def _vector_classes(val: dict[int, int], n: int, k: int, inside: bool) -> list:
+    """The lexicographically first k-subset S of range(n) per vector class.
+
+    The vector of S has coordinate j equal to p(S - j) for j in S (inside)
+    or p(S + j) for j outside S, where that value is finite.  Two vectors
+    whose finite coordinates differ by one constant behave alike against
+    every partner in the compatibility test, so one S per class suffices.
+    All-infinite vectors never fail the test and are dropped.  Returns
+    (S, [(j, value), ...]) pairs in the order of their first occurrence.
+    """
+    full = (1 << n) - 1
+    reps: dict[tuple, tuple] = {}
+    for S in itertools.combinations(range(n), k):
+        mask = _mask_of(S)
+        coords = [(j, val[mask ^ (1 << j)]) for j in _bits(mask if inside else full ^ mask)
+                  if mask ^ (1 << j) in val]
+        if not coords:
+            continue
+        low = min(p for _, p in coords)
+        key = tuple((j, p - low) for j, p in coords)
+        if key not in reps:
+            reps[key] = (S, coords)
+    return list(reps.values())
+
+
 def check_compatibility(I: TruncIdeal, cap: int | None = None) -> Optional[CompatibilityWitness]:
     """None when consecutive layers are compatible, else a witness.
 
@@ -391,8 +416,16 @@ def check_compatibility(I: TruncIdeal, cap: int | None = None) -> Optional[Compa
     the degree-d monomials and (r_{d+1}-1)-subset V of the degree-(d+1)
     monomials, the minimum over x^u in x_i U \\ V of
     p_d(U - x^u/x_i) + p_{d+1}(V + x^u) is infinite or attained twice.
+
+    The test sees U only through the vector u -> p_d(U - u) and V only
+    through w -> p_{d+1}(V + w).  Sets whose vectors are tropically
+    proportional pass or fail alike against every partner (Dress and
+    Wenzel, Valuated matroids, 1992), so the scan pairs the first U and V
+    of each class.  The witness is still the first failing (x_i, U, V) of
+    the full scan in lexicographic order.
     """
     budget = Budget(cap)
+    vals = _int_valuations(*I.layers)
     for d in range(I.degree_bound):
         Md, Mn = I.layers[d], I.layers[d + 1]
         gd, gn = Md.ground, Mn.ground
@@ -400,36 +433,29 @@ def check_compatibility(I: TruncIdeal, cap: int | None = None) -> Optional[Compa
         rd, rn = Md.rank, Mn.rank
         if rd + 1 > len(gd) or rn - 1 < 0:
             continue
-        count = math.comb(len(gd), rd + 1) * math.comb(len(gn), max(rn - 1, 0)) * I.num_vars
-        budget.charge(count, "compatibility degree %d" % d)
-        vd, vn = Md._val, Mn._val
+        what = "compatibility degree %d" % d
+        budget.charge(math.comb(len(gd), rd + 1) + math.comb(len(gn), rn - 1), what)
+        us = _vector_classes(vals[d], len(gd), rd + 1, inside=True)
+        vs = [(V, dict(coords)) for V, coords in
+              _vector_classes(vals[d + 1], len(gn), rn - 1, inside=False)]
+        budget.charge(len(us) * len(vs) * I.num_vars, what)
         for i in range(I.num_vars):
             shift = [next_index[mon.times_var(u, i)] for u in gd]
-            for U in itertools.combinations(range(len(gd)), rd + 1):
-                umask = _mask_of(U)
-                # p_d(U - j) per removed element, and the shifted positions
-                removed = [vd.get(umask ^ (1 << j)) for j in U]
-                lifted = [shift[j] for j in U]
-                for V in itertools.combinations(range(len(gn)), rn - 1):
-                    vmask = _mask_of(V)
+            for U, coords in us:
+                lifted = [(shift[j], p) for j, p in coords]
+                for V, pn in vs:
                     best = None
-                    count_min = 0
-                    for pos in range(len(U)):
-                        t = lifted[pos]
-                        if (vmask >> t) & 1:
-                            continue  # x^u already in V
-                        pd = removed[pos]
-                        if pd is None:
+                    twice = False
+                    for t, p in lifted:
+                        q = pn.get(t)  # None when x^u is in V or V + x^u is no basis
+                        if q is None:
                             continue
-                        pn = vn.get(vmask | (1 << t))
-                        if pn is None:
-                            continue
-                        total = pd + pn
+                        total = p + q
                         if best is None or total < best:
-                            best, count_min = total, 1
+                            best, twice = total, False
                         elif total == best:
-                            count_min += 1
-                    if best is not None and count_min < 2:
+                            twice = True
+                    if best is not None and not twice:
                         return CompatibilityWitness(
                             d, i,
                             tuple(gd[j] for j in U),

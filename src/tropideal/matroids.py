@@ -225,8 +225,22 @@ class VMatroid:
 _BRUTE_PAIR_LIMIT = 250_000
 
 
-def _exchange_holds_at(M: VMatroid, A: int, B: int, a: int) -> bool:
-    val = M._val
+def _int_valuations(*Ms: VMatroid) -> list[dict[int, int]]:
+    """Each valuation times the lcm of all their denominators, as plain ints.
+
+    A common positive scale keeps every sum, order and tie between the
+    matroids' values, so scans add and compare ints instead of Fractions.
+    """
+    scale = math.lcm(*(v.denominator for M in Ms for v in M._val.values()))
+    return [{m: v.numerator * (scale // v.denominator) for m, v in M._val.items()}
+            for M in Ms]
+
+
+def _exchange_holds_at(val: dict, A: int, B: int, a: int) -> bool:
+    """Some b in B \\ A has p(A) + p(B) >= p(A - a + b) + p(B - b + a).
+
+    val is a valuation, or a positive scaling of one, keyed by mask.
+    """
     lhs = val[A] + val[B]
     abit = 1 << a
     for b in _bits(B & ~A):
@@ -249,13 +263,14 @@ def _witness(M: VMatroid, A: int, B: int, a: int):
 def _exchange_bruteforce(M: VMatroid, budget: Budget):
     masks = M.basis_masks()
     budget.charge(len(masks) * len(masks), "valuated exchange check")
+    val, = _int_valuations(M)
     for A in masks:
         for B in masks:
             diff = A & ~B
             if not diff:
                 continue
             for a in _bits(diff):
-                if not _exchange_holds_at(M, A, B, a):
+                if not _exchange_holds_at(val, A, B, a):
                     return _witness(M, A, B, a)
     return None
 
@@ -273,28 +288,30 @@ def _exchange_three_term(M: VMatroid, budget: Budget):
     if r < 2 or n - r < 2:
         return None
     budget.charge(math.comb(n, r - 2) * math.comb(n - r + 2, 4), "valuated exchange check")
-    val = M._val
+    val, = _int_valuations(M)
+    inf = math.inf  # int + inf is inf, and inf compares above every int
+    pv = [[inf] * n for _ in range(n)]
     for S in itertools.combinations(range(n), r - 2):
         smask = _mask_of(S)
         rest = [i for i in range(n) if not (smask >> i) & 1]
+        # p(S + x + y) for x < y outside S; only these entries are read below
+        for x, y in itertools.combinations(rest, 2):
+            pv[x][y] = val.get(smask | (1 << x) | (1 << y), inf)
         for i, j, k, l in itertools.combinations(rest, 4):
-            bi, bj, bk, bl = 1 << i, 1 << j, 1 << k, 1 << l
-            terms = []
-            for (m1, m2, first) in (((bi | bj), (bk | bl), i),
-                                    ((bi | bk), (bj | bl), i),
-                                    ((bi | bl), (bj | bk), i)):
-                v1 = val.get(smask | m1)
-                v2 = val.get(smask | m2)
-                if v1 is not None and v2 is not None:
-                    terms.append((v1 + v2, smask | m1, smask | m2, first))
-            if not terms:
-                continue
-            best = min(t[0] for t in terms)
-            if sum(1 for t in terms if t[0] == best) >= 2:
-                continue
-            _, A, B, a = next(t for t in terms if t[0] == best)
-            if not _exchange_holds_at(M, A, B, a):
-                return _witness(M, A, B, a)
+            t1 = pv[i][j] + pv[k][l]
+            t2 = pv[i][k] + pv[j][l]
+            t3 = pv[i][l] + pv[j][k]
+            if t1 < t2 and t1 < t3:
+                A, B = (1 << i) | (1 << j), (1 << k) | (1 << l)
+            elif t2 < t1 and t2 < t3:
+                A, B = (1 << i) | (1 << k), (1 << j) | (1 << l)
+            elif t3 < t1 and t3 < t2:
+                A, B = (1 << i) | (1 << l), (1 << j) | (1 << k)
+            else:
+                continue  # the minimum is infinite or attained twice
+            A, B = smask | A, smask | B
+            if not _exchange_holds_at(val, A, B, i):
+                return _witness(M, A, B, i)
             # unexpected: the derived triple passed; fall back to the full scan
             return _exchange_bruteforce(M, budget)
     return None
@@ -356,14 +373,19 @@ def circuits(M: VMatroid, cap: int | None = None) -> list[VVector]:
     n = len(M.ground)
     masks = M.basis_masks()
     budget.charge(len(masks) * max(1, n - M.rank), "circuit enumeration")
+    val = M._val
     seen: dict[int, VVector] = {}
     full = (1 << n) - 1
     for B in masks:
         for e in _bits(full & ~B):
-            H = _fundamental_circuit_idx(M, B, e)
-            smask = _mask_of(i for i, c in enumerate(H) if not c.is_inf)
+            # the support of the circuit: e, and each i in B with B + e - i a basis
+            extended = B | (1 << e)
+            smask = 1 << e
+            for i in _bits(B):
+                if extended ^ (1 << i) in val:
+                    smask |= 1 << i
             if smask not in seen:
-                seen[smask] = H
+                seen[smask] = _fundamental_circuit_idx(M, B, e)
     return [seen[m] for m in sorted(seen)]
 
 

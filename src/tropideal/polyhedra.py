@@ -34,9 +34,11 @@ def _fracs(xs) -> tuple:
 
 def canonical_row(coeffs, rhs, equality: bool = False) -> Row:
     """Primitive integer form; equalities get a positive leading coefficient."""
-    vals = _fracs((*coeffs, rhs))
-    scale = lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (scale // v.denominator) for v in vals]
+    ints = (*coeffs, rhs)
+    if not all(type(v) is int for v in ints):
+        vals = _fracs(ints)
+        scale = lcm(*(v.denominator for v in vals))
+        ints = [v.numerator * (scale // v.denominator) for v in vals]
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]

@@ -3,16 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropideal.errors import InputError, OutOfRangeError
-from tropideal.ideals import (ClassicalInput, QPoly,
+from tropideal.errors import InputError, OutOfRangeError, SizeGuardError
+from tropideal.ideals import (ClassicalInput, CompatibilityWitness, QPoly,
                               TruncIdeal, Valuation, affine_point_ideal,
                               affine_principal_truncation, affine_unit_ideal,
                               boolean_image, check_compatibility, compare,
                               contains, homogenize_ideal, initial_ideal,
                               nonrealizable_ideal, point_ideal,
                               single_circuit_matroid, tropicalize)
-from tropideal.matroids import VMatroid, circuits, is_vector
+from tropideal.matroids import (VMatroid, check_valuated_exchange, circuits,
+                                is_vector)
 from tropideal.monomials import monomials_of_degree
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
@@ -70,6 +73,32 @@ def compatible_by_circuit_push(I):
                 if not is_vector(nxt, vec):
                     return False
     return True
+
+
+def compatibility_by_product(I):
+    """Oracle: the full scan of every x_i, (r_d+1)-set U and (r_{d+1}-1)-set V."""
+    for d in range(I.degree_bound):
+        Md, Mn = I.layers[d], I.layers[d + 1]
+        gd, gn = Md.ground, Mn.ground
+        index = {u: j for j, u in enumerate(gn)}
+        if Md.rank + 1 > len(gd) or Mn.rank < 1:
+            continue
+        for i in range(I.num_vars):
+            for U in itertools.combinations(range(len(gd)), Md.rank + 1):
+                umask = sum(1 << j for j in U)
+                for V in itertools.combinations(range(len(gn)), Mn.rank - 1):
+                    vmask = sum(1 << j for j in V)
+                    totals = []
+                    for j in U:
+                        t = index[gd[j][:i] + (gd[j][i] + 1,) + gd[j][i + 1:]]
+                        pd = Md.value_mask(umask ^ (1 << j))
+                        pn = Mn.value_mask(vmask | (1 << t))
+                        if t not in V and pd is not None and pn is not None:
+                            totals.append(pd + pn)
+                    if totals and totals.count(min(totals)) < 2:
+                        return CompatibilityWitness(d, i, tuple(gd[j] for j in U),
+                                                    tuple(gn[j] for j in V))
+    return None
 
 
 def linear_x_plus_y():
@@ -319,6 +348,77 @@ def test_compatibility_failure_detected():
     witness = check_compatibility(broken)
     assert witness is not None and witness.degree == 1
     assert not compatible_by_circuit_push(broken)
+
+
+NONREALIZABLE_2_3 = nonrealizable_ideal(2, 3)
+
+
+@st.composite
+def perturbed_towers(draw):
+    """A point ideal or the n=2, D=3 divisibility tower, changed layer by layer.
+
+    Per layer: kept; shifted by a weight on the ground (still a valuated
+    matroid, usually no longer compatible); values perturbed by rationals
+    with denominators 1-3; or some bases dropped.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        I = NONREALIZABLE_2_3
+    else:
+        nv = draw(st.integers(2, 3))
+        coords = st.one_of(st.just(INF), st.fractions(-3, 3, max_denominator=3).map(Trop))
+        point = draw(st.lists(coords, min_size=nv, max_size=nv)
+                     .filter(lambda a: any(not c.is_inf for c in a)))
+        I = point_ideal(point, draw(st.integers(2, 3)))
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    layers = []
+    for M in I.layers:
+        val = dict(M.valuation_items())
+        mode = draw(st.sampled_from(["perturb", "shift", "drop", "keep"]))
+        if mode == "shift":
+            w = [rational() for _ in M.ground]
+            val = {m: v + sum(w[i] for i in range(len(w)) if (m >> i) & 1)
+                   for m, v in val.items()}
+        elif mode == "perturb":
+            val = {m: v + rational() if rng.random() < 0.3 else v for m, v in val.items()}
+        elif mode == "drop" and len(val) > 1:
+            kept = rng.choice(sorted(val))
+            val = {m: v for m, v in val.items() if m == kept or rng.random() < 0.7}
+        layers.append(VMatroid(M.ground, M.rank, val))
+    return TruncIdeal(I.num_vars, layers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_towers())
+def test_compatibility_classes_match_product_oracle(J):
+    witness = check_compatibility(J)
+    assert repr(witness) == repr(compatibility_by_product(J))
+    if all(check_valuated_exchange(M) is None for M in J.layers):
+        assert (witness is None) == compatible_by_circuit_push(J)
+
+
+def test_compatibility_budget_charges_classes_not_pairs(monkeypatch):
+    # nonrealizable(2, 4): the full scan would charge about 1.04M (U, V, x_i)
+    # triples; the class scan charges the U- and V-sets plus the class pairs
+    import tropideal.ideals as ideals
+    J = nonrealizable_ideal(2, 4)
+    assert check_compatibility(J, cap=200_000) is None
+    # 87 U classes x 216 V classes x 3 variables at degree 3
+    with pytest.raises(SizeGuardError, match="compatibility degree 3"):
+        check_compatibility(J, cap=50_000)
+    # degree 3 has C(10, 5) U-sets and C(15, 4) V-sets; the charge for them
+    # must refuse before any of them is enumerated
+    sizes = []
+    enumerate_classes = ideals._vector_classes
+    monkeypatch.setattr(ideals, "_vector_classes",
+                        lambda val, n, k, inside: sizes.append(k) or
+                        enumerate_classes(val, n, k, inside))
+    with pytest.raises(SizeGuardError, match="compatibility degree 3"):
+        check_compatibility(J, cap=252 + 1365 - 1)
+    assert sizes == [3, 2, 4, 3]  # the U and V sizes of degrees 1 and 2 only
 
 
 # hilbert, membership ---------------------------------------------------------------

@@ -95,6 +95,27 @@ def test_circuits_rank_one():
     assert circuits(M) == [(Trop(0), Trop(0))]
 
 
+def test_circuits_first_fundamental_circuit_per_support():
+    # oracle: every fundamental circuit in (basis mask, element) order, the
+    # first one kept per support, listed by support mask
+    rng = random.Random(31)
+    for _ in range(120):
+        n = rng.randint(3, 7)
+        r = rng.randint(1, n - 1)
+        vals = {frozenset(S): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for S in itertools.combinations(range(n), r) if rng.random() < 0.6}
+        if not vals:
+            continue
+        M = VMatroid(range(n), r, vals)
+        first = {}
+        for B in M.basis_masks():
+            for e in range(n):
+                if not (B >> e) & 1:
+                    H = fundamental_circuit(M, B, e)
+                    first.setdefault(sum(1 << i for i, c in enumerate(H) if not c.is_inf), H)
+        assert circuits(M) == [first[m] for m in sorted(first)]
+
+
 def test_circuit_supports_match_underlying_matroid():
     vals = {(1, 2): 1, (3, 4): 1}
     vals.update({k: 0 for k in itertools.combinations((1, 2, 3, 4), 2) if k not in vals})
@@ -294,10 +315,67 @@ def test_three_term_scan_agrees_with_direct_exchange():
             A, B, a = fast
             Am = sum(1 << M.index_of(e) for e in A)
             Bm = sum(1 << M.index_of(e) for e in B)
-            assert not _exchange_holds_at(M, Am, Bm, M.index_of(a))
+            assert not _exchange_holds_at(M._val, Am, Bm, M.index_of(a))
             violations += 1
         checked += 1
     assert checked > 300 and violations > 100
+
+
+def stiefel_valuation(A, B):
+    """Tropical determinant of the columns B of A: a valuated matroid on the columns."""
+    return min(sum(A[row][col] for row, col in zip(range(len(A)), perm))
+               for perm in itertools.permutations(B))
+
+
+def exchange_verdicts_agree(M):
+    """The integer three-term scan and the direct quantifier agree on M."""
+    from tropideal.config import Budget
+    from tropideal.matroids import _exchange_bruteforce
+    fast = check_valuated_exchange(M)
+    assert (fast is None) == (_exchange_bruteforce(M, Budget()) is None)
+    if fast is not None:
+        A, B, a = fast
+        assert a in A - B
+        for b in B - A:
+            v1 = M.value((A - {a}) | {b})
+            v2 = M.value((B - {b}) | {a})
+            assert v1.is_inf or v2.is_inf or M.value(A) * M.value(B) < v1 * v2
+    return fast is None
+
+
+def test_integer_three_term_scan_matches_bruteforce_on_uniform_support(monkeypatch):
+    # every r-set is a basis, so the three-term relations are equivalent to
+    # exchange; Fraction values make the scan scale by their common denominator
+    import tropideal.matroids as matroids
+    monkeypatch.setattr(matroids, "_BRUTE_PAIR_LIMIT", 0)
+    rng = random.Random(4242)
+    valid = invalid = 0
+    for _ in range(150):
+        n = rng.randint(4, 7)
+        r = rng.randint(2, min(3, n - 2))
+        A = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(r)]
+        vals = {B: stiefel_valuation(A, B) for B in itertools.combinations(range(n), r)}
+        if rng.random() < 0.5:  # perturb a few bases; usually breaks exchange
+            for B in rng.sample(sorted(vals), 2):
+                vals[B] += Fraction(rng.choice([-1, 1]), rng.randint(2, 6))
+        M = VMatroid(range(n), r, {frozenset(B): v for B, v in vals.items()})
+        if exchange_verdicts_agree(M):
+            valid += 1
+        else:
+            invalid += 1
+    assert valid > 50 and invalid > 30
+
+
+def test_three_term_scan_keeps_fraction_ties(monkeypatch):
+    # p12 + p34 = 1/2 + 1/3 ties p13 + p24 = 5/6 + 0 below p14 + p23 = 1
+    import tropideal.matroids as matroids
+    monkeypatch.setattr(matroids, "_BRUTE_PAIR_LIMIT", 0)
+    vals = {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 3), (1, 3): Fraction(5, 6),
+            (2, 4): 0, (1, 4): 1, (2, 3): 0}
+    assert exchange_verdicts_agree(pair_matroid(vals))
+    vals[(1, 3)] = Fraction(6, 7)  # the tie breaks: 5/6 is attained once
+    assert not exchange_verdicts_agree(pair_matroid(vals))
 
 
 def test_vector_elimination_on_circuit_pairs():

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropideal.errors import InputError, InvariantViolationError
-from tropideal.polyhedra import (Cell, PolyComplex, feasible_dim, fm_solve,
-                                 normal_complex, quotient_lineality, refine,
-                                 weight_to_cell_coords)
+from tropideal.polyhedra import (Cell, PolyComplex, canonical_row, feasible_dim,
+                                 fm_solve, normal_complex, quotient_lineality,
+                                 refine, weight_to_cell_coords)
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
@@ -50,6 +50,16 @@ def test_fm_solve_strict():
     p = fm_solve(2, [], [((Fraction(1), Fraction(0)), Fraction(1), True),
                          ((Fraction(-1), Fraction(0)), Fraction(1), True)])
     assert p is not None and -1 < p[0] < 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=5), st.booleans())
+def test_canonical_row_int_path_matches_fraction_path(row, equality):
+    # int rows skip the Fraction/lcm scaling; the result must be the same
+    # primitive row, with the same sign fix for equalities
+    got = canonical_row(row[:-1], row[-1], equality)
+    assert got == canonical_row([Fraction(v) for v in row[:-1]], Fraction(row[-1]), equality)
+    assert all(type(v) is int for v in (*got[0], got[1]))
 
 
 def test_fm_solve_random_feasible_systems():
