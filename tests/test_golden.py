@@ -52,6 +52,9 @@ CASES = {
     "tropicalize-padic": (["tropicalize", "--input", _inp("padic.json"), "--degree", "2"], 0),
     "tropicalize-trivial": (["tropicalize", "--input", _inp("trivial.json"),
                              "--degree", "2"], 0),
+    "tropicalize-example27-g-d4": (["tropicalize", "--input", _inp("example27_g.json"),
+                                    "--degree", "4"], 0),
+    "tropicalize-padic-d3": (["tropicalize", "--input", _inp("padic.json"), "--degree", "3"], 0),
     "tropicalize-not-prime": (["tropicalize", "--input", _inp("not_prime.json"),
                                "--degree", "1"], 2),
     "hilbert-text": (["hilbert", "--ideal", _inp("tower.json"), "--degree", "2",
