@@ -77,18 +77,18 @@ class Valuation:
     def of(self, q: Fraction) -> Trop:
         if q == 0:
             return INF
+        return Trop(self.of_int(q.numerator) - self.of_int(q.denominator))
+
+    def of_int(self, n: int) -> int:
+        """The valuation of a nonzero integer."""
         if self.kind == "trivial":
-            return Trop(0)
-
-        def vp(n: int) -> int:
-            n = abs(n)
-            count = 0
-            while n % self.p == 0:
-                n //= self.p
-                count += 1
-            return count
-
-        return Trop(vp(q.numerator) - vp(q.denominator))
+            return 0
+        n = abs(n)
+        count = 0
+        while n % self.p == 0:
+            n //= self.p
+            count += 1
+        return count
 
 
 class QPoly:
@@ -225,6 +225,48 @@ def hilbert(I: TruncIdeal, d: int) -> int:
 # Tropicalization ----------------------------------------------------------------
 
 
+def _nonzero_minors(rows):
+    """Every nonzero square minor of a sparse integer matrix, grouped by row set.
+
+    rows lists (r, entries) by increasing r, with entries the (c, a) pairs of
+    the row's nonzero entries; r and c are bit positions, so row and column
+    sets are bitmasks.  Yields (R, minors) once per row set R that has a
+    nonzero minor, minors mapping each column set C with det A[R, C] != 0 to
+    that determinant; the empty row set comes first, with {0: 1}.
+
+    The minors of R + r, for a row r below every row of R, come from those
+    of R by Laplace expansion along r, which is then the first row:
+    det A[R + r, C + c] collects (-1)^j a_rc det A[R, C] over the c, where
+    j counts the columns of C below c.  Zero minors are dropped as they
+    appear, since they add nothing to a larger one.  The walk is depth
+    first on an explicit stack of (R, minors of R, rows still to try).
+    """
+    empty = {0: 1}
+    stack = [(0, empty, len(rows))]
+    yield 0, empty
+    while stack:
+        R, minors, top = stack.pop()
+        if top == 0:
+            continue
+        stack.append((R, minors, top - 1))
+        r, entries = rows[top - 1]
+        grown: dict[int, int] = {}
+        for C, det in minors.items():
+            for c, a in entries:
+                bit = 1 << c
+                if C & bit:
+                    continue
+                term = a * det
+                if (C & (bit - 1)).bit_count() & 1:
+                    term = -term
+                grown[C | bit] = grown.get(C | bit, 0) + term
+        grown = {C: det for C, det in grown.items() if det}
+        if grown:
+            R |= 1 << r
+            yield R, grown
+            stack.append((R, grown, top - 1))
+
+
 def _layer_from_row_space(ground: Sequence[tuple], pivots: list[int],
                           reduced: list[list[int]], d: int, valuation: Valuation,
                           budget: Budget) -> VMatroid:
@@ -237,7 +279,9 @@ def _layer_from_row_space(ground: Sequence[tuple], pivots: list[int],
     sign, the minor of A on rows indexed by pivot columns inside B and
     columns indexed by free columns outside B.  Signs do not affect
     valuations.  The rows given are d times that form, so an s x s minor
-    of theirs has valuation s * v(d) above the minor of A.
+    of theirs has valuation s * v(d) above the minor of A.  B is therefore
+    R + (free columns - C) for the nonzero minors det A[R, C], with rows
+    and columns named by their ground index.
     """
     N = len(ground)
     k = len(pivots)
@@ -246,22 +290,19 @@ def _layer_from_row_space(ground: Sequence[tuple], pivots: list[int],
     free = [c for c in range(N) if c not in set(pivots)]
     if not free:
         return VMatroid(ground, 0, {0: 0})
-    # A-block, scaled by d: row i corresponds to pivot column pivots[i]
-    A = [[reduced[i][c] for c in free] for i in range(k)]
-    vd = valuation.of(Fraction(d)).value
-    row_of_pivot = {p: i for i, p in enumerate(pivots)}
-    col_of_free = {c: j for j, c in enumerate(free)}
+    vd = valuation.of_int(d)
     corank = N - k
     budget.charge(math.comb(N, corank), "tropicalization minors")
-    val: dict[int, Fraction] = {}
-    pivset = set(pivots)
-    for B in itertools.combinations(range(N), corank):
-        Bset = set(B)
-        sub_rows = [row_of_pivot[c] for c in B if c in pivset]
-        sub_cols = [col_of_free[c] for c in free if c not in Bset]
-        mpivots, _, minor = echelon([[A[i][j] for j in sub_cols] for i in sub_rows])
-        if len(mpivots) == len(sub_rows):
-            val[_mask_of(B)] = valuation.of(Fraction(minor)).value - len(sub_rows) * vd
+    # the A-block, scaled by d: row i sits at pivot column pivots[i]
+    rows = [(p, [(c, reduced[i][c]) for c in free if reduced[i][c]])
+            for i, p in enumerate(pivots)]
+    free_mask = _mask_of(free)
+    val: dict[int, int] = {}
+    for R, minors in _nonzero_minors(rows):
+        shift = R.bit_count() * vd
+        base = R | free_mask
+        for C, det in minors.items():
+            val[base ^ C] = valuation.of_int(det) - shift
     return VMatroid(ground, corank, val)
 
 
@@ -344,26 +385,19 @@ def nonrealizable_ideal(n: int, D: int, cap: int | None = None) -> TruncIdeal:
         raise InputError("truncation degree must be nonnegative")
     budget = Budget(cap)
     nv = n + 1
-    divisor_lists = {k: mon.monomials_of_degree(nv, k) for k in range(1, D + 1)}
+    zero = Fraction(0)
     layers = []
     for d in range(D + 1):
         ground = tuple(mon.monomials_of_degree(nv, d))
         budget.charge(math.comb(len(ground), d + 1), "nonrealizable layer")
+        # (the ground elements a degree-k monomial divides, the limit d - k + 1)
+        divisors = [(_mask_of(i for i, u in enumerate(ground) if mon.divides(v, u)), d - k + 1)
+                    for k in range(1, d + 1) for v in mon.monomials_of_degree(nv, k)]
         val = {}
         for B in itertools.combinations(range(len(ground)), d + 1):
-            mons = [ground[i] for i in B]
-            ok = True
-            for k in range(1, d + 1):
-                limit = d - k + 1
-                for v in divisor_lists[k]:
-                    count = sum(1 for u in mons if mon.divides(v, u))
-                    if count > limit:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                val[_mask_of(B)] = Fraction(0)
+            mask = _mask_of(B)
+            if all((divided & mask).bit_count() <= limit for divided, limit in divisors):
+                val[mask] = zero
         layers.append(VMatroid(ground, d + 1, val))
     return TruncIdeal(nv, layers, mode="rational")
 

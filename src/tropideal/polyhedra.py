@@ -5,10 +5,11 @@ exactly sigma) and is stored as a closed system of equalities and
 inequalities over the finite coordinates, plus an opaque label.  Every
 row is scaled to primitive integers (canonical_row), and rows stay
 integer through equality substitution and each Fourier-Motzkin step;
-rationals appear only in bounds and points.  Feasibility,
-relative-interior points and dimensions come from Fourier-Motzkin
-elimination with midpoint back-substitution; everything is exact, there
-is no floating point and no perturbation.
+rationals appear only in bounds and points, and a point P / q meets rows
+and tie sets in integers.  Feasibility, relative-interior points and
+dimensions come from Fourier-Motzkin elimination with midpoint
+back-substitution; everything is exact, there is no floating point and
+no perturbation.
 """
 
 from __future__ import annotations
@@ -28,17 +29,18 @@ from .semiring import Trop
 Row = tuple  # (coeffs: tuple[int, ...], rhs: int), primitive: the gcd of all entries is 1
 
 
-def _fracs(xs) -> tuple:
-    return tuple(Fraction(x) for x in xs)
+def _scaled(xs) -> tuple[list[int], int]:
+    """Integers P and q > 0 with xs = P / q, for rationals xs."""
+    vals = [Fraction(x) for x in xs]
+    q = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (q // v.denominator) for v in vals], q
 
 
 def canonical_row(coeffs, rhs, equality: bool = False) -> Row:
     """Primitive integer form; equalities get a positive leading coefficient."""
     ints = (*coeffs, rhs)
     if not all(type(v) is int for v in ints):
-        vals = _fracs(ints)
-        scale = lcm(*(v.denominator for v in vals))
-        ints = [v.numerator * (scale // v.denominator) for v in vals]
+        ints = _scaled(ints)[0]
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -219,8 +221,9 @@ class Cell:
         self._relint = p
         if p is None:
             return
+        P, q = _scaled(p)
         tight = frozenset(i for i, (c, r) in enumerate(self.ineqs)
-                          if sum(a * x for a, x in zip(c, p)) == r)
+                          if sum(a * x for a, x in zip(c, P)) == r * q)
         self._tight = tight
         rows = [c for c, _ in self.eqs] + [self.ineqs[i][0] for i in tight]
         self._dim = m - len(echelon(rows)[0])
@@ -241,31 +244,30 @@ class Cell:
         return self.relint_point() is None
 
     def contains_closed(self, point: Sequence[Fraction]) -> bool:
-        point = _fracs(point)
-        if len(point) != len(self.free):
-            raise InputError("point has wrong dimension")
-        for c, r in self.eqs:
-            if sum(a * x for a, x in zip(c, point)) != r:
-                return False
-        for c, r in self.ineqs:
-            if sum(a * x for a, x in zip(c, point)) > r:
-                return False
-        return True
+        return self._holds_at(*self._point_ints(point), relint=False)
 
     def contains_relint(self, point: Sequence[Fraction]) -> bool:
-        self._solve()
-        if self._relint is None:
-            return False
-        point = _fracs(point)
+        return self._holds_at(*self._point_ints(point), relint=True)
+
+    def _point_ints(self, point) -> tuple[list[int], int]:
+        if len(point) != len(self.free):
+            raise InputError("point has wrong dimension")
+        return _scaled(point)
+
+    def _holds_at(self, P: Sequence[int], q: int, relint: bool) -> bool:
+        """Whether the point P / q (q > 0) lies in the cell, or in its relative
+        interior: there the tight rows hold with equality and the others strictly."""
+        if relint:
+            self._solve()
+            if self._relint is None:
+                return False
         for c, r in self.eqs:
-            if sum(a * x for a, x in zip(c, point)) != r:
+            if sum(a * x for a, x in zip(c, P)) != r * q:
                 return False
         for i, (c, r) in enumerate(self.ineqs):
-            v = sum(a * x for a, x in zip(c, point))
-            if i in self._tight:
-                if v != r:
-                    return False
-            elif v >= r:
+            v = sum(a * x for a, x in zip(c, P))
+            rq = r * q
+            if v > rq or (relint and (v == rq) != (i in self._tight)):
                 return False
         return True
 
@@ -315,28 +317,31 @@ class PolyComplex:
 # Normal complexes --------------------------------------------------------------------
 
 
-def _tie_system(terms, T):
+def _tie_system(terms, scale: int, T):
+    """Integer rows of the closed cell where the terms in T attain the minimum.
+
+    terms are (u, c) with c the coefficient times scale.  The representative
+    rep = min(T) ties with each other t in T and is at most every term
+    outside T: scale * (u_rep - u) . w = c - c_rep, and <= for the rest.
+    """
     rep = min(T)
     urep, crep = terms[rep]
-    eqs = []
-    for t in sorted(T):
-        if t == rep:
-            continue
-        u, c = terms[t]
-        eqs.append((tuple(Fraction(a - b) for a, b in zip(urep, u)), Fraction(c - crep)))
-    ineqs = []
-    for v, (u, c) in enumerate(terms):
-        if v in T:
-            continue
-        ineqs.append((tuple(Fraction(a - b) for a, b in zip(urep, u)), Fraction(c - crep)))
+    eqs, ineqs = [], []
+    for t, (u, c) in enumerate(terms):
+        if t != rep:
+            row = (tuple(scale * (a - b) for a, b in zip(urep, u)), c - crep)
+            (eqs if t in T else ineqs).append(row)
     return eqs, ineqs
 
 
-def _tie_at(terms, point):
+def _tie_at(terms, scale: int, point):
+    """The terms attaining the minimum at point, compared as c q + scale u.P
+    with point = P / q."""
+    P, q = _scaled(point)
     best = None
     arg = set()
     for i, (u, c) in enumerate(terms):
-        v = c + sum(Fraction(e) * x for e, x in zip(u, point))
+        v = c * q + scale * sum(e * x for e, x in zip(u, P))
         if best is None or v < best:
             best, arg = v, {i}
         elif v == best:
@@ -374,7 +379,8 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
         cv = c.value
         if proj not in merged or cv < merged[proj]:
             merged[proj] = cv
-    terms = sorted(merged.items())
+    scale = lcm(*(c.denominator for c in merged.values()))
+    terms = sorted((u, c.numerator * (scale // c.denominator)) for u, c in merged.items())
     full_exp = {proj: tuple(0 if i in sigma else proj[free.index(i)] for i in range(ambient))
                 for proj, _ in terms}
 
@@ -385,17 +391,17 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
     queue: list[frozenset] = []
 
     def register(point):
-        T = _tie_at(terms, point)
+        T = _tie_at(terms, scale, point)
         if T in discovered:
             return
-        eqs, ineqs = _tie_system(terms, T)
+        eqs, ineqs = _tie_system(terms, scale, T)
         cell = Cell(ambient, sigma, eqs, ineqs, label=label_of(T))
         discovered[T] = cell
         queue.append(T)
 
     for i in range(len(terms)):
         budget.charge(1, "normal complex seeds")
-        eqs, ineqs = _tie_system(terms, {i})
+        eqs, ineqs = _tie_system(terms, scale, {i})
         p = fm_solve(len(free), eqs, [(c, r, False) for c, r in ineqs])
         if p is not None:
             register(p)
@@ -405,7 +411,7 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
             if v in T:
                 continue
             budget.charge(1, "normal complex refinement")
-            eqs, ineqs = _tie_system(terms, set(T) | {v})
+            eqs, ineqs = _tie_system(terms, scale, T | {v})
             p = fm_solve(len(free), eqs, [(c, r, False) for c, r in ineqs])
             if p is not None:
                 register(p)
@@ -417,8 +423,9 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
 
 
 def _locate(cells: Sequence[Cell], point) -> Optional[int]:
+    P, q = _scaled(point)
     for i, cell in enumerate(cells):
-        if cell.contains_relint(point):
+        if cell._holds_at(P, q, relint=True):
             return i
     return None
 

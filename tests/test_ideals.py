@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tropideal.config import Budget
 from tropideal.errors import InputError, OutOfRangeError, SizeGuardError
 from tropideal.ideals import (ClassicalInput, CompatibilityWitness, QPoly,
                               TruncIdeal, Valuation, affine_point_ideal,
@@ -14,6 +15,8 @@ from tropideal.ideals import (ClassicalInput, CompatibilityWitness, QPoly,
                               contains, homogenize_ideal, initial_ideal,
                               nonrealizable_ideal, point_ideal,
                               single_circuit_matroid, tropicalize)
+from tropideal.ideals import _layer_from_row_space
+from tropideal.linalg import echelon
 from tropideal.matroids import (VMatroid, check_valuated_exchange, circuits,
                                 is_vector)
 from tropideal.monomials import monomials_of_degree
@@ -238,6 +241,74 @@ def test_padic_tropicalize_matches_fraction_minors(g):
     I = tropicalize(ClassicalInput((g,), val), 3)
     for d in range(g.degree(), 4):
         assert I.layers[d] == principal_layer_by_minors(g, val, d)
+
+
+def layer_by_echelon_minors(ground, pivots, reduced, d, valuation):
+    """Reference: one exact elimination per corank-subset B of the ground.
+
+    p(B) is the valuation of the minor of the A-block on the pivot rows in
+    B and the free columns outside B, less s * v(d) for an s x s minor.
+    """
+    N, k = len(ground), len(pivots)
+    if k == 0:
+        return VMatroid(ground, N, {(1 << N) - 1: 0})
+    free = [c for c in range(N) if c not in pivots]
+    if not free:
+        return VMatroid(ground, 0, {0: 0})
+    vd = valuation.of(Fraction(d)).value
+    val = {}
+    for B in itertools.combinations(range(N), N - k):
+        sub_rows = [i for i, p in enumerate(pivots) if p in B]
+        sub_cols = [c for c in free if c not in B]
+        mpivots, _, minor = echelon([[reduced[i][c] for c in sub_cols] for i in sub_rows])
+        if len(mpivots) == len(sub_rows):
+            val[sum(1 << i for i in B)] = valuation.of(Fraction(minor)).value - len(sub_rows) * vd
+    return VMatroid(ground, N - k, val)
+
+
+@st.composite
+def row_spaces(draw):
+    """Integer rows, often sparse (zero minors) and often with entries divisible by p."""
+    N = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, 5, -5, 10, 25])
+    rows = draw(st.lists(st.lists(entry, min_size=N, max_size=N), max_size=6))
+    if rows and draw(st.booleans()):  # a dependent row: rank-deficient input
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    return N, rows
+
+
+VALUATIONS = (Valuation(), Valuation("padic", 2), Valuation("padic", 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_spaces(), st.sampled_from(VALUATIONS))
+@example((3, []), Valuation())                                         # k = 0
+@example((3, [[0, 0, 0]]), Valuation("padic", 2))                      # k = 0
+@example((2, [[1, 2], [3, 4]]), Valuation())                           # no free column
+@example((4, [[1, 0, 1, 1], [0, 1, 1, 1]]), Valuation())               # a zero 2 x 2 minor
+@example((4, [[1, 0, 2, 1], [0, 1, 1, 1]]), Valuation("padic", 2))     # det 1 = 2 - 1
+@example((3, [[5, 1, 0], [0, 5, 1]]), Valuation("padic", 5))           # 5 | d
+def test_minors_walk_matches_echelon_per_minor(space, valuation):
+    N, rows = space
+    ground = tuple(range(N))
+    pivots, reduced, d = echelon(rows)
+    got = _layer_from_row_space(ground, pivots, reduced, d, valuation, Budget())
+    want = layer_by_echelon_minors(ground, pivots, reduced, d, valuation)
+    assert got == want
+
+
+def test_minors_walk_budget_charges_before_any_minor(monkeypatch):
+    # the layer of 12 monomials with 3 pivots charges comb(12, 9) = 220 up front
+    import tropideal.ideals as ideals_mod
+    walked = []
+    monkeypatch.setattr(ideals_mod, "_nonzero_minors",
+                        lambda rows: walked.append(rows) or iter(()))
+    rows = [[1 if j in (i, i + 3, 11) else 0 for j in range(12)] for i in range(3)]
+    pivots, reduced, d = echelon(rows)
+    with pytest.raises(SizeGuardError, match="tropicalization minors"):
+        _layer_from_row_space(tuple(range(12)), pivots, reduced, d, Valuation(), Budget(219))
+    assert walked == []
 
 
 def test_padic_prime_check_is_fast_and_bounded():

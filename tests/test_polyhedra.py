@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from tropideal.errors import InputError, InvariantViolationError
 from tropideal.polyhedra import (Cell, PolyComplex, canonical_row, feasible_dim,
                                  fm_solve, normal_complex, quotient_lineality,
                                  refine, weight_to_cell_coords)
+from tropideal.polyhedra import _tie_at, _tie_system
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
@@ -291,6 +293,174 @@ def test_refine_empty_input_stratum():
         assert_same_refinement(R, refine_by_product(complexes))
     three = [axis_complex(0), axis_complex(1), axis_complex(0)]
     assert_same_refinement(refine(three), refine_by_product(three))
+
+
+# The Fraction tie-set kernel, kept as the oracle of the integer one ---------------
+
+
+def tie_system_by_fractions(terms, T):
+    rep = min(T)
+    urep, crep = terms[rep]
+    eqs = []
+    for t in sorted(T):
+        if t == rep:
+            continue
+        u, c = terms[t]
+        eqs.append((tuple(Fraction(a - b) for a, b in zip(urep, u)), Fraction(c - crep)))
+    ineqs = []
+    for v, (u, c) in enumerate(terms):
+        if v in T:
+            continue
+        ineqs.append((tuple(Fraction(a - b) for a, b in zip(urep, u)), Fraction(c - crep)))
+    return eqs, ineqs
+
+
+def tie_at_by_fractions(terms, point):
+    best = None
+    arg = set()
+    for i, (u, c) in enumerate(terms):
+        v = c + sum(Fraction(e) * x for e, x in zip(u, point))
+        if best is None or v < best:
+            best, arg = v, {i}
+        elif v == best:
+            arg.add(i)
+    return frozenset(arg)
+
+
+def contains_by_fractions(cell, point, relint):
+    if relint and cell.relint_point() is None:
+        return False
+    point = tuple(Fraction(x) for x in point)
+    for c, r in cell.eqs:
+        if sum(a * x for a, x in zip(c, point)) != r:
+            return False
+    tight = cell._tight if relint else frozenset()
+    for i, (c, r) in enumerate(cell.ineqs):
+        v = sum(a * x for a, x in zip(c, point))
+        if i in tight:
+            if v != r:
+                return False
+        elif v > r or (relint and v == r):
+            return False
+    return True
+
+
+def merged_terms(f, sigma):
+    """The (projected exponent, Fraction coefficient) terms normal_complex works on."""
+    free = [i for i in range(f.num_vars) if i not in sigma]
+    merged = {}
+    for u, c in f.terms():
+        proj = tuple(u[i] for i in free)
+        if proj not in merged or c.value < merged[proj]:
+            merged[proj] = c.value
+    return sorted(merged.items())
+
+
+def normal_complex_by_fractions(f, sigma):
+    """Reference cells: the face walk of normal_complex on Fraction tie sets."""
+    sigma = frozenset(sigma)
+    free = [i for i in range(f.num_vars) if i not in sigma]
+    if f.is_inf:
+        return [Cell(f.num_vars, sigma, [], [], label="inf")]
+    terms = merged_terms(f, sigma)
+    full = {u: tuple(0 if i in sigma else u[free.index(i)] for i in range(f.num_vars))
+            for u, _ in terms}
+    discovered, queue = {}, []
+
+    def register(point):
+        T = tie_at_by_fractions(terms, point)
+        if T not in discovered:
+            eqs, ineqs = tie_system_by_fractions(terms, T)
+            discovered[T] = Cell(f.num_vars, sigma, eqs, ineqs,
+                                 label=frozenset(full[terms[t][0]] for t in T))
+            queue.append(T)
+
+    for i in range(len(terms)):
+        eqs, ineqs = tie_system_by_fractions(terms, {i})
+        p = fm_solve(len(free), eqs, ineqs)
+        if p is not None:
+            register(p)
+    while queue:
+        T = queue.pop()
+        for v in range(len(terms)):
+            if v not in T:
+                eqs, ineqs = tie_system_by_fractions(terms, set(T) | {v})
+                p = fm_solve(len(free), eqs, ineqs)
+                if p is not None:
+                    register(p)
+    return [discovered[T] for T in sorted(discovered, key=sorted)]
+
+
+@st.composite
+def poly_in_stratum(draw):
+    """A tropical polynomial with coefficient denominators 1..7, stripped to a stratum."""
+    nvars = draw(st.integers(2, 3))
+    sigma = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=5))
+    return TropPoly(nvars, {u: Trop(c) for u, c in terms.items()}).strip_sigma(sigma), sigma
+
+
+def probe_points(cells, m, rng):
+    """Relative-interior points, points on each tight row, and random points."""
+    points = []
+    for cell in cells:
+        p = cell.relint_point()
+        if p is None:
+            continue
+        points += [p, cell.second_interior_point()]
+        for i, row in enumerate(cell.ineqs):  # a point of the closed cell on row i
+            q = fm_solve(m, cell.eqs + (row,), cell.ineqs[:i] + cell.ineqs[i + 1:])
+            if q is not None:
+                points.append(q)
+    points += [tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(m))
+               for _ in range(6)]
+    return points
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_in_stratum(), st.randoms(use_true_random=False))
+def test_integer_tie_kernel_matches_fraction_oracle(case, rng):
+    f, sigma = case
+    m = f.num_vars - len(sigma)
+    got = normal_complex(f, sigma).strata[frozenset(sigma)]
+    want = normal_complex_by_fractions(f, sigma)
+    assert [(c.label, c.eqs, c.ineqs, c.relint_point()) for c in got] == \
+        [(c.label, c.eqs, c.ineqs, c.relint_point()) for c in want]
+    if f.is_inf:
+        return
+    terms = merged_terms(f, sigma)
+    scale = math.lcm(*(c.denominator for _, c in terms))
+    int_terms = [(u, int(c * scale)) for u, c in terms]
+    for T in [frozenset(T) for k in range(1, len(terms) + 1)
+              for T in itertools.combinations(range(len(terms)), k)]:
+        new_eqs, new_ineqs = _tie_system(int_terms, scale, T)
+        old_eqs, old_ineqs = tie_system_by_fractions(terms, T)
+        assert [canonical_row(c, r, True) for c, r in new_eqs] == \
+            [canonical_row(c, r, True) for c, r in old_eqs]
+        assert [canonical_row(c, r) for c, r in new_ineqs] == \
+            [canonical_row(c, r) for c, r in old_ineqs]
+    for p in probe_points(got, m, rng):
+        assert _tie_at(int_terms, scale, p) == tie_at_by_fractions(terms, p)
+        for cell in got:
+            assert cell.contains_relint(p) == contains_by_fractions(cell, p, relint=True)
+            assert cell.contains_closed(p) == contains_by_fractions(cell, p, relint=False)
+
+
+def test_membership_on_tight_rows_and_outside():
+    # the square 0 <= w <= 1: corner, edge, interior and outside points
+    sq = Cell(2, (), [], [((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)])
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for point, closed, relint in [((half, third), True, True), ((0, third), True, False),
+                                  ((0, 0), True, False), ((1, Fraction(4, 3)), False, False)]:
+        assert sq.contains_closed(point) is closed
+        assert sq.contains_relint(point) is relint
+    edge = Cell(2, (), [((1, 0), 0)], [((0, -1), 0), ((0, 1), 1)])
+    assert edge.contains_relint((0, half)) and not edge.contains_relint((0, 1))
+    assert not edge.contains_closed((Fraction(1, 7), half))
+    with pytest.raises(InputError):
+        edge.contains_relint((0,))
 
 
 def test_quotient_lineality():
