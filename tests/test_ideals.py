@@ -287,7 +287,7 @@ VALUATIONS = (Valuation(), Valuation("padic", 2), Valuation("padic", 5))
 @example((3, [[0, 0, 0]]), Valuation("padic", 2))                      # k = 0
 @example((2, [[1, 2], [3, 4]]), Valuation())                           # no free column
 @example((4, [[1, 0, 1, 1], [0, 1, 1, 1]]), Valuation())               # a zero 2 x 2 minor
-@example((4, [[1, 0, 2, 1], [0, 1, 1, 1]]), Valuation("padic", 2))     # det 1 = 2 - 1
+@example((4, [[1, 0, 3, 1], [0, 1, 1, 1]]), Valuation("padic", 2))     # det 2 = 3 - 1
 @example((3, [[5, 1, 0], [0, 5, 1]]), Valuation("padic", 5))           # 5 | d
 def test_minors_walk_matches_echelon_per_minor(space, valuation):
     N, rows = space
@@ -299,7 +299,7 @@ def test_minors_walk_matches_echelon_per_minor(space, valuation):
 
 
 def test_minors_walk_budget_charges_before_any_minor(monkeypatch):
-    # the layer of 12 monomials with 3 pivots charges comb(12, 9) = 220 up front
+    # a 12-element ground with 3 pivots charges comb(12, 9) = 220 before the walk
     import tropideal.ideals as ideals_mod
     walked = []
     monkeypatch.setattr(ideals_mod, "_nonzero_minors",
