@@ -47,6 +47,8 @@ CASES = {
     "groebner-complex-text": (["groebner-complex", "--ideal", _inp("point.json"),
                                "--output", "text"], 0),
     "check-matroid-violation": (["check-matroid", "--matroid", _inp("violating.json")], 0),
+    "check-matroid-stiefel-scan": (["check-matroid", "--matroid",
+                                    _inp("stiefel_u3_16.json")], 0),
     "circuits": (["circuits", "--matroid", _inp("uniform.json")], 0),
     "compatibility-failing": (["compatibility", "--ideal", _inp("incompatible.json")], 0),
     "tropicalize-padic": (["tropicalize", "--input", _inp("padic.json"), "--degree", "2"], 0),
