@@ -56,10 +56,11 @@ def _dedupe(ineqs):
     """Keep the tightest constraint per direction; detect constant violations.
 
     A row's direction is its coefficient vector divided by the gcd g of the
-    coefficients, and its bound is rhs / g.  Returns None when a constant
+    coefficients, and its bound is rhs / g, kept as the pair (rhs, g) and
+    compared by cross-multiplying (g > 0).  Returns None when a constant
     row is violated.
     """
-    best: dict[tuple, tuple[Fraction, bool]] = {}
+    best: dict[tuple, tuple[int, int, bool]] = {}
     for coeffs, rhs, strict in ineqs:
         g = gcd(*coeffs)
         if g == 0:
@@ -67,13 +68,19 @@ def _dedupe(ineqs):
                 return None
             continue
         prim = tuple(c // g for c in coeffs)
-        bound = Fraction(rhs, g)
         old = best.get(prim)
-        if old is None or bound < old[0] or (bound == old[0] and strict and not old[1]):
-            best[prim] = (bound, strict)
-    # the primitive integer row of a direction and a bound p/q is (q * prim, p)
-    return [([c * b.denominator for c in k], b.numerator, strict)
-            for k, (b, strict) in best.items()]
+        if old is not None:
+            new_side, old_side = rhs * old[1], old[0] * g
+            if new_side > old_side or (new_side == old_side and (old[2] or not strict)):
+                continue
+        best[prim] = (rhs, g, strict)
+    # the bound rhs/g in lowest terms is (rhs/h)/(g/h), h = gcd(rhs, g); its
+    # primitive integer row is ((g/h) * prim, rhs/h)
+    out = []
+    for k, (rhs, g, strict) in best.items():
+        h = gcd(rhs, g)
+        out.append(([c * (g // h) for c in k], rhs // h, strict))
+    return out
 
 
 def _fm_eliminate(ineqs, var: int):

@@ -234,6 +234,27 @@ def test_cli_check_matroid(tmp_path):
     assert proc.returncode == 0 and json.loads(proc.stdout)["ok"] is False
 
 
+def test_cli_check_matroid_disjoint_blocks(tmp_path):
+    # two disjoint U(4,12) blocks: 990 bases, past the brute-force switch;
+    # every three-term relation holds but the support is not a matroid
+    import itertools
+    ground = ["e%d" % i for i in range(24)]
+    bases = [list(S) for start in (0, 12)
+             for S in itertools.combinations(range(start, start + 12), 4)]
+    p = tmp_path / "blocks.json"
+    p.write_text(json.dumps({"ground": ground, "rank": 4,
+                             "valuation": [{"set": S, "val": "0"} for S in bases]}))
+    proc = run_cli(["check-matroid", "--matroid", str(p)])
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["ok"] is False
+    val = {frozenset(ground[i] for i in S) for S in bases}
+    A, B, a = frozenset(out["witness"]["A"]), frozenset(out["witness"]["B"]), out["witness"]["a"]
+    assert A in val and B in val and a in A - B
+    for b in B - A:
+        assert (A - {a}) | {b} not in val or (B - {b}) | {a} not in val
+
+
 def test_cli_env_cap(tmp_path):
     import os
     env = dict(os.environ)

@@ -1,11 +1,16 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import tropideal.matroids as matroids
+from tropideal.config import Budget
 from tropideal.errors import (InvalidMatroidError, LabelCollisionError,
-                              PreconditionError)
+                              PreconditionError, SizeGuardError)
 from tropideal.matroids import (VMatroid, check_valuated_exchange,
                                 circuit_elimination_witness, circuits,
                                 coloop_extension, contract, dual,
@@ -376,6 +381,165 @@ def test_three_term_scan_keeps_fraction_ties(monkeypatch):
     assert exchange_verdicts_agree(pair_matroid(vals))
     vals[(1, 3)] = Fraction(6, 7)  # the tie breaks: 5/6 is attained once
     assert not exchange_verdicts_agree(pair_matroid(vals))
+
+
+def three_term_by_full_scan(M):
+    """Oracle: the three-term scan over every (r-2)-set S and every i<j<k<l outside S."""
+    n, r = len(M.ground), M.rank
+    if r < 2 or n - r < 2:
+        return None
+    val, = matroids._int_valuations(M)
+    inf = math.inf
+    pv = [[inf] * n for _ in range(n)]
+    for S in itertools.combinations(range(n), r - 2):
+        smask = sum(1 << i for i in S)
+        rest = [i for i in range(n) if not (smask >> i) & 1]
+        for x, y in itertools.combinations(rest, 2):
+            pv[x][y] = val.get(smask | (1 << x) | (1 << y), inf)
+        for i, j, k, l in itertools.combinations(rest, 4):
+            t1 = pv[i][j] + pv[k][l]
+            t2 = pv[i][k] + pv[j][l]
+            t3 = pv[i][l] + pv[j][k]
+            if t1 < t2 and t1 < t3:
+                A, B = (i, j), (k, l)
+            elif t2 < t1 and t2 < t3:
+                A, B = (i, k), (j, l)
+            elif t3 < t1 and t3 < t2:
+                A, B = (i, l), (j, k)
+            else:
+                continue
+            return (frozenset(M.ground[e] for e in S + A),
+                    frozenset(M.ground[e] for e in S + B), M.ground[i])
+    return None
+
+
+def assert_witness_fails(M, witness):
+    A, B, a = witness
+    mask = lambda X: sum(1 << M.index_of(e) for e in X)  # noqa: E731
+    assert a in A - B
+    assert not matroids._exchange_holds_at(M._val, mask(A), mask(B), M.index_of(a))
+
+
+def _stiefel_with_infinities(A, B):
+    """Tropical determinant of the columns B of A, None standing for infinity."""
+    best = None
+    for perm in itertools.permutations(B):
+        terms = [A[row][col] for row, col in enumerate(perm)]
+        if None not in terms and (best is None or sum(terms) < best):
+            best = sum(terms)
+    return best
+
+
+@st.composite
+def matroid_supports(draw):
+    """Valuations whose support is a matroid: uniform, or tropical Stiefel."""
+    n = draw(st.integers(4, 8))
+    r = draw(st.integers(2, min(4, n - 2)))
+    sets = list(itertools.combinations(range(n), r))
+    frac = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    if draw(st.booleans()):
+        vals = {B: draw(frac) if draw(st.booleans()) else 0 for B in sets}
+    else:
+        entry = st.one_of(frac, frac, st.none())
+        A = [[draw(entry) for _ in range(n)] for _ in range(r)]
+        vals = {B: _stiefel_with_infinities(A, B) for B in sets}
+        vals = {B: v for B, v in vals.items() if v is not None}
+        if not vals:
+            vals = {sets[0]: 0}  # a single basis is a matroid too
+        for B in draw(st.lists(st.sampled_from(sorted(vals)), max_size=2, unique=True)):
+            vals[B] += draw(frac)
+    return VMatroid(range(n), r, {frozenset(B): v for B, v in vals.items()})
+
+
+def _two_dips():
+    """U(4,6) with p = -1 at 0345 and 1245: S = {0,3} comes before {1,2} only
+    in index-tuple order, not in mask order."""
+    vals = {frozenset(B): 0 for B in itertools.combinations(range(6), 4)}
+    vals[frozenset((0, 3, 4, 5))] = vals[frozenset((1, 2, 4, 5))] = -1
+    return VMatroid(range(6), 4, vals)
+
+
+@settings(max_examples=250, deadline=None)
+@given(matroid_supports())
+@example(_two_dips())
+def test_basis_driven_scan_matches_full_scan_on_matroid_supports(M):
+    fast = matroids._exchange_three_term(M, Budget())
+    assert fast == three_term_by_full_scan(M)
+    if fast is not None:
+        assert_witness_fails(M, fast)
+
+
+def _blocks(sizes, r, shared):
+    """Rank-r uniform blocks of the given sizes; consecutive blocks share `shared` elements."""
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(range(start, start + size))
+        start += size - shared
+    return start + shared, [B for block in blocks for B in itertools.combinations(block, r)]
+
+
+@st.composite
+def off_matroid_supports(draw):
+    """Supports that are mostly not matroids: sparse, disjoint blocks, blocks sharing one element."""
+    frac = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    kind = draw(st.sampled_from(["sparse", "blocks", "shared"]))
+    if kind == "sparse":
+        n = draw(st.integers(3, 7))
+        r = draw(st.integers(1, n - 1))
+        sets = list(itertools.combinations(range(n), r))
+        bases = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=len(sets), unique=True))
+    else:
+        r = draw(st.integers(1, 3))
+        sizes = draw(st.lists(st.integers(r + 1, r + 3), min_size=2,
+                              max_size=3 if kind == "blocks" else 2))
+        n, bases = _blocks(sizes, r, shared=0 if kind == "blocks" else 1)
+        bases = sorted(set(bases))
+    valued = draw(st.booleans())
+    return VMatroid(range(n), r, {frozenset(B): draw(frac) if valued else 0 for B in bases})
+
+
+@settings(max_examples=300, deadline=None)
+@given(off_matroid_supports())
+def test_exchange_check_matches_bruteforce_off_matroid_supports(M):
+    brute = matroids._exchange_bruteforce(M, Budget())
+    # below the brute-force switch the witness is the direct quantifier's
+    assert check_valuated_exchange(M) == brute
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matroids, "_BRUTE_PAIR_LIMIT", 0)
+        fast = check_valuated_exchange(M)
+    assert (fast is None) == (brute is None)
+    if fast is not None:
+        assert_witness_fails(M, fast)
+
+
+@pytest.mark.parametrize("r,sizes", [(4, (12, 12)), (3, (4, 5, 6)), (3, (3, 3))])
+def test_disjoint_boolean_blocks_are_not_a_matroid(monkeypatch, r, sizes):
+    # for r >= 3 an (r-2)-set S meets one block, so every quadruple the scan
+    # visits lies inside a block, where all relations hold; only the
+    # connectivity check sees that the support is not a matroid
+    monkeypatch.setattr(matroids, "_BRUTE_PAIR_LIMIT", 0)
+    n, bases = _blocks(sizes, r, shared=0)
+    M = VMatroid(range(n), r, {frozenset(B): 0 for B in bases})
+    assert matroids._exchange_three_term(M, Budget()) is None
+    witness = check_valuated_exchange(M)
+    assert witness is not None
+    assert_witness_fails(M, witness)
+
+
+def test_exchange_budget_is_charged_before_any_quadruple(monkeypatch):
+    # U(3,7) with p(012) = -1: the first quadruple (S={0}; 1,2,3,4) violates,
+    # so a scan that visited any quadruple would return instead of raising
+    monkeypatch.setattr(matroids, "_BRUTE_PAIR_LIMIT", 0)
+    vals = {frozenset(B): 0 for B in itertools.combinations(range(7), 3)}
+    vals[frozenset((0, 1, 2))] = -1
+    M = VMatroid(range(7), 3, vals)
+    pairs = 35 * 3  # bases times C(r, 2), charged before `used` is built
+    quads = 7 * math.comb(6, 4)  # sum over S of C(|used[S]|, 4)
+    assert check_valuated_exchange(M, cap=pairs + quads) is not None
+    with pytest.raises(SizeGuardError, match="valuated exchange check needs 1 more"):
+        check_valuated_exchange(M, cap=pairs + quads - 1)
+    with pytest.raises(SizeGuardError, match="valuated exchange check needs 1 more"):
+        check_valuated_exchange(M, cap=pairs - 1)
 
 
 def test_vector_elimination_on_circuit_pairs():

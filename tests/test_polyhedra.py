@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropideal import polyhedra
 from tropideal.errors import InputError, InvariantViolationError
 from tropideal.polyhedra import (Cell, PolyComplex, canonical_row, feasible_dim,
                                  fm_solve, normal_complex, quotient_lineality,
@@ -62,6 +63,34 @@ def test_canonical_row_int_path_matches_fraction_path(row, equality):
     got = canonical_row(row[:-1], row[-1], equality)
     assert got == canonical_row([Fraction(v) for v in row[:-1]], Fraction(row[-1]), equality)
     assert all(type(v) is int for v in (*got[0], got[1]))
+
+
+def dedupe_by_fractions(ineqs):
+    """Oracle: _dedupe with each direction's bound as the Fraction rhs / g."""
+    best = {}
+    for coeffs, rhs, strict in ineqs:
+        g = math.gcd(*coeffs)
+        if g == 0:
+            if rhs < 0 or (strict and rhs == 0):
+                return None
+            continue
+        prim = tuple(c // g for c in coeffs)
+        bound = Fraction(rhs, g)
+        old = best.get(prim)
+        if old is None or bound < old[0] or (bound == old[0] and strict and not old[1]):
+            best[prim] = (bound, strict)
+    return [([c * b.denominator for c in k], b.numerator, strict)
+            for k, (b, strict) in best.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.tuples(st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 3, -6, 4]), min_size=m, max_size=m),
+              st.integers(-8, 8), st.booleans()), max_size=12)))
+def test_dedupe_integer_bounds_match_fraction_bounds(ineqs):
+    # few distinct coefficients, so rows often share a direction at different
+    # scales and equal bounds meet with and without strictness
+    assert polyhedra._dedupe(ineqs) == dedupe_by_fractions(ineqs)
 
 
 def test_fm_solve_random_feasible_systems():
