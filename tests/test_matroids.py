@@ -415,9 +415,9 @@ def three_term_by_full_scan(M):
 
 def assert_witness_fails(M, witness):
     A, B, a = witness
-    mask = lambda X: sum(1 << M.index_of(e) for e in X)  # noqa: E731
     assert a in A - B
-    assert not matroids._exchange_holds_at(M._val, mask(A), mask(B), M.index_of(a))
+    Am, Bm = (sum(1 << M.index_of(e) for e in X) for X in (A, B))
+    assert not matroids._exchange_holds_at(M._val, Am, Bm, M.index_of(a))
 
 
 def _stiefel_with_infinities(A, B):
