@@ -495,15 +495,22 @@ def is_vector(M: VMatroid, v: Sequence[Trop], cap: int | None = None) -> bool:
 
 
 def initial_matroid(M: VMatroid, w: Sequence[Fraction]) -> OrdMatroid:
-    """Bases minimizing p(B) - sum of w over B, for a finite weight on the ground."""
+    """Bases minimizing p(B) - sum of w over B, for a finite weight on the ground.
+
+    With w = P / q and D the lcm of the valuation's denominators, D q times
+    that difference is compared as the int p D q - D sum of P over B.
+    """
     n = len(M.ground)
     if len(w) != n:
         raise DimensionError("weight has %d coordinates, ground has %d" % (len(w), n))
     weights = [Fraction(x) for x in w]
-    best: Optional[Fraction] = None
+    q = math.lcm(*(x.denominator for x in weights))
+    D = math.lcm(*(p.denominator for p in M._val.values()))
+    DP = [D * x.numerator * (q // x.denominator) for x in weights]
+    best: Optional[int] = None
     arg: list[int] = []
-    for mask, p in M.valuation_items():
-        t = p - sum(weights[i] for i in _bits(mask))
+    for mask, p in M._val.items():
+        t = p.numerator * (D // p.denominator) * q - sum(DP[i] for i in _bits(mask))
         if best is None or t < best:
             best, arg = t, [mask]
         elif t == best:

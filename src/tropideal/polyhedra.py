@@ -194,13 +194,15 @@ class Cell:
 
     Rows are primitive integer (coeffs, rhs) over the cell's free
     coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  Relative interiors are
-    derived, never stored as strict systems.
+    derived, never stored as strict systems.  core is an (eqs, ineqs) pair that
+    cuts out the same set with fewer rows, for intersections in refine; it
+    defaults to the cell's own rows.
     """
 
-    __slots__ = ("ambient", "sigma", "free", "eqs", "ineqs", "label",
+    __slots__ = ("ambient", "sigma", "free", "eqs", "ineqs", "label", "core",
                  "_relint", "_tight", "_dim", "_solved")
 
-    def __init__(self, ambient: int, sigma, eqs, ineqs, label=None, free=None):
+    def __init__(self, ambient: int, sigma, eqs, ineqs, label=None, free=None, core=None):
         self.ambient = ambient
         self.sigma = frozenset(sigma)
         if any(i < 0 or i >= ambient for i in self.sigma):
@@ -214,6 +216,7 @@ class Cell:
             if len(c) != m:
                 raise InputError("row width %d does not match %d free coordinates" % (len(c), m))
         self.label = label
+        self.core = core if core is not None else (self.eqs, self.ineqs)
         self._relint = None
         self._tight = None
         self._dim = None
@@ -324,18 +327,20 @@ class PolyComplex:
 # Normal complexes --------------------------------------------------------------------
 
 
-def _tie_system(terms, scale: int, T):
+def _tie_system(terms, scale: int, T, rows=None):
     """Integer rows of the closed cell where the terms in T attain the minimum.
 
     terms are (u, c) with c the coefficient times scale.  The representative
     rep = min(T) ties with each other t in T and is at most every term
     outside T: scale * (u_rep - u) . w = c - c_rep, and <= for the rest.
+    Given rows, the inequalities are only those against the terms in rows.
     """
     rep = min(T)
     urep, crep = terms[rep]
     eqs, ineqs = [], []
-    for t, (u, c) in enumerate(terms):
+    for t in range(len(terms)) if rows is None else sorted(T.union(rows)):
         if t != rep:
+            u, c = terms[t]
             row = (tuple(scale * (a - b) for a, b in zip(urep, u)), c - crep)
             (eqs if t in T else ineqs).append(row)
     return eqs, ineqs
@@ -360,12 +365,29 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
     """Cells of constant initial form of f inside the given stratum.
 
     Cells are labeled by their tie sets (the monomials attaining the
-    minimum on the relative interior).  Enumeration walks the face
-    structure of the regular subdivision induced by the coefficients:
-    full-dimensional cells are seeded from single terms and boundary cells
-    found by tightening one term at a time and closing under the implied
-    ties at a relative-interior witness.  Never enumerates all subsets of
-    the support.
+    minimum on the relative interior) and listed in sorted tie-set order.
+    The cells are the faces of the regular subdivision induced by the
+    coefficients, found by a walk over the lifted vertices only.
+
+    A vertex is a term whose region is full-dimensional, i.e. whose lifted
+    point (u, c) is a vertex of the lower hull.  Term i is tested by cutting
+    planes: solve the strict system {i < j : j in S} from S = {}, and take the
+    tie set T at the returned point.  T = {i} proves i a vertex; otherwise
+    T - {i} misses S (every j in S is strictly above i there) and joins S.
+    The system describes a superset of i's open region, so infeasibility
+    proves i is no vertex, and the loop ends within one round per term.
+
+    The walk probes T + {v} from every tie set T it finds, for the vertices
+    v outside T only, on T's equalities and the vertex rows only.  This is
+    exact: a term's lifted point lies on or above the lower hull of the
+    vertices, so at every weight the minimum over the vertices is the
+    minimum over all terms and the other rows are implied.  Every cell is a
+    face of the region of a vertex in its tie set, and is reached from that
+    region by a chain of facets, each cut out by a vertex row; the probe's
+    relative-interior witness then lands in that facet.  Redundant rows
+    change no Fourier-Motzkin projection, so each witness is the one the
+    full system gives.  Stored rows stay complete; the vertex rows are kept
+    as each cell's core for refine.  Never enumerates subsets of the support.
     """
     sigma = frozenset(sigma)
     ambient = f.num_vars
@@ -394,34 +416,44 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
     def label_of(T):
         return frozenset(full_exp[terms[t][0]] for t in T)
 
+    m = len(free)
+    vertices = []
+    for i in range(len(terms)):
+        S: set[int] = set()
+        while True:
+            budget.charge(1, "normal complex seeds")
+            _, ineqs = _tie_system(terms, scale, {i}, rows=S)
+            p = fm_solve(m, [], [(c, r, True) for c, r in ineqs])
+            if p is None:
+                break
+            T = _tie_at(terms, scale, p)
+            if T == {i}:
+                vertices.append(i)
+                break
+            S |= T - {i}
+
     discovered: dict[frozenset, Cell] = {}
     queue: list[frozenset] = []
 
-    def register(point):
-        T = _tie_at(terms, scale, point)
-        if T in discovered:
-            return
-        eqs, ineqs = _tie_system(terms, scale, T)
-        cell = Cell(ambient, sigma, eqs, ineqs, label=label_of(T))
-        discovered[T] = cell
-        queue.append(T)
+    def register(T):
+        if T not in discovered:
+            eqs, ineqs = _tie_system(terms, scale, T)
+            discovered[T] = Cell(ambient, sigma, eqs, ineqs, label=label_of(T),
+                                 core=(eqs, _tie_system(terms, scale, T, rows=vertices)[1]))
+            queue.append(T)
 
-    for i in range(len(terms)):
-        budget.charge(1, "normal complex seeds")
-        eqs, ineqs = _tie_system(terms, scale, {i})
-        p = fm_solve(len(free), eqs, [(c, r, False) for c, r in ineqs])
-        if p is not None:
-            register(p)
+    for i in vertices:
+        register(frozenset({i}))
     while queue:
         T = queue.pop()
-        for v in range(len(terms)):
+        for v in vertices:
             if v in T:
                 continue
             budget.charge(1, "normal complex refinement")
-            eqs, ineqs = _tie_system(terms, scale, T | {v})
-            p = fm_solve(len(free), eqs, [(c, r, False) for c, r in ineqs])
+            eqs, ineqs = _tie_system(terms, scale, T | {v}, rows=vertices)
+            p = fm_solve(m, eqs, [(c, r, False) for c, r in ineqs])
             if p is not None:
-                register(p)
+                register(_tie_at(terms, scale, p))
     cells.extend(discovered[T] for T in sorted(discovered, key=sorted))
     return complex_
 
@@ -442,8 +474,10 @@ def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComp
 
     A pairwise left fold.  A nonempty intersection is keyed by the flat tuple of
     input cells whose relative interiors hold its witness point; a tuple meets only
-    if its prefixes do, so none is lost.  Cells are listed by key, with rows
-    concatenated and labels tupled in input order.
+    if its prefixes do, so none is lost.  Intersections are solved on the input
+    cells' core rows, which cut out the same sets as their full rows and so
+    give the same witnesses.  Cells are listed by key, with rows concatenated
+    and labels tupled in input order.
     """
     if not complexes:
         raise InputError("refine needs at least one complex")
@@ -465,8 +499,8 @@ def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComp
             for reps in partial.values():
                 for cell in lists[k]:
                     budget.charge(1, "refinement pairs")
-                    p = fm_solve(len(cell.free), [row for c in (*reps, cell) for row in c.eqs],
-                                 [row for c in (*reps, cell) for row in c.ineqs])
+                    p = fm_solve(len(cell.free), [row for c in (*reps, cell) for row in c.core[0]],
+                                 [row for c in (*reps, cell) for row in c.core[1]])
                     if p is None:
                         continue
                     located = tuple(_locate(lst, p) for lst in lists[:k + 1])

@@ -561,3 +561,41 @@ def test_vector_elimination_on_circuit_pairs():
                 assert F[i] >= min(G[i], H[i])
                 if G[i] != H[i]:
                     assert F[i] == min(G[i], H[i])
+
+
+def initial_matroid_by_fractions(M, w):
+    """Reference: the Fraction weight sum of every basis, minimized."""
+    weights = [Fraction(x) for x in w]
+    best, arg = None, []
+    for mask, p in M.valuation_items():
+        t = p - sum(weights[i] for i in matroids._bits(mask))
+        if best is None or t < best:
+            best, arg = t, [mask]
+        elif t == best:
+            arg.append(mask)
+    return frozenset(arg)
+
+
+@st.composite
+def valuations_and_weights(draw):
+    """A matroid support, or any nonempty family of r-sets, with fractional
+    and negative values, and a weight with the same kind of entries."""
+    frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    if draw(st.booleans()):
+        M = draw(matroid_supports())
+    else:
+        n = draw(st.integers(1, 6))
+        r = draw(st.integers(0, n))
+        sets = list(itertools.combinations(range(n), r))
+        chosen = draw(st.lists(st.sampled_from(sets), min_size=1, unique=True))
+        M = VMatroid(range(n), r, {frozenset(B): draw(frac) for B in chosen})
+    w = draw(st.lists(st.one_of(frac, st.integers(-3, 3)),
+                      min_size=len(M.ground), max_size=len(M.ground)))
+    return M, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(valuations_and_weights())
+def test_integer_initial_matroid_matches_fraction_sums(case):
+    M, w = case
+    assert initial_matroid(M, w).bases == initial_matroid_by_fractions(M, w)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropideal import polyhedra
-from tropideal.errors import InputError, InvariantViolationError
+from tropideal.errors import InputError, InvariantViolationError, SizeGuardError
 from tropideal.polyhedra import (Cell, PolyComplex, canonical_row, feasible_dim,
                                  fm_solve, normal_complex, quotient_lineality,
                                  refine, weight_to_cell_coords)
@@ -475,6 +475,114 @@ def test_integer_tie_kernel_matches_fraction_oracle(case, rng):
         for cell in got:
             assert cell.contains_relint(p) == contains_by_fractions(cell, p, relint=True)
             assert cell.contains_closed(p) == contains_by_fractions(cell, p, relint=False)
+
+
+# The seed-every-term walk, kept as the oracle of the vertex walk ------------------
+
+
+def normal_complex_by_term_probes(f, sigma):
+    """Reference cells: seed every term and probe every term from every tie set,
+    on the full tie systems."""
+    sigma = frozenset(sigma)
+    free = [i for i in range(f.num_vars) if i not in sigma]
+    if f.is_inf:
+        return [Cell(f.num_vars, sigma, [], [], label="inf")]
+    frac_terms = merged_terms(f, sigma)
+    scale = math.lcm(*(c.denominator for _, c in frac_terms))
+    terms = [(u, int(c * scale)) for u, c in frac_terms]
+    full = {u: tuple(0 if i in sigma else u[free.index(i)] for i in range(f.num_vars))
+            for u, _ in terms}
+    discovered, queue = {}, []
+
+    def probe(T):
+        eqs, ineqs = _tie_system(terms, scale, T)
+        p = fm_solve(len(free), eqs, ineqs)
+        if p is None:
+            return
+        U = _tie_at(terms, scale, p)
+        if U not in discovered:
+            eqs, ineqs = _tie_system(terms, scale, U)
+            discovered[U] = Cell(f.num_vars, sigma, eqs, ineqs,
+                                 label=frozenset(full[terms[t][0]] for t in U))
+            queue.append(U)
+
+    for i in range(len(terms)):
+        probe(frozenset({i}))
+    while queue:
+        T = queue.pop()
+        for v in range(len(terms)):
+            if v not in T:
+                probe(T | {v})
+    return [discovered[T] for T in sorted(discovered, key=sorted)]
+
+
+@st.composite
+def dense_poly_in_stratum(draw):
+    """Up to about 20 terms in 2-4 variables, many of them lifted onto faces or
+    strictly above the lower hull: all-zero coefficients put every lattice
+    point on the hull, and a midpoint of two terms whose coefficient exceeds
+    their average lies strictly above it.  sigma may be nonempty; exponents
+    are zero on sigma so every term survives the stratum."""
+    nvars = draw(st.integers(2, 4))
+    sigma = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
+    free = [i for i in range(nvars) if i not in sigma]
+    top = {1: 10, 2: 4}.get(len(free), 2)
+    even = st.integers(0, top).map(lambda x: 2 * x)  # so every midpoint is a lattice point
+    base = draw(st.lists(st.tuples(*[even] * len(free)), min_size=4, max_size=10, unique=True))
+    kind = draw(st.sampled_from(("zero", "above", "random")))
+    frac = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+    terms = {u: Fraction(0) if kind == "zero" else draw(frac) for u in base}
+    lift = st.sampled_from((0, Fraction(1, 3), 1, 5))
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(base), st.sampled_from(base)),
+                              min_size=6, max_size=12)):
+        mid = tuple((x + y) // 2 for x, y in zip(a, b))
+        if mid not in terms:
+            terms[mid] = (Fraction(0) if kind == "zero" else draw(frac) if kind == "random"
+                          else (terms[a] + terms[b]) / 2 + draw(lift))
+    full = {u: tuple(0 if i in sigma else u[free.index(i)] for i in range(nvars))
+            for u in terms}
+    return TropPoly(nvars, {full[u]: Trop(c) for u, c in terms.items()}), sigma
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(dense_poly_in_stratum(), poly_in_stratum()))
+def test_vertex_walk_matches_term_probe_walk(case):
+    f, sigma = case
+    got = normal_complex(f, sigma).strata[frozenset(sigma)]
+    want = normal_complex_by_term_probes(f, sigma)
+    assert [(c.label, c.eqs, c.ineqs, c.relint_point()) for c in got] == \
+        [(c.label, c.eqs, c.ineqs, c.relint_point()) for c in want]
+
+
+@settings(max_examples=25, deadline=None)
+@given(dense_poly_in_stratum())
+def test_core_rows_solve_like_full_rows(case):
+    f, sigma = case
+    cells = normal_complex(f, sigma).strata[frozenset(sigma)]
+    m = f.num_vars - len(sigma)
+    for a, b in itertools.combinations_with_replacement(cells, 2):
+        assert fm_solve(m, [*a.core[0], *b.core[0]], [*a.core[1], *b.core[1]]) == \
+            fm_solve(m, a.eqs + b.eqs, a.ineqs + b.ineqs)
+
+
+def test_normal_complex_charges_before_each_solve(monkeypatch):
+    # a tropical line with a non-vertex term (1, 1) strictly above the hull
+    f = poly([((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((2, 0), 1), ((1, 1), 3)], 2)
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return fm_solve(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "fm_solve", counting)
+    cells = normal_complex(f).cell_count()
+    n = len(solves)
+    assert normal_complex(f, cap=n).cell_count() == cells
+    for cap in (1, n - 1):
+        solves.clear()
+        with pytest.raises(SizeGuardError, match="normal complex"):
+            normal_complex(f, cap=cap)
+        assert len(solves) == cap
 
 
 def test_membership_on_tight_rows_and_outside():
