@@ -499,8 +499,9 @@ def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComp
             for reps in partial.values():
                 for cell in lists[k]:
                     budget.charge(1, "refinement pairs")
-                    p = fm_solve(len(cell.free), [row for c in (*reps, cell) for row in c.core[0]],
-                                 [row for c in (*reps, cell) for row in c.core[1]])
+                    cores = [c.core for c in (*reps, cell)]
+                    p = fm_solve(len(cell.free), [row for eqs, _ in cores for row in eqs],
+                                 [row for _, ineqs in cores for row in ineqs])
                     if p is None:
                         continue
                     located = tuple(_locate(lst, p) for lst in lists[:k + 1])
