@@ -19,8 +19,8 @@ from .config import Budget
 from .errors import (DimensionError, InputError, InvariantViolationError,
                      OutOfRangeError)
 from .linalg import echelon
-from .matroids import (VMatroid, _bits, _int_valuations, _mask_of, circuits, contract,
-                       initial_matroid, is_vector)
+from .matroids import (VMatroid, _bits, _mask_of, circuits, contract, initial_matroid,
+                       is_vector)
 from .polynomials import TropPoly
 from .semiring import INF, Trop, all_infinite, dot, weight_sigma
 
@@ -195,7 +195,7 @@ class TruncIdeal:
                 raise InputError("layer %d is not on the canonical degree-%d monomials" % (d, d))
         if mode == "boolean":
             for d, M in enumerate(self.layers):
-                if any(v != 0 for _, v in M.valuation_items()):
+                if any(M._val.values()):
                     raise InputError("boolean layer %d carries nonzero values" % (d,))
 
     def layer(self, d: int) -> VMatroid:
@@ -385,7 +385,6 @@ def nonrealizable_ideal(n: int, D: int, cap: int | None = None) -> TruncIdeal:
         raise InputError("truncation degree must be nonnegative")
     budget = Budget(cap)
     nv = n + 1
-    zero = Fraction(0)
     layers = []
     for d in range(D + 1):
         ground = tuple(mon.monomials_of_degree(nv, d))
@@ -397,7 +396,7 @@ def nonrealizable_ideal(n: int, D: int, cap: int | None = None) -> TruncIdeal:
         for B in itertools.combinations(range(len(ground)), d + 1):
             mask = _mask_of(B)
             if all((divided & mask).bit_count() <= limit for divided, limit in divisors):
-                val[mask] = zero
+                val[mask] = 0
         layers.append(VMatroid(ground, d + 1, val))
     return TruncIdeal(nv, layers, mode="rational")
 
@@ -459,7 +458,7 @@ def check_compatibility(I: TruncIdeal, cap: int | None = None) -> Optional[Compa
     the full scan in lexicographic order.
     """
     budget = Budget(cap)
-    vals = _int_valuations(*I.layers)
+    den = math.lcm(*(M.den for M in I.layers))  # every layer's ints over den
     for d in range(I.degree_bound):
         Md, Mn = I.layers[d], I.layers[d + 1]
         gd, gn = Md.ground, Mn.ground
@@ -469,14 +468,15 @@ def check_compatibility(I: TruncIdeal, cap: int | None = None) -> Optional[Compa
             continue
         what = "compatibility degree %d" % d
         budget.charge(math.comb(len(gd), rd + 1) + math.comb(len(gn), rn - 1), what)
-        us = _vector_classes(vals[d], len(gd), rd + 1, inside=True)
-        vs = [(V, dict(coords)) for V, coords in
-              _vector_classes(vals[d + 1], len(gn), rn - 1, inside=False)]
+        sd, sn = den // Md.den, den // Mn.den
+        us = _vector_classes(Md._val, len(gd), rd + 1, inside=True)
+        vs = [(V, {j: p * sn for j, p in coords}) for V, coords in
+              _vector_classes(Mn._val, len(gn), rn - 1, inside=False)]
         budget.charge(len(us) * len(vs) * I.num_vars, what)
         for i in range(I.num_vars):
             shift = [next_index[mon.times_var(u, i)] for u in gd]
             for U, coords in us:
-                lifted = [(shift[j], p) for j, p in coords]
+                lifted = [(shift[j], p * sd) for j, p in coords]
                 for V, pn in vs:
                     best = None
                     twice = False
@@ -705,5 +705,5 @@ def homogenize_ideal(affine: AffineTruncIdeal) -> TruncIdeal:
             expected = (d - sum(u),) + u
             if ground[idx] != expected:
                 raise InvariantViolationError("homogenization bijection misaligned")
-        layers.append(VMatroid(ground, M.rank, dict(M.valuation_items())))
+        layers.append(VMatroid(ground, M.rank, M._val, M.den))
     return TruncIdeal(nv, layers, mode=affine.mode)

@@ -15,8 +15,8 @@ from . import monomials as mon
 from .errors import ParseError
 from .groebner import Certificate, GroebnerCell, GroebnerComplex, VarietySubcomplex
 from .ideals import ClassicalInput, QPoly, TruncIdeal, Valuation
-from .matroids import OrdMatroid, VMatroid, _bits, _mask_of
-from .polyhedra import Cell, PolyComplex
+from .matroids import VMatroid, _bits, _mask_of
+from .polyhedra import Cell
 from .polynomials import TropPoly
 from .semiring import Trop
 
@@ -121,11 +121,6 @@ def vmatroid_to_json(M: VMatroid, boolean: bool = False) -> dict:
     return out
 
 
-def ordmatroid_to_json(M: OrdMatroid) -> dict:
-    return {"ground": [_ground_label(e) for e in M.ground], "rank": M.rank,
-            "bases": sorted(list(_bits(m)) for m in M.bases)}
-
-
 def vmatroid_from_json(obj, ground=None) -> VMatroid:
     labels = _expect(obj, "ground", list, "matroid")
     if ground is None:
@@ -135,12 +130,13 @@ def vmatroid_from_json(obj, ground=None) -> VMatroid:
     rank = _expect(obj, "rank", int, "matroid")
     n = len(ground)
     if "valuation" in obj:
-        val = {}
+        val = []
         for i, item in enumerate(obj["valuation"]):
             idxs = _expect(item, "set", list, "valuation entry %d" % i)
             if any(not isinstance(j, int) or j < 0 or j >= n for j in idxs):
                 raise ParseError("valuation entry %d has bad indices" % i)
-            val[_mask_of(idxs)] = _parse_frac(_expect(item, "val", None, "valuation entry %d" % i))
+            val.append((_mask_of(idxs),
+                        _parse_frac(_expect(item, "val", None, "valuation entry %d" % i))))
         return VMatroid(ground, rank, val)
     if "bases" in obj:
         masks = []
@@ -205,14 +201,6 @@ def cell_to_json(cell: Cell) -> dict:
             "ineq": [_row_to_json(r) for r in cell.ineqs],
             "label": _label_to_json(cell.label),
             "dim": cell.dim()}
-
-
-def complex_to_json(C: PolyComplex) -> dict:
-    strata = []
-    for sigma in sorted(C.strata, key=lambda s: (len(s), sorted(s))):
-        strata.append({"sigma": sorted(sigma),
-                       "cells": [cell_to_json(c) for c in C.strata[sigma]]})
-    return {"ambient": C.ambient, "quotiented": C.quotiented, "strata": strata}
 
 
 def _gcell_to_json(gc: GroebnerCell, verbose: bool) -> dict:

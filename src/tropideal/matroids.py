@@ -1,11 +1,12 @@
 """Valuated matroids over the min-plus semiring, and ordinary matroids.
 
 Basis valuations are stored sparsely (absence encodes infinity) on subsets
-encoded as bitmasks over an ordered ground set, normalized so the minimum
-finite value is 0.  That makes equality of valuated matroids a direct map
-comparison.  Vectors over the ground set are tuples of tropical scalars
-aligned with the ground order, circuits canonicalized to minimum
-coordinate 0.
+encoded as bitmasks over an ordered ground set, as ints over one
+denominator, normalized so the minimum finite value is 0 and no factor
+above 1 divides the denominator and every int.  That makes equality of
+valuated matroids a direct map comparison.  Vectors over the ground set are
+tuples of tropical scalars aligned with the ground order, circuits
+canonicalized to minimum coordinate 0.
 """
 
 from __future__ import annotations
@@ -75,9 +76,6 @@ class OrdMatroid:
             union |= m
         return [e for i, e in enumerate(self.ground) if not (union >> i) & 1]
 
-    def rank_of(self, subset) -> int:
-        return rank_of(self, subset)
-
     def is_basis(self, subset) -> bool:
         return _as_mask(self, subset) in self.bases
 
@@ -124,52 +122,82 @@ class OrdMatroid:
 class VMatroid:
     """A valuated matroid: ground set, rank, sparse basis valuation map.
 
-    The valuation is defined up to a global tropical scalar; construction
-    normalizes the minimum finite value to 0.
+    The valuation is defined up to a global tropical scalar.  It is stored
+    as ints _val over one denominator den > 0, p(B) = _val[B] / den, in the
+    canonical form: the minimum value is 0 and gcd(den, *_val) is 1.  Values
+    may be given as ints, Fractions, Trops or rational strings, all over
+    den; the pair form lists each set once, with INF entries skipped.
     """
 
-    __slots__ = ("ground", "rank", "_index", "_val")
+    __slots__ = ("ground", "rank", "_index", "_val", "den")
 
-    def __init__(self, ground: Sequence[Hashable], rank: int, valuation):
+    def __init__(self, ground: Sequence[Hashable], rank: int, valuation, den: int = 1):
         self.ground = tuple(ground)
         self._index = {e: i for i, e in enumerate(self.ground)}
         if len(self._index) != len(self.ground):
             raise InputError("duplicate ground labels")
         if rank < 0 or rank > len(self.ground):
             raise InvalidMatroidError("rank %d out of range for %d elements" % (rank, len(self.ground)))
+        if type(den) is not int or den < 1:
+            raise InputError("a valuation denominator is a positive int, got %r" % (den,))
         self.rank = rank
         items = valuation.items() if hasattr(valuation, "items") else valuation
-        raw: dict[int, Fraction] = {}
+        val: dict[int, int | Fraction] = {}
+        infinite = set()
+        scale = 1  # the lcm of the Fraction values' denominators
         for key, value in items:
             mask = _as_mask(self, key)
-            if bin(mask).count("1") != rank:
+            if mask.bit_count() != rank:
                 raise InvalidMatroidError("valuated set of size %d in a rank-%d matroid"
-                                          % (bin(mask).count("1"), rank))
-            if isinstance(value, Trop):
-                if value.is_inf:
-                    continue
-                value = value.value
-            raw[mask] = Fraction(value)
-        if not raw:
+                                          % (mask.bit_count(), rank))
+            if mask in val or mask in infinite:
+                raise InvalidMatroidError("the set %s is valued twice"
+                                          % ([self.ground[i] for i in _bits(mask)],))
+            if type(value) is not int:
+                if isinstance(value, Trop):
+                    if value.is_inf:
+                        infinite.add(mask)
+                        continue
+                    value = value.value
+                value = Fraction(value)
+                if value.denominator == 1:
+                    value = value.numerator
+                else:
+                    scale = math.lcm(scale, value.denominator)
+            val[mask] = value
+        if not val:
             raise InvalidMatroidError("no subset has a finite value")
-        shift = min(raw.values())
-        self._val = {m: v - shift for m, v in raw.items()}
+        if scale > 1:  # every value over den * scale, in place
+            for m, v in val.items():
+                val[m] = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+            den *= scale
+        low = min(val.values())
+        g = den
+        for v in val.values():
+            if g == 1:
+                break
+            g = math.gcd(g, v - low)
+        if low or g > 1:
+            for m, v in val.items():
+                val[m] = (v - low) // g
+        self._val = val
+        self.den = den // g
 
     # Access -----------------------------------------------------------------
 
     def value_mask(self, mask: int) -> Optional[Fraction]:
-        return self._val.get(mask)
+        v = self._val.get(mask)
+        return None if v is None else Fraction(v, self.den)
 
     def value(self, subset) -> Trop:
-        mask = _as_mask(self, subset)
-        v = self._val.get(mask)
+        v = self.value_mask(_as_mask(self, subset))
         return INF if v is None else Trop(v)
 
     def basis_masks(self) -> list[int]:
         return sorted(self._val)
 
     def valuation_items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._val.items())
+        return [(m, Fraction(v, self.den)) for m, v in sorted(self._val.items())]
 
     def bases_as_sets(self) -> list[frozenset]:
         return [frozenset(self.ground[i] for i in _bits(m)) for m in self.basis_masks()]
@@ -189,26 +217,20 @@ class VMatroid:
         if not masks:
             raise InvalidMatroidError("a matroid needs at least one basis")
         rank = bin(masks[0]).count("1")
-        return cls(ground, rank, {m: Fraction(0) for m in masks})
-
-    @classmethod
-    def from_ord(cls, M: OrdMatroid) -> "VMatroid":
-        return cls(M.ground, M.rank, {m: Fraction(0) for m in M.bases})
+        return cls(ground, rank, {m: 0 for m in masks})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, VMatroid) and self.ground == other.ground
-                and self.rank == other.rank and self._val == other._val)
+                and self.rank == other.rank and self.den == other.den
+                and self._val == other._val)
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.rank, frozenset(self._val.items())))
+        return hash((self.ground, self.rank, self.den, frozenset(self._val.items())))
 
     def __repr__(self) -> str:
         return "VMatroid(|E|=%d, rank=%d, %d bases)" % (len(self.ground), self.rank, len(self._val))
 
     # Vector helpers -----------------------------------------------------------
-
-    def vector_from_map(self, coords) -> VVector:
-        return tuple(coords.get(e, INF) for e in self.ground)
 
     def canonicalize_vector(self, v: Sequence[Trop]) -> VVector:
         """Scale so the minimum finite coordinate is 0 (circuit canonical form)."""
@@ -223,17 +245,6 @@ class VMatroid:
 
 
 _BRUTE_PAIR_LIMIT = 250_000
-
-
-def _int_valuations(*Ms: VMatroid) -> list[dict[int, int]]:
-    """Each valuation times the lcm of all their denominators, as plain ints.
-
-    A common positive scale keeps every sum, order and tie between the
-    matroids' values, so scans add and compare ints instead of Fractions.
-    """
-    scale = math.lcm(*(v.denominator for M in Ms for v in M._val.values()))
-    return [{m: v.numerator * (scale // v.denominator) for m, v in M._val.items()}
-            for M in Ms]
 
 
 def _exchange_holds_at(val: dict, A: int, B: int, a: int) -> bool:
@@ -263,7 +274,7 @@ def _witness(M: VMatroid, A: int, B: int, a: int):
 def _exchange_bruteforce(M: VMatroid, budget: Budget):
     masks = M.basis_masks()
     budget.charge(len(masks) * len(masks), "valuated exchange check")
-    val, = _int_valuations(M)
+    val = M._val
     for A in masks:
         for B in masks:
             diff = A & ~B
@@ -293,7 +304,7 @@ def _exchange_three_term(M: VMatroid, budget: Budget):
     scan over every S and every quadruple outside S finds first.
     """
     n = len(M.ground)
-    val, = _int_valuations(M)
+    val = M._val
     budget.charge(len(val) * math.comb(M.rank, 2), "valuated exchange check")
     used: dict[int, int] = {}
     for B in val:
@@ -404,22 +415,17 @@ def fundamental_circuit(M: VMatroid, B, e) -> VVector:
 
 
 def _fundamental_circuit_idx(M: VMatroid, mask: int, ei: int) -> VVector:
-    pB = M._val.get(mask)
-    if pB is None:
+    """Coordinate i is p(B + e - i) less the least such value; p(B) sits at e."""
+    if mask not in M._val:
         raise PreconditionError("B is not a basis of the underlying matroid")
     ebit = 1 << ei
     if mask & ebit:
         raise PreconditionError("e must lie outside B")
-    coords = []
     extended = mask | ebit
-    for i, _ in enumerate(M.ground):
-        ibit = 1 << i
-        if not (extended & ibit):
-            coords.append(INF)
-            continue
-        v = M._val.get(extended ^ ibit)
-        coords.append(INF if v is None else Trop(v - pB))
-    return M.canonicalize_vector(tuple(coords))
+    coords = [M._val.get(extended ^ (1 << i)) if (extended >> i) & 1 else None
+              for i in range(len(M.ground))]
+    low = min(v for v in coords if v is not None)
+    return tuple(INF if v is None else Trop(Fraction(v - low, M.den)) for v in coords)
 
 
 def circuits(M: VMatroid, cap: int | None = None) -> list[VVector]:
@@ -453,19 +459,23 @@ def dual(M: VMatroid) -> VMatroid:
     """Rank |E| - r with valuation of a set read off its complement."""
     n = len(M.ground)
     full = (1 << n) - 1
-    return VMatroid(M.ground, n - M.rank, {full ^ m: v for m, v in M._val.items()})
+    return VMatroid(M.ground, n - M.rank, {full ^ m: v for m, v in M._val.items()}, M.den)
 
 
 def is_vector(M: VMatroid, v: Sequence[Trop], cap: int | None = None) -> bool:
     """Normative membership test for the tropical span of the circuits.
 
     v belongs iff for every (corank+1)-subset S the minimum over e in S of
-    p(E \\ S + e) + v_e is infinite or attained at least twice.
+    p(E \\ S + e) + v_e is infinite or attained at least twice.  With
+    p = _val / den and the finite v_e = P_e / q, each term times den q is
+    the int _val q + den P_e.
     """
     n = len(M.ground)
     if len(v) != n:
         raise DimensionError("vector has %d coordinates, ground has %d" % (len(v), n))
-    v = tuple(c if isinstance(c, Trop) else Trop(c) for c in v)
+    v = [(c if isinstance(c, Trop) else Trop(c)).value for c in v]
+    q = math.lcm(*(x.denominator for x in v if x is not None))
+    P = [None if x is None else M.den * x.numerator * (q // x.denominator) for x in v]
     k = n - M.rank + 1
     if k > n:  # rank 0: every element is a loop, everything is a vector
         return True
@@ -475,16 +485,15 @@ def is_vector(M: VMatroid, v: Sequence[Trop], cap: int | None = None) -> bool:
     full = (1 << n) - 1
     for S in itertools.combinations(range(n), k):
         rest = full ^ _mask_of(S)
-        best: Optional[Fraction] = None
+        best: Optional[int] = None
         count = 0
         for e in S:
-            ve = v[e]
-            if ve.is_inf:
+            if P[e] is None:
                 continue
             p = val.get(rest | (1 << e))
             if p is None:
                 continue
-            t = p + ve.value
+            t = p * q + P[e]
             if best is None or t < best:
                 best, count = t, 1
             elif t == best:
@@ -497,20 +506,19 @@ def is_vector(M: VMatroid, v: Sequence[Trop], cap: int | None = None) -> bool:
 def initial_matroid(M: VMatroid, w: Sequence[Fraction]) -> OrdMatroid:
     """Bases minimizing p(B) - sum of w over B, for a finite weight on the ground.
 
-    With w = P / q and D the lcm of the valuation's denominators, D q times
-    that difference is compared as the int p D q - D sum of P over B.
+    With w = P / q, den q times that difference is the int p q - den sum of
+    P over B.
     """
     n = len(M.ground)
     if len(w) != n:
         raise DimensionError("weight has %d coordinates, ground has %d" % (len(w), n))
     weights = [Fraction(x) for x in w]
     q = math.lcm(*(x.denominator for x in weights))
-    D = math.lcm(*(p.denominator for p in M._val.values()))
-    DP = [D * x.numerator * (q // x.denominator) for x in weights]
+    DP = [M.den * x.numerator * (q // x.denominator) for x in weights]
     best: Optional[int] = None
     arg: list[int] = []
     for mask, p in M._val.items():
-        t = p.numerator * (D // p.denominator) * q - sum(DP[i] for i in _bits(mask))
+        t = p * q - sum(DP[i] for i in _bits(mask))
         if best is None or t < best:
             best, arg = t, [mask]
         elif t == best:
@@ -518,24 +526,27 @@ def initial_matroid(M: VMatroid, w: Sequence[Fraction]) -> OrdMatroid:
     return OrdMatroid(M.ground, arg)
 
 
-def rank_of(M, subset) -> int:
-    """Rank of a subset (labels or a mask) in an OrdMatroid or a VMatroid."""
-    mask = _as_mask(M, subset)
-    bases = M.bases if isinstance(M, OrdMatroid) else M._val
-    return max(bin(mask & B).count("1") for B in bases)
-
-
 def lex_min_basis_of_subset(M: VMatroid, subset) -> int:
-    """Greedy lexicographically smallest basis of the restriction to subset."""
+    """The lexicographically smallest basis of the restriction to subset S.
+
+    Every basis of the restriction has the form B & S for a basis B of M: a
+    maximal independent I in S extends to a basis B, and B & S, independent
+    and containing I, is I.  So the bases of M|S are the B & S of the
+    largest size, and Gale's greedy basis, which takes each element of S in
+    order when it stays independent, is the first of them in sorted-bit
+    order.  One scan keeps the largest and, among those, the smallest: two
+    sets of one size compare by the lowest bit where they differ.
+    """
     mask = _as_mask(M, subset)
-    chosen = 0
-    size = 0
-    for i in _bits(mask):
-        candidate = chosen | (1 << i)
-        if rank_of(M, candidate) == size + 1:
-            chosen = candidate
-            size += 1
-    return chosen
+    best, size = 0, 0
+    for B in M._val:
+        X = B & mask
+        k = X.bit_count()
+        if k > size:
+            best, size = X, k
+        elif k == size and X & (X ^ best) & -(X ^ best):
+            best = X
+    return best
 
 
 def contract(M: VMatroid, A) -> VMatroid:
@@ -552,7 +563,7 @@ def contract(M: VMatroid, A) -> VMatroid:
     keep = [i for i in range(len(M.ground)) if not (amask >> i) & 1]
     ground = tuple(M.ground[i] for i in keep)
     newrank = M.rank - s
-    val: dict[int, Fraction] = {}
+    val: dict[int, int] = {}
     for mask, p in M._val.items():
         if mask & BA != BA or mask & amask != BA:
             continue
@@ -560,7 +571,7 @@ def contract(M: VMatroid, A) -> VMatroid:
         val[_mask_of(j for j, i in enumerate(keep) if (rest >> i) & 1)] = p
     if not val:
         raise InvalidMatroidError("contraction produced no basis; B_A was not extendable")
-    return VMatroid(ground, newrank, val)
+    return VMatroid(ground, newrank, val, M.den)
 
 
 def coloop_extension(M, F: Sequence[Hashable]):
@@ -576,7 +587,7 @@ def coloop_extension(M, F: Sequence[Hashable]):
     if isinstance(M, OrdMatroid):
         return OrdMatroid(ground, [m | add for m in M.bases])
     if isinstance(M, VMatroid):
-        return VMatroid(ground, M.rank + len(F), {m | add: v for m, v in M._val.items()})
+        return VMatroid(ground, M.rank + len(F), {m | add: v for m, v in M._val.items()}, M.den)
     raise InputError("expected an OrdMatroid or VMatroid")
 
 

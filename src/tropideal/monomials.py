@@ -56,14 +56,6 @@ def mul(u: Monomial, v: Monomial) -> Monomial:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def div(u: Monomial, v: Monomial) -> Monomial:
-    """Exponentwise difference u - v; caller guarantees divisibility."""
-    w = tuple(a - b for a, b in zip(u, v))
-    if any(e < 0 for e in w):
-        raise ValueError("%r does not divide %r" % (v, u))
-    return w
-
-
 def divides(v: Monomial, u: Monomial) -> bool:
     return all(a <= b for a, b in zip(v, u))
 

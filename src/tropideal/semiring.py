@@ -124,10 +124,6 @@ def dot(w: Sequence[Trop], u: Sequence[int]) -> Trop:
     return Trop(total)
 
 
-def parse_weight(items: Sequence) -> tuple[Trop, ...]:
-    return tuple(Trop.parse(x) for x in items)
-
-
 def weight_sigma(w: Sequence[Trop]) -> frozenset[int]:
     """Indices of the infinite coordinates of a weight vector."""
     return frozenset(i for i, wi in enumerate(w) if wi.is_inf)

@@ -234,6 +234,16 @@ def test_cli_check_matroid(tmp_path):
     assert proc.returncode == 0 and json.loads(proc.stdout)["ok"] is False
 
 
+def test_cli_check_matroid_rejects_a_set_valued_twice(tmp_path):
+    twice = {"ground": ["a", "b", "c"], "rank": 2,
+             "valuation": [{"set": [0, 1], "val": "0"}, {"set": [1, 0], "val": "3"},
+                           {"set": [0, 2], "val": "1"}]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(twice))
+    proc = run_cli(["check-matroid", "--matroid", str(p)])
+    assert proc.returncode == 2 and "valued twice" in proc.stderr
+
+
 def test_cli_check_matroid_disjoint_blocks(tmp_path):
     # two disjoint U(4,12) blocks: 990 bases, past the brute-force switch;
     # every three-term relation holds but the support is not a matroid

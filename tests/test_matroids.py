@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tropideal.matroids as matroids
 from tropideal.config import Budget
-from tropideal.errors import (InvalidMatroidError, LabelCollisionError,
+from tropideal.errors import (InputError, InvalidMatroidError, LabelCollisionError,
                               PreconditionError, SizeGuardError)
 from tropideal.matroids import (VMatroid, check_valuated_exchange,
                                 circuit_elimination_witness, circuits,
@@ -388,7 +388,7 @@ def three_term_by_full_scan(M):
     n, r = len(M.ground), M.rank
     if r < 2 or n - r < 2:
         return None
-    val, = matroids._int_valuations(M)
+    val = M._val
     inf = math.inf
     pv = [[inf] * n for _ in range(n)]
     for S in itertools.combinations(range(n), r - 2):
@@ -599,3 +599,102 @@ def valuations_and_weights(draw):
 def test_integer_initial_matroid_matches_fraction_sums(case):
     M, w = case
     assert initial_matroid(M, w).bases == initial_matroid_by_fractions(M, w)
+
+
+def lex_min_basis_by_greedy(M, mask):
+    """Reference: Gale's greedy over the elements of mask, one rank scan each."""
+    chosen = 0
+    for i in matroids._bits(mask):
+        candidate = chosen | (1 << i)
+        if max((candidate & B).bit_count() for B in M._val) == candidate.bit_count():
+            chosen = candidate
+    return chosen
+
+
+@settings(max_examples=300, deadline=None)
+@given(matroid_supports(), st.data())
+def test_one_scan_lex_min_basis_matches_greedy(M, data):
+    subset = data.draw(st.integers(0, (1 << len(M.ground)) - 1))
+    assert (matroids.lex_min_basis_of_subset(M, subset)
+            == lex_min_basis_by_greedy(M, subset))
+
+
+def is_vector_by_fractions(M, v):
+    """Reference: the tie criterion on Fraction sums p(E \\ S + e) + v_e."""
+    n = len(M.ground)
+    full = (1 << n) - 1
+    for S in itertools.combinations(range(n), n - M.rank + 1):
+        rest = full ^ sum(1 << e for e in S)
+        terms = [M.value_mask(rest | (1 << e)) + v[e].value for e in S
+                 if not v[e].is_inf and M.value_mask(rest | (1 << e)) is not None]
+        if terms and terms.count(min(terms)) < 2:
+            return False
+    return True
+
+
+@st.composite
+def valuations_and_vectors(draw):
+    """A matroid support or any family of r-sets, and a vector with fractional,
+    negative and infinite coordinates: random, or a combination of circuits."""
+    frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    M, _ = draw(valuations_and_weights())
+    n = len(M.ground)
+    cs = circuits(M)
+    if cs and draw(st.booleans()):
+        picks = draw(st.lists(st.sampled_from(cs), min_size=1, max_size=3))
+        lams = [Trop(draw(frac)) for _ in picks]
+        v = tuple(min(lam * H[i] for lam, H in zip(lams, picks)) for i in range(n))
+    else:
+        coord = st.one_of(frac.map(Trop), st.integers(-3, 3).map(Trop), st.just(INF))
+        v = tuple(draw(coord) for _ in range(n))
+    return M, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(valuations_and_vectors())
+def test_integer_is_vector_matches_fraction_sums(case):
+    M, v = case
+    assert is_vector(M, v) == is_vector_by_fractions(M, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_construction_route_gives_one_canonical_matroid(data):
+    n = data.draw(st.integers(1, 6))
+    r = data.draw(st.integers(0, n))
+    masks = [sum(1 << i for i in B) for B in itertools.combinations(range(n), r)]
+    chosen = data.draw(st.lists(st.sampled_from(masks), min_size=1, unique=True))
+    den = data.draw(st.integers(1, 12))
+    shift = data.draw(st.integers(-5, 5))
+    ints = {m: data.draw(st.integers(-20, 20)) for m in chosen}
+    ground = tuple(range(n))
+    M = VMatroid(ground, r, {m: Fraction(a, den) for m, a in ints.items()})
+    routes = [
+        VMatroid(ground, r, {m: a + shift * den for m, a in ints.items()}, den),
+        VMatroid(ground, r, [(m, str(Fraction(a, den))) for m, a in ints.items()]),
+        VMatroid(ground, r, [(m, Trop(Fraction(ints[m], den)) if m in ints else INF)
+                             for m in masks]),
+        dual(dual(M)),
+        contract(M, ()),
+        contract(coloop_extension(M, ("z",)), ("z",)),
+    ]
+    for N in routes:
+        assert N == M and hash(N) == hash(M)
+        assert N.valuation_items() == M.valuation_items()
+        assert min(N._val.values()) == 0
+        assert math.gcd(N.den, *N._val.values()) == 1
+
+
+def test_a_set_valued_twice_is_rejected():
+    with pytest.raises(InvalidMatroidError, match="valued twice"):
+        VMatroid("abc", 2, [("ab", 0), ("ba", 3), ("ac", 1)])
+    with pytest.raises(InvalidMatroidError, match="valued twice"):
+        VMatroid("abc", 2, [("ab", INF), ("ab", INF), ("ac", 1)])
+    with pytest.raises(InvalidMatroidError, match="valued twice"):
+        VMatroid("abc", 2, [("ab", INF), ("ac", 1), ("ab", 0)])
+
+
+@pytest.mark.parametrize("den", [0, -2, Fraction(1, 2), 1.0])
+def test_denominator_must_be_a_positive_int(den):
+    with pytest.raises(InputError, match="positive int"):
+        VMatroid("ab", 1, {"a": 0, "b": 1}, den)
