@@ -59,6 +59,8 @@ CASES = {
     "tropicalize-padic-d3": (["tropicalize", "--input", _inp("padic.json"), "--degree", "3"], 0),
     "variety-example27-g-d4": (["variety", "--ideal", _inp("example27_g_d4.json")], 0),
     "groebner-complex-padic-d3": (["groebner-complex", "--ideal", _inp("padic_d3.json")], 0),
+    "groebner-complex-point-inf-d4": (["groebner-complex", "--ideal", _inp("point_inf_d4.json"),
+                                       "--verbose"], 0),
     "tropicalize-not-prime": (["tropicalize", "--input", _inp("not_prime.json"),
                                "--degree", "1"], 2),
     "hilbert-text": (["hilbert", "--ideal", _inp("tower.json"), "--degree", "2",
