@@ -193,13 +193,13 @@ class Cell:
     """A closed polyhedron inside one stratum, with a label.
 
     Rows are primitive integer (coeffs, rhs) over the cell's free
-    coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  Relative interiors are
-    derived, never stored as strict systems.  core is an (eqs, ineqs) pair that
-    cuts out the same set with fewer rows, for intersections in refine; it
-    defaults to the cell's own rows.
+    coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  core
+    is an (eqs, strict rows) pair cutting out exactly the relative interior,
+    for refine: given by the builder, else relint_system(), solved once on
+    first use (the infeasible row 0 < 0 for an empty cell).
     """
 
-    __slots__ = ("ambient", "sigma", "free", "eqs", "ineqs", "label", "core",
+    __slots__ = ("ambient", "sigma", "free", "eqs", "ineqs", "label", "_core",
                  "_relint", "_tight", "_dim", "_solved")
 
     def __init__(self, ambient: int, sigma, eqs, ineqs, label=None, free=None, core=None):
@@ -216,7 +216,7 @@ class Cell:
             if len(c) != m:
                 raise InputError("row width %d does not match %d free coordinates" % (len(c), m))
         self.label = label
-        self.core = core if core is not None else (self.eqs, self.ineqs)
+        self._core = core
         self._relint = None
         self._tight = None
         self._dim = None
@@ -294,6 +294,12 @@ class Cell:
             else:
                 strict.append((row[0], row[1], True))
         return eqs, strict
+
+    @property
+    def core(self):
+        if self._core is None:
+            self._core = self.relint_system() or ((), [((0,) * len(self.free), 0, True)])
+        return self._core
 
     def __repr__(self) -> str:
         return "Cell(sigma=%s, dim=%s, label=%r)" % (sorted(self.sigma), self.dim(), self.label)
@@ -386,8 +392,11 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
     region by a chain of facets, each cut out by a vertex row; the probe's
     relative-interior witness then lands in that facet.  Redundant rows
     change no Fourier-Motzkin projection, so each witness is the one the
-    full system gives.  Stored rows stay complete; the vertex rows are kept
-    as each cell's core for refine.  Never enumerates subsets of the support.
+    full system gives.  Stored rows stay complete.  The core is T's
+    equalities and vertex rows, strict: on the relative interior the argmin
+    is exactly T, and where those rows hold the minimum is attained on T's
+    vertices only, whose face of the lower hull holds exactly the terms in
+    T.  Never enumerates subsets of the support.
     """
     sigma = frozenset(sigma)
     ambient = f.num_vars
@@ -438,8 +447,8 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
     def register(T):
         if T not in discovered:
             eqs, ineqs = _tie_system(terms, scale, T)
-            discovered[T] = Cell(ambient, sigma, eqs, ineqs, label=label_of(T),
-                                 core=(eqs, _tie_system(terms, scale, T, rows=vertices)[1]))
+            strict = [(c, r, True) for c, r in _tie_system(terms, scale, T, rows=vertices)[1]]
+            discovered[T] = Cell(ambient, sigma, eqs, ineqs, label=label_of(T), core=(eqs, strict))
             queue.append(T)
 
     for i in vertices:
@@ -461,23 +470,15 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
 # Refinement --------------------------------------------------------------------------
 
 
-def _locate(cells: Sequence[Cell], point) -> Optional[int]:
-    P, q = _scaled(point)
-    for i, cell in enumerate(cells):
-        if cell._holds_at(P, q, relint=True):
-            return i
-    return None
-
-
 def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComplex:
     """Common refinement: the nonempty intersections of one cell per input complex.
 
-    A pairwise left fold.  A nonempty intersection is keyed by the flat tuple of
-    input cells whose relative interiors hold its witness point; a tuple meets only
-    if its prefixes do, so none is lost.  Intersections are solved on the input
-    cells' core rows, which cut out the same sets as their full rows and so
-    give the same witnesses.  Cells are listed by key, with rows concatenated
-    and labels tupled in input order.
+    A pairwise left fold, keyed by the flat tuple of input cells whose
+    relative interiors meet: then ri(A & B) = ri A & ri B and cl(A & B) =
+    A & B (Rockafellar, Convex Analysis, Thm 6.5), a tuple meets only if its
+    prefixes do, and one strict solve on the concatenated cores decides each
+    (prefix, cell) pair.  Cells are listed by key, with rows concatenated and
+    labels tupled in input order.
     """
     if not complexes:
         raise InputError("refine needs at least one complex")
@@ -493,22 +494,21 @@ def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComp
     out = PolyComplex(first.ambient, {}, quotiented=first.quotiented)
     for sigma in first.strata:
         lists = [c.strata[sigma] for c in complexes]
-        partial = {(j,): [cell] for j, cell in enumerate(lists[0])}
+        # key -> (input cells, their cores' equalities and strict rows), in key order
+        partial = {(j,): ([cell], *cell.core) for j, cell in enumerate(lists[0])}
         for k in range(1, len(lists)):
-            found: dict[tuple, list] = {}
-            for reps in partial.values():
-                for cell in lists[k]:
+            found: dict[tuple, tuple] = {}
+            for key, (reps, eqs, strict) in partial.items():
+                for j, cell in enumerate(lists[k]):
                     budget.charge(1, "refinement pairs")
-                    cores = [c.core for c in (*reps, cell)]
-                    p = fm_solve(len(cell.free), [row for eqs, _ in cores for row in eqs],
-                                 [row for _, ineqs in cores for row in ineqs])
+                    system = ([*eqs, *cell.core[0]], [*strict, *cell.core[1]])
+                    p = fm_solve(len(cell.free), *system)
                     if p is None:
                         continue
-                    located = tuple(_locate(lst, p) for lst in lists[:k + 1])
-                    if None in located:
+                    P, q = _scaled(p)
+                    if not all(c._holds_at(P, q, relint=False) for c in (*reps, cell)):
                         raise InvariantViolationError("refinement point escaped the input complexes")
-                    if located not in found:
-                        found[located] = [lists[i][j] for i, j in enumerate(located)]
+                    found[key + (j,)] = ([*reps, cell], *system)
             partial = found
         out.strata[sigma] = [
             Cell(first.ambient, sigma,
@@ -516,7 +516,7 @@ def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComp
                  [row for rep in reps for row in rep.ineqs],
                  label=tuple(rep.label for rep in reps),
                  free=reps[0].free)
-            for _, reps in sorted(partial.items())]
+            for reps, _, _ in partial.values()]
     return out
 
 

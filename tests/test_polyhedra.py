@@ -324,6 +324,62 @@ def test_refine_empty_input_stratum():
     assert_same_refinement(refine(three), refine_by_product(three))
 
 
+def arrangement_complex(lines):
+    """Every sign vector of a line arrangement in the plane as one cell with no
+    core, empty ones included; zero signs are written as two opposite
+    inequalities, so those rows are tight."""
+    cells = []
+    for signs in itertools.product((-1, 0, 1), repeat=len(lines)):
+        rows = []
+        for s, (a, b) in zip(signs, lines):
+            if s <= 0:
+                rows.append((a, b))
+            if s >= 0:
+                rows.append((tuple(-x for x in a), -b))
+        cells.append(Cell(2, (), [], rows, label=signs))
+    return PolyComplex(2, {frozenset(): cells})
+
+
+def test_refine_cells_without_core_match_product_oracle():
+    rng = random.Random(11)
+
+    def line():
+        a = (0, 0)
+        while a == (0, 0):
+            a = (rng.randint(-2, 2), rng.randint(-2, 2))
+        return a, rng.randint(-2, 2)
+
+    tight_axes = [arrangement_complex([((1, 0), 0)]), arrangement_complex([((0, 1), 0)])]
+    cases = [tight_axes + [arrangement_complex([((1, -1), 0)])]]
+    for _ in range(6):
+        cases.append([arrangement_complex([line()]), arrangement_complex([line(), line()]),
+                      arrangement_complex([line()])])
+    for complexes in cases:
+        assert_same_refinement(refine(complexes), refine_by_product(complexes))
+    with_empty = [tight_axes[0], PolyComplex(2, {frozenset(): []}), tight_axes[1]]
+    assert refine(with_empty).strata == {frozenset(): []}
+
+
+def test_refine_rejects_a_core_that_escapes_its_rows():
+    allspace = PolyComplex(2, {frozenset(): [Cell(2, (), [], [], label="all")]})
+    # rows say w0 <= 0, the core says w0 > 1
+    bad = Cell(2, (), [], [((1, 0), 0)], core=((), [((-1, 0), -1, True)]))
+    with pytest.raises(InvariantViolationError, match="escaped"):
+        refine([allspace, PolyComplex(2, {frozenset(): [bad]})])
+
+
+def test_refine_charges_one_unit_per_prefix_and_cell():
+    f = poly([((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((2, 0), 1), ((1, 1), 3)], 2)
+    g = poly([((0, 0), 1), ((0, 1), 0), ((1, 1), -1)], 2)
+    complexes = [normal_complex(f), normal_complex(g), axis_complex(0),
+                 arrangement_complex([((1, 1), 1)])]
+    pairs = sum(refine(complexes[:k]).cell_count() * complexes[k].cell_count()
+                for k in range(1, len(complexes)))
+    assert refine(complexes, cap=pairs).cell_count() == refine(complexes).cell_count()
+    with pytest.raises(SizeGuardError, match="refinement pairs"):
+        refine(complexes, cap=pairs - 1)
+
+
 # The Fraction tie-set kernel, kept as the oracle of the integer one ---------------
 
 
@@ -516,15 +572,16 @@ def test_vertex_walk_matches_term_probe_walk(case):
         [(c.label, c.eqs, c.ineqs, c.relint_point()) for c in want]
 
 
-@settings(max_examples=25, deadline=None)
-@given(dense_poly_in_stratum())
-def test_core_rows_solve_like_full_rows(case):
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dense_poly_in_stratum(), poly_in_stratum()))
+def test_core_rows_solve_like_relint_systems(case):
     f, sigma = case
     cells = normal_complex(f, sigma).strata[frozenset(sigma)]
     m = f.num_vars - len(sigma)
     for a, b in itertools.combinations_with_replacement(cells, 2):
+        (ea, sa), (eb, sb) = a.relint_system(), b.relint_system()
         assert fm_solve(m, [*a.core[0], *b.core[0]], [*a.core[1], *b.core[1]]) == \
-            fm_solve(m, a.eqs + b.eqs, a.ineqs + b.ineqs)
+            fm_solve(m, ea + eb, sa + sb)
 
 
 def test_normal_complex_charges_before_each_solve(monkeypatch):
