@@ -68,6 +68,8 @@ CASES = {
     "contains-line": (["contains", "--ideal", _inp("tower.json"), "--poly",
                        _terms(((1, 0, 0), "0"), ((0, 1, 0), "0"), ((0, 0, 1), "0"))], 0),
     "tropical-basis-tower": (["tropical-basis", "--ideal", _inp("tower.json")], 0),
+    "tropical-basis-point-inf-d4": (["tropical-basis", "--ideal", _inp("point_inf_d4.json")], 0),
+    "tropical-basis-padic-d3": (["tropical-basis", "--ideal", _inp("padic_d3.json")], 0),
     "nullstellensatz-text": (["nullstellensatz", "--ideal", _inp("point.json"),
                               "--output", "text"], 0),
     "compare-tower-point": (["compare", "--ideal", _inp("tower.json"),
