@@ -13,11 +13,11 @@ from .polynomials import (TropPoly, least_coefficients, poly_from_roots,
 from .matroids import (OrdMatroid, VMatroid, check_valuated_exchange, circuits,
                        coloop_extension, contract, dual, fundamental_circuit,
                        initial_matroid, is_vector)
-from .ideals import (AffineTruncIdeal, ClassicalInput, QPoly, TruncIdeal,
-                     Valuation, affine_point_ideal, affine_unit_ideal,
-                     boolean_image, check_compatibility, compare, contains,
-                     hilbert, homogenize_ideal, initial_ideal,
-                     nonrealizable_ideal, point_ideal, tropicalize)
+from .ideals import (ClassicalInput, QPoly, TruncIdeal, Valuation,
+                     affine_point_ideal, affine_unit_ideal, boolean_image,
+                     check_compatibility, compare, contains, hilbert,
+                     initial_ideal, nonrealizable_ideal, point_ideal,
+                     tropicalize)
 from .polyhedra import (Cell, PolyComplex, feasible_dim, normal_complex,
                         quotient_lineality, refine)
 from .groebner import (Certificate, GroebnerComplex, VarietySubcomplex,
@@ -36,11 +36,10 @@ __all__ = [
     "OrdMatroid", "VMatroid", "check_valuated_exchange", "circuits",
     "coloop_extension", "contract", "dual", "fundamental_circuit",
     "initial_matroid", "is_vector",
-    "AffineTruncIdeal", "ClassicalInput", "QPoly", "TruncIdeal", "Valuation",
+    "ClassicalInput", "QPoly", "TruncIdeal", "Valuation",
     "affine_point_ideal", "affine_unit_ideal", "boolean_image",
     "check_compatibility", "compare", "contains", "hilbert",
-    "homogenize_ideal", "initial_ideal", "nonrealizable_ideal", "point_ideal",
-    "tropicalize",
+    "initial_ideal", "nonrealizable_ideal", "point_ideal", "tropicalize",
     "Cell", "PolyComplex", "feasible_dim", "normal_complex",
     "quotient_lineality", "refine",
     "Certificate", "GroebnerComplex", "VarietySubcomplex", "groebner_complex",

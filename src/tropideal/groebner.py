@@ -13,13 +13,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from . import monomials as mon
-from .errors import (DegenerateInputError, InputError,
-                     InvariantViolationError, SizeGuardError)
-from .ideals import TruncIdeal, _initial_layers
-from .matroids import (VMatroid, _bits, _mask_of, contract, fundamental_circuit,
+from .errors import InputError, InvariantViolationError, SizeGuardError
+from .ideals import TruncIdeal, _contract_sigma, _initial_bases, _sigma_mask
+from .matroids import (VMatroid, _bits, _fundamental_circuit_idx, _loops_mask,
                        lex_min_basis_of_subset)
 from .polyhedra import (Cell, PolyComplex, fm_solve, normal_complex,
                         quotient_lineality, refine)
@@ -35,21 +33,20 @@ def groebner_poly(I: TruncIdeal, d: int, sigma=()) -> TropPoly:
     exponent the sum of the remaining monomials.  Equal exponents merge by
     minimum.
     """
-    sigma = frozenset(sigma)
-    M = I.layer(d)
-    sigma_mons = [u for u in M.ground if mon.uses_sigma(u, sigma)]
-    C = contract(M, sigma_mons)
-    if not C.basis_masks():
-        raise DegenerateInputError("contracted layer has no basis")
-    nonsigma = [u for u in M.ground if not mon.uses_sigma(u, sigma)]
-    total = tuple(sum(u[i] for u in nonsigma) for i in range(I.num_vars))
+    C, _ = _contract_sigma(I.layer(d), frozenset(sigma))
+    return _stratum_poly(I.num_vars, C)
+
+
+def _stratum_poly(num_vars: int, C: VMatroid) -> TropPoly:
+    """groebner_poly from the layer contracted by its sigma-monomials."""
+    total = tuple(sum(u[i] for u in C.ground) for i in range(num_vars))
     pairs = []
     for mask, p in C.valuation_items():
         acc = list(total)
         for idx in _bits(mask):
             acc = [a - e for a, e in zip(acc, C.ground[idx])]
         pairs.append((tuple(acc), Trop(p)))
-    return TropPoly(I.num_vars, pairs)
+    return TropPoly(num_vars, pairs)
 
 
 @dataclass
@@ -65,10 +62,6 @@ class GroebnerCell:
         payload = ";".join(
             ",".join(format(m, "x") for m in sorted(layer)) for layer in self.fingerprint)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _fingerprint(layers: Sequence[VMatroid]) -> tuple:
-    return tuple(frozenset(M.basis_masks()) for M in layers)
 
 
 @dataclass
@@ -107,18 +100,19 @@ def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
     the degree-d stratum polynomials for all d up to the bound; each cell
     is fingerprinted by degenerating the ideal at an exact interior
     witness.  Cells with equal fingerprints are reported grouped, never
-    merged.
+    merged.  Each layer is contracted once per stratum, and the stratum
+    polynomials and every cell's fingerprint read that contraction.
     """
     nv = I.num_vars
     strata: dict = {}
     for size in range(nv + 1):
         for sig in itertools.combinations(range(nv), size):
             sigma = frozenset(sig)
+            contracted = [_contract_sigma(M, sigma) for M in I.layers]
             complexes = []
-            for d in range(I.degree_bound + 1):
+            for d, (C, _) in enumerate(contracted):
                 try:
-                    F = groebner_poly(I, d, sigma)
-                    complexes.append(normal_complex(F, sigma, cap=cap))
+                    complexes.append(normal_complex(_stratum_poly(nv, C), sigma, cap=cap))
                 except SizeGuardError as exc:
                     raise SizeGuardError("degree %d, stratum %s: %s"
                                          % (d, sorted(sigma), exc))
@@ -129,9 +123,10 @@ def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
             out = []
             for cell in refined.stratum(sigma):
                 w = _witness_weight(nv, sigma, cell)
-                layers = _initial_layers(I, w)
-                has_loop = any(_layer_loops(M.basis_masks(), len(M.ground)) for M in layers)
-                out.append(GroebnerCell(cell, w, _fingerprint(layers), in_variety=not has_loop))
+                fingerprint = tuple(_initial_bases(C, smask, w) for C, smask in contracted)
+                has_loop = any(_loops_mask(bases, len(M.ground))
+                               for bases, M in zip(fingerprint, I.layers))
+                out.append(GroebnerCell(cell, w, fingerprint, in_variety=not has_loop))
             strata[sigma] = out
     return GroebnerComplex(I, strata)
 
@@ -233,33 +228,24 @@ def tropical_basis(I: TruncIdeal, complex_: GroebnerComplex | None = None,
     for sigma, gc in G.all_cells():
         if gc.in_variety:
             continue
-        d = next(dd for dd, layer in enumerate(gc.fingerprint)
-                 if _layer_loops(layer, len(I.layers[dd].ground)))
-        M = I.layers[d]
-        ground = M.ground
-        loops_mask = _layer_loops(gc.fingerprint[d], len(ground))
-        loop_idx = (loops_mask & -loops_mask).bit_length() - 1
-        sigma_mons = [u for u in ground if mon.uses_sigma(u, sigma)]
-        BA = lex_min_basis_of_subset(M, sigma_mons)
-        sigma_mask = _mask_of(M.index_of(u) for u in sigma_mons)
-        layer_basis = min(gc.fingerprint[d], key=lambda m: tuple(_bits(m)))
+        for layer, M in zip(gc.fingerprint, I.layers):
+            loops = _loops_mask(layer, len(M.ground))
+            if loops:
+                break
+        loop_idx = (loops & -loops).bit_length() - 1
+        sigma_mask = _sigma_mask(M.ground, sigma)
+        BA = lex_min_basis_of_subset(M, sigma_mask)
+        layer_basis = min(layer, key=lambda m: tuple(_bits(m)))
         B = (layer_basis & ~sigma_mask) | BA
         if M.value_mask(B) is None:
             raise InvariantViolationError("degenerated basis is not a basis of the layer")
-        H = fundamental_circuit(M, B, ground[loop_idx])
-        f = TropPoly(I.num_vars, {u: H[i] for i, u in enumerate(ground)})
+        H = _fundamental_circuit_idx(M, B, loop_idx)
+        f = TropPoly(I.num_vars, dict(zip(M.ground, H)))
         if f not in seen:
             seen.add(f)
             polys.append(f)
     polys.sort(key=lambda f: (f.degree(), [(u, str(c)) for u, c in f.terms()]))
     return polys
-
-
-def _layer_loops(basis_masks, nelems: int) -> int:
-    union = 0
-    for m in basis_masks:
-        union |= m
-    return ((1 << nelems) - 1) & ~union
 
 
 # Nullstellensatz --------------------------------------------------------------------
@@ -286,9 +272,8 @@ def nullstellensatz(I: TruncIdeal, cap: int | None = None) -> Certificate:
     past the truncation, so the remaining case is reported as inconclusive
     rather than forced.
     """
-    for d in range(I.degree_bound + 1):
-        M = I.layers[d]
-        if _layer_loops(frozenset(M.basis_masks()), len(M.ground)) == (1 << len(M.ground)) - 1:
+    for d, M in enumerate(I.layers):
+        if M.rank == 0:  # every monomial is a loop
             return Certificate("unit", degree=d, truncation=I.degree_bound)
     V = variety(I, "projective", cap=cap)
     hits = V.in_variety_cells()

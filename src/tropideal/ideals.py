@@ -356,8 +356,10 @@ def point_ideal(a: Sequence[Trop], D: int, cap: int | None = None) -> TruncIdeal
         raise InputError("the all-infinity point is not a point of projective space")
     if D < 0:
         raise InputError("truncation degree must be nonnegative")
+    budget = Budget(cap)
     layers = []
     for d in range(D + 1):
+        budget.charge(math.comb(len(a) + d - 1, d), "point ideal layer %d" % d)
         ground = tuple(mon.monomials_of_degree(len(a), d))
         val = {}
         for i, u in enumerate(ground):
@@ -514,21 +516,34 @@ def contains(I: TruncIdeal, f: TropPoly, cap: int | None = None) -> bool:
     return is_vector(M, vec, cap=cap)
 
 
+def _sigma_mask(ground: Sequence[tuple], sigma) -> int:
+    """The monomials of ground divisible by a variable in sigma, as a mask."""
+    return _mask_of(i for i, u in enumerate(ground) if mon.uses_sigma(u, sigma))
+
+
+def _contract_sigma(M: VMatroid, sigma) -> tuple[VMatroid, int]:
+    """M contracted by its sigma-monomials, and their mask; see _initial_bases."""
+    smask = _sigma_mask(M.ground, sigma)
+    return contract(M, smask), smask
+
+
+def _initial_bases(C: VMatroid, smask: int, w: Sequence[Trop]) -> frozenset[int]:
+    """The bases of the initial matroid at w, as masks over the whole layer.
+
+    (C, smask) is _contract_sigma of the layer for sigma the infinite
+    coordinates of w.  C is degenerated by the finite weight w.u, and every
+    basis then takes the sigma-monomials back as coloops.
+    """
+    finite = [0 if x.is_inf else x.value for x in w]  # u is 0 on sigma
+    N = initial_matroid(C, [sum(a * e for a, e in zip(finite, u)) for u in C.ground])
+    keep = [i for i in range(len(C.ground) + smask.bit_count()) if not (smask >> i) & 1]
+    return frozenset(smask | _mask_of(keep[j] for j in _bits(B)) for B in N.bases)
+
+
 def _initial_layers(I: TruncIdeal, w: Sequence[Trop]) -> list[VMatroid]:
     sigma = weight_sigma(w)
-    layers = []
-    for d in range(I.degree_bound + 1):
-        M = I.layers[d]
-        ground = M.ground
-        sigma_mons = [u for u in ground if mon.uses_sigma(u, sigma)]
-        C = contract(M, sigma_mons)
-        what = [dot(w, u) for u in C.ground]
-        assert all(not t.is_inf for t in what)
-        N = initial_matroid(C, [t.value for t in what])
-        extra = set(sigma_mons)
-        bases = [set(B) | extra for B in N.bases_as_sets()]
-        layers.append(VMatroid.from_bases(ground, bases))
-    return layers
+    return [VMatroid.from_bases(M.ground, _initial_bases(*_contract_sigma(M, sigma), w))
+            for M in I.layers]
 
 
 def initial_ideal(I: TruncIdeal, w: Sequence[Trop]) -> TruncIdeal:
@@ -614,49 +629,24 @@ def compare(I: TruncIdeal, J: TruncIdeal, cap: int | None = None) -> CompareRepo
     return CompareReport(relation, hv_i, hv_j, equal_through, first_diff)
 
 
-# Affine truncations and homogenization ---------------------------------------------
+# Affine truncations ---------------------------------------------------------------
+#
+# An affine truncation is built as its homogenization f -> x_0^(d - deg f) f in
+# n+1 variables.  u -> (d - |u|, u) maps the degree-<=d monomials in n variables
+# onto the degree-d ones in n+1 in canonical order (a lower |u| is a larger x_0
+# exponent, and ties order u lex descending on both sides), index for index.
 
 
-class AffineTruncIdeal:
-    """Layers on the monomials of degree at most d, for d = 0 .. D."""
-
-    __slots__ = ("num_vars", "degree_bound", "layers", "mode")
-
-    def __init__(self, num_vars: int, layers: Sequence[VMatroid], mode: str = "rational"):
-        self.num_vars = num_vars
-        self.degree_bound = len(layers) - 1
-        self.layers = tuple(layers)
-        self.mode = mode
-        for d, M in enumerate(self.layers):
-            expected = tuple(mon.monomials_up_to_degree(num_vars, d))
-            if M.ground != expected:
-                raise InputError("affine layer %d is not on the canonical monomials" % (d,))
-
-    def __repr__(self) -> str:
-        return "AffineTruncIdeal(vars=%d, D=%d)" % (self.num_vars, self.degree_bound)
-
-
-def affine_point_ideal(a: Sequence[Trop], D: int) -> AffineTruncIdeal:
+def affine_point_ideal(a: Sequence[Trop], D: int) -> TruncIdeal:
     """All polynomials of degree <= d vanishing tropically at the point a."""
-    a = tuple(x if isinstance(x, Trop) else Trop(x) for x in a)
-    layers = []
-    for d in range(D + 1):
-        ground = tuple(mon.monomials_up_to_degree(len(a), d))
-        val = {}
-        for i, u in enumerate(ground):
-            v = dot(a, u)
-            if not v.is_inf:
-                val[1 << i] = v.value
-        layers.append(VMatroid(ground, 1, val))
-    return AffineTruncIdeal(len(a), layers)
+    return point_ideal((Trop(0), *a), D)
 
 
-def affine_unit_ideal(num_vars: int, D: int) -> AffineTruncIdeal:
-    layers = []
-    for d in range(D + 1):
-        ground = tuple(mon.monomials_up_to_degree(num_vars, d))
-        layers.append(VMatroid(ground, 0, {0: 0}))
-    return AffineTruncIdeal(num_vars, layers)
+def affine_unit_ideal(num_vars: int, D: int) -> TruncIdeal:
+    """The unit ideal: every layer has rank 0."""
+    nv = num_vars + 1
+    return TruncIdeal(nv, [VMatroid(mon.monomials_of_degree(nv, d), 0, {0: 0})
+                           for d in range(D + 1)])
 
 
 def single_circuit_matroid(ground: Sequence, vector) -> VMatroid:
@@ -674,36 +664,16 @@ def single_circuit_matroid(ground: Sequence, vector) -> VMatroid:
     return VMatroid(ground, len(ground) - 1, val)
 
 
-def affine_principal_truncation(f: TropPoly) -> AffineTruncIdeal:
+def affine_principal_truncation(f: TropPoly) -> TruncIdeal:
     """Affine truncation at D = deg f whose top layer is the single circuit f."""
     if f.is_inf:
         raise InputError("need a nonempty polynomial")
-    D = f.degree()
+    F = f.homogenize()
+    nv, D = F.num_vars, F.degree()
     layers = []
     for d in range(D):
-        ground = tuple(mon.monomials_up_to_degree(f.num_vars, d))
+        ground = mon.monomials_of_degree(nv, d)
         layers.append(VMatroid(ground, len(ground), {(1 << len(ground)) - 1: 0}))
-    ground = tuple(mon.monomials_up_to_degree(f.num_vars, D))
-    vec = tuple(f.coeff(u) for u in ground)
-    layers.append(single_circuit_matroid(ground, vec))
-    return AffineTruncIdeal(f.num_vars, layers)
-
-
-def homogenize_ideal(affine: AffineTruncIdeal) -> TruncIdeal:
-    """Projective tower induced by the bijection f -> x_0^(d - deg f) f.
-
-    The canonical order on the degree-at-most-d monomials in n variables
-    agrees with the canonical order on the degree-d monomials in n+1
-    variables under that bijection, so layers relabel index-for-index.
-    """
-    nv = affine.num_vars + 1
-    layers = []
-    for d in range(affine.degree_bound + 1):
-        M = affine.layers[d]
-        ground = tuple(mon.monomials_of_degree(nv, d))
-        for idx, u in enumerate(M.ground):
-            expected = (d - sum(u),) + u
-            if ground[idx] != expected:
-                raise InvariantViolationError("homogenization bijection misaligned")
-        layers.append(VMatroid(ground, M.rank, M._val, M.den))
-    return TruncIdeal(nv, layers, mode=affine.mode)
+    ground = mon.monomials_of_degree(nv, D)
+    layers.append(single_circuit_matroid(ground, [F.coeff(u) for u in ground]))
+    return TruncIdeal(nv, layers)

@@ -38,6 +38,14 @@ def _mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def _loops_mask(masks: Iterable[int], n: int) -> int:
+    """The elements of range(n) in none of the given basis masks."""
+    union = 0
+    for m in masks:
+        union |= m
+    return ((1 << n) - 1) & ~union
+
+
 def _as_mask(M, subset) -> int:
     """subset as a bitmask over M's ground: a mask already, or ground labels."""
     return subset if isinstance(subset, int) else _mask_of(M._index[e] for e in subset)
@@ -71,10 +79,7 @@ class OrdMatroid:
 
     def loops(self) -> list:
         """Elements in no basis."""
-        union = 0
-        for m in self.bases:
-            union |= m
-        return [e for i, e in enumerate(self.ground) if not (union >> i) & 1]
+        return [self.ground[i] for i in _bits(_loops_mask(self.bases, len(self.ground)))]
 
     def is_basis(self, subset) -> bool:
         return _as_mask(self, subset) in self.bases

@@ -45,13 +45,6 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
     return out
 
 
-def monomials_up_to_degree(nvars: int, d: int) -> list[Monomial]:
-    out: list[Monomial] = []
-    for e in range(d + 1):
-        out.extend(monomials_of_degree(nvars, e))
-    return out
-
-
 def mul(u: Monomial, v: Monomial) -> Monomial:
     return tuple(a + b for a, b in zip(u, v))
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -6,22 +7,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tropideal import monomials as mon
 from tropideal.config import Budget
 from tropideal.errors import InputError, OutOfRangeError, SizeGuardError
 from tropideal.ideals import (ClassicalInput, CompatibilityWitness, QPoly,
                               TruncIdeal, Valuation, affine_point_ideal,
                               affine_principal_truncation, affine_unit_ideal,
                               boolean_image, check_compatibility, compare,
-                              contains, homogenize_ideal, initial_ideal,
-                              nonrealizable_ideal, point_ideal,
-                              single_circuit_matroid, tropicalize)
-from tropideal.ideals import _layer_from_row_space
+                              contains, initial_ideal, nonrealizable_ideal,
+                              point_ideal, single_circuit_matroid, tropicalize)
+from tropideal.ideals import _initial_layers, _layer_from_row_space
 from tropideal.linalg import echelon
 from tropideal.matroids import (VMatroid, check_valuated_exchange, circuits,
-                                is_vector)
-from tropideal.monomials import monomials_of_degree
+                                contract, initial_matroid, is_vector)
+from tropideal.monomials import monomials_of_degree, uses_sigma
 from tropideal.polynomials import TropPoly
-from tropideal.semiring import INF, Trop
+from tropideal.semiring import INF, Trop, dot, weight_sigma
 
 
 # Test-local oracles ---------------------------------------------------------------
@@ -193,6 +194,18 @@ def test_point_ideal_valued_circuit():
 def test_point_ideal_rejects_all_infinite():
     with pytest.raises(InputError):
         point_ideal((INF, INF), 1)
+
+
+def test_point_ideal_charges_each_layer_before_building(monkeypatch):
+    # layers of 1, 3 and 6 monomials fit a cap of 10; the 10 monomials of
+    # degree 3 are refused before they are listed, whatever D is
+    built = []
+    listing = mon.monomials_of_degree
+    monkeypatch.setattr(mon, "monomials_of_degree",
+                        lambda nvars, d: built.append(d) or listing(nvars, d))
+    with pytest.raises(SizeGuardError, match="point ideal layer 3"):
+        point_ideal((Trop(0), Trop(1), Trop(2)), 10_000, cap=10)
+    assert built == [0, 1, 2]
 
 
 def test_point_ideal_matches_padic_tropicalization():
@@ -577,6 +590,55 @@ def test_initial_ideal_with_infinite_weight_coordinates():
     assert (0, 1) in K.layers[1].underlying().loops()
 
 
+def initial_layers_by_label_sets(I, w):
+    """Test-local oracle: the initial tower by ground labels.
+
+    Contract each layer by its sigma-monomials given as labels, weight the
+    rest by the tropical dot product w.u, and add the sigma-monomials back
+    to every basis as a label set.
+    """
+    sigma = weight_sigma(w)
+    layers = []
+    for M in I.layers:
+        sigma_mons = [u for u in M.ground if uses_sigma(u, sigma)]
+        C = contract(M, sigma_mons)
+        N = initial_matroid(C, [dot(w, u).value for u in C.ground])
+        bases = [set(B) | set(sigma_mons) for B in N.bases_as_sets()]
+        layers.append(VMatroid.from_bases(M.ground, bases))
+    return layers
+
+
+@functools.lru_cache(maxsize=None)
+def initial_oracle_ideals():
+    g, gp = cubic_products()
+    trivial = Valuation("trivial")
+    return (nonrealizable_ideal(2, 2), nonrealizable_ideal(2, 3),
+            tropicalize(ClassicalInput((g,), trivial), 3),
+            tropicalize(ClassicalInput((gp,), trivial), 3),
+            tropicalize(ClassicalInput((QPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1,
+                                                  (0, 0, 1): 1}),), trivial), 3))
+
+
+_weight_coord = st.one_of(st.just(INF),
+                          st.fractions(min_value=-4, max_value=4, max_denominator=3).map(Trop))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_initial_layers_match_the_label_set_route(data):
+    if data.draw(st.booleans(), label="point ideal"):
+        a = data.draw(st.lists(_weight_coord, min_size=3, max_size=3)
+                      .filter(lambda a: not all(x.is_inf for x in a)), label="point")
+        I = point_ideal(a, data.draw(st.integers(0, 3), label="D"))
+    else:
+        I = data.draw(st.sampled_from(initial_oracle_ideals()), label="ideal")
+    w = tuple(data.draw(st.lists(_weight_coord, min_size=I.num_vars, max_size=I.num_vars)
+                        .filter(lambda w: not all(x.is_inf for x in w)), label="weight"))
+    expected = initial_layers_by_label_sets(I, w)
+    assert _initial_layers(I, w) == expected
+    assert initial_ideal(I, w).layers == tuple(expected)
+
+
 def test_hilbert_preserved_under_initial(run_count=10):
     rng = random.Random(42)
     I = tropicalize(lambda_family(3), 3)
@@ -710,16 +772,27 @@ def test_compare_shape_mismatch():
         compare(I, J)
 
 
-# homogenization --------------------------------------------------------------------
+# affine truncations, built as their homogenization -----------------------------------
 
 
 def test_homogenize_affine_point():
-    A = affine_point_ideal((Trop(0),), 3)
-    assert homogenize_ideal(A).layers == point_ideal((Trop(0), Trop(0)), 3).layers
+    # the affine layer on the monomials of degree <= d, relabelled by
+    # u -> (d - |u|, u), is the homogenized layer index for index
+    a = (Trop(1), INF)
+    H = affine_point_ideal(a, 3)
+    assert H.num_vars == 3
+    for d in range(4):
+        affine = [u for e in range(d + 1) for u in monomials_of_degree(2, e)]
+        assert H.layers[d].ground == tuple((d - sum(u),) + u for u in affine)
+        assert H.layers[d].rank == 1
+        for i, u in enumerate(affine):
+            assert H.layers[d].value(1 << i) == dot(a, u)
+    assert H.layers == point_ideal((Trop(0), Trop(1), INF), 3).layers
 
 
 def test_homogenize_affine_unit():
-    H = homogenize_ideal(affine_unit_ideal(2, 2))
+    H = affine_unit_ideal(2, 2)
+    assert H.num_vars == 3 and H.degree_bound == 2
     for d in range(3):
         assert H.hilbert(d) == 0
         assert H.layers[d].underlying().loops() == monomials_of_degree(3, d)
@@ -727,11 +800,16 @@ def test_homogenize_affine_unit():
 
 def test_homogenize_single_circuit():
     f = TropPoly(1, {(2,): Trop(0), (0,): Trop(1)})  # x^2 + 1
-    H = homogenize_ideal(affine_principal_truncation(f))
+    H = affine_principal_truncation(f)
+    assert H.num_vars == 2 and H.degree_bound == 2
+    for d in range(2):  # nothing of the ideal below deg f
+        assert H.layers[d].rank == len(H.layers[d].ground)
     top = H.layers[2]
     ftilde = f.homogenize()
     expected = tuple(ftilde.coeff(u) for u in top.ground)
     assert circuits(top) == [top.canonicalize_vector(expected)]
+    circuit = TropPoly(2, {u: c for u, c in zip(top.ground, circuits(top)[0])})
+    assert circuit.dehomogenize() == f
 
 
 def test_hilbert_matches_macaulay_corank():

@@ -177,6 +177,22 @@ def test_cli_size_guard_exit():
     assert "size guard" in proc.stderr
 
 
+def test_cli_point_ideal_cap_below_layer_sizes():
+    proc = run_cli(["point-ideal", "--point", '["0", "1", "2"]', "--degree", "10000",
+                    "--cap", "10"])
+    assert proc.returncode == 3
+    assert "point ideal layer 3" in proc.stderr
+
+
+def test_public_names_resolve():
+    import tropideal
+    for name in tropideal.__all__:
+        assert hasattr(tropideal, name), name
+    namespace: dict = {}
+    exec("from tropideal import *", namespace)
+    assert set(tropideal.__all__) <= set(namespace)
+
+
 def test_cli_deterministic_output(tmp_path):
     a = run_cli(["nonrealizable", "--n", "2", "--degree", "2", "--seed", "1"])
     b = run_cli(["nonrealizable", "--n", "2", "--degree", "2", "--seed", "1"])
