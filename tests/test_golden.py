@@ -4,7 +4,8 @@ Each case runs `tropideal.cli.main(argv)` in process.  The expected stdout
 of case NAME is `tests/golden/NAME.out`; the inputs live in
 `tests/golden/inputs/`.  After a change that is meant to alter output,
 re-record with `PYTHONPATH=src python tests/test_golden.py --record` and
-review the diff of the `.out` files.
+review the diff of the `.out` files.  `--record NAME...` records only the
+named cases, so adding a case never rewrites an existing `.out`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ CASES = {
     "groebner-complex-padic-d3": (["groebner-complex", "--ideal", _inp("padic_d3.json")], 0),
     "groebner-complex-point-inf-d4": (["groebner-complex", "--ideal", _inp("point_inf_d4.json"),
                                        "--verbose"], 0),
+    "groebner-complex-tower-d3": (["groebner-complex", "--ideal", _inp("tower_d3.json"),
+                                   "--verbose"], 0),
+    "groebner-complex-example27-g-d4": (["groebner-complex", "--ideal",
+                                         _inp("example27_g_d4.json"), "--verbose"], 0),
     "tropicalize-not-prime": (["tropicalize", "--input", _inp("not_prime.json"),
                                "--degree", "1"], 2),
     "hilbert-text": (["hilbert", "--ideal", _inp("tower.json"), "--degree", "2",
@@ -96,10 +101,15 @@ def test_golden(name, monkeypatch):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record [NAME...]")
+    names = sys.argv[2:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit("unknown case: %s" % ", ".join(unknown))
     os.environ.pop("TROPIDEAL_CAP", None)
-    for name, (argv, expected_code) in sorted(CASES.items()):
+    for name in names:
+        argv, expected_code = CASES[name]
         code, out = run_case(argv)
         if code != expected_code:
             sys.exit("%s: exit %d, expected %d" % (name, code, expected_code))
