@@ -3,9 +3,11 @@
 The weight space of a truncated ideal decomposes, stratum by stratum, into
 cells on which every degenerated layer is constant.  Each stratum's
 decomposition is the common refinement of the normal complexes of one
-polynomial per degree; cells carry the tower of degenerated layers at an
-exact interior witness as their fingerprint.  Everything is reported for
-the truncation only.
+polynomial per degree.  A cell's fingerprint, its tower of degenerated
+layers, is read off the tie sets in its label (the initial matroids are
+the faces of the regular subdivision the coefficients induce; Speyer,
+"Tropical linear spaces", 2008); its exact interior witness is only
+reported.  Everything is reported for the truncation only.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, InvariantViolationError, SizeGuardError
-from .ideals import TruncIdeal, _contract_sigma, _initial_bases, _sigma_mask
+from .ideals import TruncIdeal, _contract_sigma, _sigma_mask
 from .matroids import (VMatroid, _bits, _fundamental_circuit_idx, _loops_mask,
                        lex_min_basis_of_subset)
 from .polyhedra import (Cell, PolyComplex, fm_solve, normal_complex,
@@ -33,20 +36,35 @@ def groebner_poly(I: TruncIdeal, d: int, sigma=()) -> TropPoly:
     exponent the sum of the remaining monomials.  Equal exponents merge by
     minimum.
     """
-    C, _ = _contract_sigma(I.layer(d), frozenset(sigma))
-    return _stratum_poly(I.num_vars, C)
+    return _basis_table(I.num_vars, *_contract_sigma(I.layer(d), frozenset(sigma)))[0]
 
 
-def _stratum_poly(num_vars: int, C: VMatroid) -> TropPoly:
-    """groebner_poly from the layer contracted by its sigma-monomials."""
-    total = tuple(sum(u[i] for u in C.ground) for i in range(num_vars))
-    pairs = []
-    for mask, p in C.valuation_items():
-        acc = list(total)
-        for idx in _bits(mask):
-            acc = [a - e for a, e in zip(acc, C.ground[idx])]
-        pairs.append((tuple(acc), Trop(p)))
-    return TropPoly(num_vars, pairs)
+def _basis_table(num_vars: int, C: VMatroid, smask: int) -> tuple[TropPoly, dict]:
+    """The stratum polynomial of the contracted layer C, and its basis table:
+    per exponent e = total - sum_B u, the least p(B) and the bases attaining
+    it as masks over the whole layer, OR'ed with smask.  At a weight w the
+    initial matroid's bases minimize p(B) + w.e, so they are the entries of
+    the exponents that tie at w.  Exponents are packed into fixed-width int
+    fields; no field borrows, as sum_B u <= total.
+    """
+    total = [sum(u[i] for u in C.ground) for i in range(num_vars)]
+    width = max(total).bit_length()
+    packed = [sum(e << (width * i) for i, e in enumerate(u)) for u in C.ground]
+    keep = [i for i in range(len(C.ground) + smask.bit_count()) if not (smask >> i) & 1]
+    best: dict[int, tuple[int, list[int]]] = {}
+    for mask, p in C._val.items():
+        s, full = 0, smask
+        for j in _bits(mask):
+            s += packed[j]
+            full |= 1 << keep[j]
+        old = best.get(s)
+        if old is None or p < old[0]:
+            best[s] = (p, [full])
+        elif p == old[0]:
+            old[1].append(full)
+    table = {tuple(t - ((s >> (width * i)) & ((1 << width) - 1)) for i, t in enumerate(total)):
+             (Fraction(p, C.den), frozenset(masks)) for s, (p, masks) in best.items()}
+    return TropPoly(num_vars, {e: Trop(p) for e, (p, _) in table.items()}), table
 
 
 @dataclass
@@ -74,45 +92,31 @@ class GroebnerComplex:
             for gc in self.strata[sigma]:
                 yield sigma, gc
 
-    def fingerprint_classes(self, sigma=None) -> dict:
-        """Cells grouped by fingerprint; cells are never geometrically merged."""
-        classes: dict = {}
-        for s, gc in self.all_cells():
-            if sigma is not None and s != frozenset(sigma):
-                continue
-            classes.setdefault(gc.fingerprint, []).append((s, gc))
-        return classes
-
     def cell_count(self) -> int:
         return sum(len(v) for v in self.strata.values())
-
-
-def _witness_weight(ambient: int, sigma, cell: Cell) -> tuple:
-    p = cell.relint_point()
-    coords = dict(zip(cell.free, p))
-    return tuple(INF if i in sigma else Trop(coords[i]) for i in range(ambient))
 
 
 def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
     """Stratified cell decomposition of weight space at truncation level.
 
     Per stratum this is the common refinement of the normal complexes of
-    the degree-d stratum polynomials for all d up to the bound; each cell
-    is fingerprinted by degenerating the ideal at an exact interior
-    witness.  Cells with equal fingerprints are reported grouped, never
-    merged.  Each layer is contracted once per stratum, and the stratum
-    polynomials and every cell's fingerprint read that contraction.
+    the degree-d stratum polynomials for all d up to the bound.  Each layer
+    is contracted once per stratum into a basis table, which gives the
+    stratum polynomial and, in degree d, a cell's fingerprint: the bases of
+    the exponents in its degree-d tie set.  The exact interior witness is
+    only reported.  Cells with equal fingerprints are grouped, never merged.
     """
     nv = I.num_vars
     strata: dict = {}
     for size in range(nv + 1):
         for sig in itertools.combinations(range(nv), size):
             sigma = frozenset(sig)
-            contracted = [_contract_sigma(M, sigma) for M in I.layers]
+            polys, tables = zip(*(_basis_table(nv, *_contract_sigma(M, sigma))
+                                  for M in I.layers))
             complexes = []
-            for d, (C, _) in enumerate(contracted):
+            for d, f in enumerate(polys):
                 try:
-                    complexes.append(normal_complex(_stratum_poly(nv, C), sigma, cap=cap))
+                    complexes.append(normal_complex(f, sigma, cap=cap))
                 except SizeGuardError as exc:
                     raise SizeGuardError("degree %d, stratum %s: %s"
                                          % (d, sorted(sigma), exc))
@@ -122,10 +126,13 @@ def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
                 raise SizeGuardError("stratum %s: %s" % (sorted(sigma), exc))
             out = []
             for cell in refined.stratum(sigma):
-                w = _witness_weight(nv, sigma, cell)
-                fingerprint = tuple(_initial_bases(C, smask, w) for C, smask in contracted)
+                labels = cell.label if len(tables) > 1 else (cell.label,)  # refine of one complex
+                fingerprint = tuple(frozenset().union(*(table[e][1] for e in label))
+                                    for table, label in zip(tables, labels))
                 has_loop = any(_loops_mask(bases, len(M.ground))
                                for bases, M in zip(fingerprint, I.layers))
+                coords = dict(zip(cell.free, cell.relint_point()))
+                w = tuple(INF if i in sigma else Trop(coords[i]) for i in range(nv))
                 out.append(GroebnerCell(cell, w, fingerprint, in_variety=not has_loop))
             strata[sigma] = out
     return GroebnerComplex(I, strata)

@@ -2,14 +2,14 @@
 
 A cell lives in one stratum (the points whose infinite coordinates are
 exactly sigma) and is stored as a closed system of equalities and
-inequalities over the finite coordinates, plus an opaque label.  Every
-row is scaled to primitive integers (canonical_row), and rows stay
-integer through equality substitution and each Fourier-Motzkin step;
-rationals appear only in bounds and points, and a point P / q meets rows
-and tie sets in integers.  Feasibility, relative-interior points and
-dimensions come from Fourier-Motzkin elimination with midpoint
-back-substitution; everything is exact, there is no floating point and
-no perturbation.
+inequalities over the finite coordinates, plus an opaque label.  Cell
+rows are primitive integers (canonical_row); fm_solve takes int rows as
+given.  Rows stay integer through equality substitution and each
+Fourier-Motzkin step; rationals appear only in bounds and points, and a
+point P / q meets rows and tie sets in integers.  Feasibility, points in
+the relative interior and dimensions come from Fourier-Motzkin
+elimination with midpoint back-substitution; all exact, with no floating
+point and no perturbation.
 """
 
 from __future__ import annotations
@@ -100,15 +100,14 @@ def _fm_eliminate(ineqs, var: int):
     return _dedupe(out)
 
 
-_BIAS_PICKS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(3, 5))
-
-
-def fm_solve(m: int, eqs: Sequence[Row], ineqs, bias: int = 0) -> Optional[tuple]:
+def fm_solve(m: int, eqs: Sequence[Row], ineqs) -> Optional[tuple]:
     """An exact feasible point of a mixed strict/non-strict system, or None.
 
     For a closed system the returned point lies in the relative interior:
     equalities are eliminated first and each remaining variable is chosen
-    inside the relative interior of its feasible interval.
+    inside the relative interior of its feasible interval (its midpoint when
+    bounded).  Int rows are taken as given: echelon's reduced form over d
+    and _dedupe's primitive rows do not depend on a row's scale.
     """
     eq_rows = [coeffs + (rhs,) for coeffs, rhs, _ in _normalize_rows(eqs, m)]
     pivots, prows, d = echelon(eq_rows)
@@ -117,19 +116,17 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs, bias: int = 0) -> Optional[tuple
     if d < 0:
         d, prows = -d, [[-x for x in prow] for prow in prows]
     free = [c for c in range(m) if c not in pivots]
-    substituted = []
-    for coeffs, rhs, strict in _normalize_rows(ineqs, m):
-        row = coeffs + (rhs,)
-        if pivots:
+    rows = _normalize_rows(ineqs, m)
+    if pivots:
+        for k, (coeffs, rhs, strict) in enumerate(rows):
             # d * row minus row[c] times the pivot row of c; each pivot row
             # carries d at its own column, so the pivot columns become 0
-            new = [d * x for x in row]
+            row = [d * x for x in (*coeffs, rhs)]
             for c, prow in zip(pivots, prows):
-                if row[c]:
-                    new = [a - row[c] * b for a, b in zip(new, prow)]
-            row = new
-        substituted.append((row[:m], row[m], strict))
-    rows = _dedupe(substituted)
+                if coeffs[c]:
+                    row = [a - coeffs[c] * b for a, b in zip(row, prow)]
+            rows[k] = (row[:m], row[m], strict)
+    rows = _dedupe(rows)
     if rows is None:
         return None
     levels = []
@@ -138,7 +135,6 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs, bias: int = 0) -> Optional[tuple
         rows = _fm_eliminate(rows, v)
         if rows is None:
             return None
-    pick = _BIAS_PICKS[bias % len(_BIAS_PICKS)]
     values: dict[int, Fraction] = {}
     for v, lrows in reversed(levels):
         lower: Optional[tuple[Fraction, bool]] = None
@@ -156,13 +152,13 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs, bias: int = 0) -> Optional[tuple
                 if lower is None or bound > lower[0] or (bound == lower[0] and strict):
                     lower = (bound, strict)
         if lower is None and upper is None:
-            values[v] = Fraction(bias)
+            values[v] = Fraction(0)
         elif lower is None:
-            values[v] = upper[0] - 1 - bias
+            values[v] = upper[0] - 1
         elif upper is None:
-            values[v] = lower[0] + 1 + bias
+            values[v] = lower[0] + 1
         elif lower[0] < upper[0]:
-            values[v] = lower[0] + (upper[0] - lower[0]) * pick
+            values[v] = (lower[0] + upper[0]) / 2
         elif lower[0] == upper[0] and not lower[1] and not upper[1]:
             values[v] = lower[0]
         else:
@@ -173,16 +169,17 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs, bias: int = 0) -> Optional[tuple
 
 
 def _normalize_rows(rows, m):
+    """(coeffs, rhs, strict) int rows; only rows with a non-int entry are scaled."""
     out = []
-    for item in rows:
-        if len(item) == 2:
-            coeffs, rhs = item
-            strict = False
-        else:
-            coeffs, rhs, strict = item
+    for row in rows:
+        coeffs, rhs = row[0], row[1]
         if len(coeffs) != m:
             raise InputError("row has wrong width")
-        out.append((*canonical_row(coeffs, rhs), bool(strict)))
+        if type(rhs) is int and set(map(type, coeffs)) <= {int}:
+            coeffs = tuple(coeffs)
+        else:
+            coeffs, rhs = canonical_row(coeffs, rhs)
+        out.append((coeffs, rhs, len(row) > 2 and bool(row[2])))
     return out
 
 
@@ -241,10 +238,6 @@ class Cell:
     def relint_point(self) -> Optional[tuple]:
         self._solve()
         return self._relint
-
-    def second_interior_point(self, bias: int = 1) -> Optional[tuple]:
-        m = len(self.free)
-        return fm_solve(m, self.eqs, [(c, r, False) for c, r in self.ineqs], bias=bias)
 
     def dim(self) -> Optional[int]:
         self._solve()

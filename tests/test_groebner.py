@@ -2,13 +2,18 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tropideal.groebner import (groebner_complex, groebner_poly,
                                 nullstellensatz, tropical_basis, variety,
                                 variety_supports_equal)
-from tropideal.ideals import (ClassicalInput, QPoly, Valuation, _initial_layers,
-                              nonrealizable_ideal, point_ideal, tropicalize)
-from tropideal.matroids import circuits
-from tropideal.polyhedra import weight_to_cell_coords
+from tropideal.ideals import (ClassicalInput, QPoly, Valuation, _contract_sigma,
+                              _initial_bases, _initial_layers, nonrealizable_ideal,
+                              point_ideal, tropicalize)
+from tropideal.matroids import _loops_mask, circuits
+from tropideal.polyhedra import fm_solve, weight_to_cell_coords
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
@@ -66,8 +71,7 @@ def test_groebner_complex_two_planes_nine_classes():
     G = groebner_complex(two_planes_ideal())
     cells = G.strata[frozenset()]
     assert len(cells) == 9
-    classes = G.fingerprint_classes(sigma=())
-    assert len(classes) == 9
+    assert len({gc.fingerprint for gc in cells}) == 9
 
 
 def test_groebner_complex_point_ideal_sign_cells():
@@ -100,17 +104,75 @@ def test_fingerprint_ranks_match_hilbert():
             assert rank == I.hilbert(d)
 
 
+def other_interior_point(cell):
+    """The midpoint of the relint point and a point of the closed cell on its
+    first satisfiable row; by convexity it lies in the relative interior."""
+    p = cell.relint_point()
+    m = len(cell.free)
+    for i, row in enumerate(cell.ineqs):
+        q = fm_solve(m, cell.eqs + (row,), cell.ineqs[:i] + cell.ineqs[i + 1:])
+        if q is not None and q != p:
+            return tuple((a + b) / 2 for a, b in zip(p, q))
+    return None
+
+
 def test_witness_stability_on_cells():
     I = line_ideal(2)
     G = groebner_complex(I)
     for sigma, gc in G.all_cells():
-        other = gc.cell.second_interior_point(bias=2)
-        if other is None or other == gc.cell.relint_point():
+        other = other_interior_point(gc.cell)
+        if other is None:
             continue
         coords = dict(zip(gc.cell.free, other))
         w = tuple(INF if i in sigma else Trop(coords[i]) for i in range(3))
         layers = _initial_layers(I, w)
         assert tuple(frozenset(M.basis_masks()) for M in layers) == gc.fingerprint
+
+
+def assert_fingerprints_match_initial_bases(I):
+    """Oracle: each cell's label-read fingerprint and in_variety against the
+    initial matroids that _initial_bases computes at the cell's witness."""
+    G = groebner_complex(I)
+    for sigma, gc in G.all_cells():
+        want = tuple(_initial_bases(*_contract_sigma(M, sigma), gc.witness) for M in I.layers)
+        assert gc.fingerprint == want, (sorted(sigma), gc.cell.label)
+        has_loop = any(_loops_mask(bases, len(M.ground)) for bases, M in zip(want, I.layers))
+        assert gc.in_variety == (not has_loop)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_fingerprints_match_initial_bases_on_towers(D):
+    assert_fingerprints_match_initial_bases(nonrealizable_ideal(2, D))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda nv: st.lists(
+    st.one_of(st.just(INF), st.builds(Trop, st.builds(Fraction, st.integers(-6, 6),
+                                                      st.integers(1, 3)))),
+    min_size=nv, max_size=nv).filter(lambda a: not all(x.is_inf for x in a))),
+    st.integers(0, 4))
+def test_fingerprints_match_initial_bases_on_point_ideals(a, D):
+    assert_fingerprints_match_initial_bases(point_ideal(tuple(a), D))
+
+
+@st.composite
+def small_classical_inputs(draw):
+    """One or two homogeneous generators in three variables, 2- or 5-adic."""
+    deg = draw(st.integers(1, 2))
+    monos = [u for u in itertools.product(range(deg + 1), repeat=3) if sum(u) == deg]
+    coeff = st.sampled_from([1, -1, 2, -3, 4, 5, 10, 25])
+    gens = []
+    for _ in range(draw(st.integers(1, 1 if deg == 2 else 2))):
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        gens.append(QPoly(3, {u: draw(coeff) for u in support}))
+    return ClassicalInput(tuple(gens), Valuation("padic", draw(st.sampled_from([2, 5])))), deg
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_classical_inputs(), st.integers(0, 1))
+def test_fingerprints_match_initial_bases_on_tropicalized_inputs(case, extra):
+    inp, deg = case
+    assert_fingerprints_match_initial_bases(tropicalize(inp, deg + extra))
 
 
 def test_full_dimensional_cells_have_monomial_fingerprints():

@@ -35,8 +35,8 @@ def test_relint_point_is_interior():
     cell = Cell(2, (), [], [((1, 0), 0), ((0, 1), 0)])  # w0 <= 0, w1 <= 0
     p = cell.relint_point()
     assert p is not None and p[0] < 0 and p[1] < 0
-    q = cell.second_interior_point()
-    assert q is not None and q != p and cell.contains_relint(q)
+    mid = tuple((a + b) / 2 for a, b in zip(p, (0, 0)))  # toward the closed cell's vertex
+    assert mid != p and cell.contains_relint(mid)
 
 
 def test_relint_with_implied_equality():
@@ -113,7 +113,7 @@ def test_fm_solve_random_feasible_systems():
             strict = rng.random() < 0.5
             slack = Fraction(rng.randint(1 if strict else 0, 3), rng.randint(1, 4))
             ineqs.append((a, sum(c * x for c, x in zip(a, x0)) + slack, strict))
-        p = fm_solve(m, eqs, ineqs, bias=trial)
+        p = fm_solve(m, eqs, ineqs)
         assert p is not None and len(p) == m
         assert all(type(x) is Fraction for x in p)
         for a, r in eqs:
@@ -121,6 +121,42 @@ def test_fm_solve_random_feasible_systems():
         for a, r, strict in ineqs:
             lhs = sum(c * x for c, x in zip(a, p))
             assert lhs < r if strict else lhs <= r
+
+
+@st.composite
+def primitive_systems(draw):
+    """Primitive integer rows in 1..3 variables, feasible or not, with a
+    positive scale or a denominator per row."""
+    m = draw(st.integers(1, 3))
+    entry = st.integers(-4, 4)
+    row = st.tuples(st.lists(entry, min_size=m, max_size=m), entry)
+    eqs = [canonical_row(c, r, True) for c, r in draw(st.lists(row, max_size=2))]
+    ineqs = [(*canonical_row(c, r), draw(st.booleans()))
+             for c, r in draw(st.lists(row, max_size=6))]
+    factors = draw(st.lists(st.tuples(st.integers(1, 6), st.booleans()),
+                            min_size=len(eqs) + len(ineqs), max_size=len(eqs) + len(ineqs)))
+    return m, eqs, ineqs, factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(primitive_systems())
+def test_fm_solve_ignores_row_scaling(case):
+    # all-int rows are taken as given and Fraction rows are scaled to primitive
+    # ints; either way the point is the one the primitive rows give
+    m, eqs, ineqs, factors = case
+
+    def rescale(coeffs, rhs, k, as_fraction):
+        if as_fraction:
+            return [Fraction(c, k) for c in coeffs], Fraction(rhs, k)
+        return tuple(k * c for c in coeffs), k * rhs
+
+    eq_factors, ineq_factors = factors[:len(eqs)], factors[len(eqs):]
+    scaled_eqs = [rescale(c, r, *f) for (c, r), f in zip(eqs, eq_factors)]
+    scaled_ineqs = [(*rescale(c, r, *f), strict) for (c, r, strict), f in zip(ineqs, ineq_factors)]
+    want = fm_solve(m, eqs, ineqs)
+    got = fm_solve(m, scaled_eqs, scaled_ineqs)
+    assert got == want
+    assert got is None or all(type(x) is Fraction for x in got)
 
 
 def test_fm_solve_determined_by_equalities():
@@ -489,17 +525,22 @@ def poly_in_stratum(draw):
 
 
 def probe_points(cells, m, rng):
-    """Relative-interior points, points on each tight row, and random points."""
+    """Relative-interior points, points on each tight row, and random points.
+
+    Besides the relint point p, each cell gives the midpoint of p and a point
+    q of the closed cell; by convexity it lies in the relative interior too.
+    """
     points = []
     for cell in cells:
         p = cell.relint_point()
         if p is None:
             continue
-        points += [p, cell.second_interior_point()]
+        points.append(p)
         for i, row in enumerate(cell.ineqs):  # a point of the closed cell on row i
             q = fm_solve(m, cell.eqs + (row,), cell.ineqs[:i] + cell.ineqs[i + 1:])
             if q is not None:
                 points.append(q)
+        points.append(tuple((a + b) / 2 for a, b in zip(p, points[-1])))
     points += [tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(m))
                for _ in range(6)]
     return points
