@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, InvariantViolationError, SizeGuardError
-from .ideals import TruncIdeal, _contract_sigma, _sigma_mask
+from .ideals import TruncIdeal, _contract_sigma, _lift_index, _sigma_mask
 from .matroids import (VMatroid, _bits, _fundamental_circuit_idx, _loops_mask,
                        lex_min_basis_of_subset)
 from .polyhedra import (Cell, PolyComplex, fm_solve, normal_complex,
@@ -50,9 +50,9 @@ def _basis_table(num_vars: int, C: VMatroid, smask: int) -> tuple[TropPoly, dict
     total = [sum(u[i] for u in C.ground) for i in range(num_vars)]
     width = max(total).bit_length()
     packed = [sum(e << (width * i) for i, e in enumerate(u)) for u in C.ground]
-    keep = [i for i in range(len(C.ground) + smask.bit_count()) if not (smask >> i) & 1]
+    keep = _lift_index(smask, len(C.ground))
     best: dict[int, tuple[int, list[int]]] = {}
-    for mask, p in C._val.items():
+    for mask, p in C.int_valuation_items():
         s, full = 0, smask
         for j in _bits(mask):
             s += packed[j]
@@ -82,10 +82,8 @@ class GroebnerCell:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass
-class GroebnerComplex:
-    ideal: TruncIdeal
-    strata: dict  # frozenset sigma -> list[GroebnerCell]
+class _Strata:
+    """Cells per stratum sigma, iterated by the size of sigma, then sigma."""
 
     def all_cells(self):
         for sigma in sorted(self.strata, key=lambda s: (len(s), sorted(s))):
@@ -94,6 +92,12 @@ class GroebnerComplex:
 
     def cell_count(self) -> int:
         return sum(len(v) for v in self.strata.values())
+
+
+@dataclass
+class GroebnerComplex(_Strata):
+    ideal: TruncIdeal
+    strata: dict  # frozenset sigma -> list[GroebnerCell]
 
 
 def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
@@ -142,22 +146,14 @@ def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
 
 
 @dataclass
-class VarietySubcomplex:
+class VarietySubcomplex(_Strata):
     ideal: TruncIdeal
     presentation: str                  # affine | projective
     strata: dict                       # sigma -> list[GroebnerCell]
     quotiented: bool
 
-    def all_cells(self):
-        for sigma in sorted(self.strata, key=lambda s: (len(s), sorted(s))):
-            for gc in self.strata[sigma]:
-                yield sigma, gc
-
     def in_variety_cells(self):
         return [(s, gc) for s, gc in self.all_cells() if gc.in_variety]
-
-    def cell_count(self) -> int:
-        return sum(len(v) for v in self.strata.values())
 
 
 def variety(I: TruncIdeal, presentation: str = "projective",
@@ -171,19 +167,15 @@ def variety(I: TruncIdeal, presentation: str = "projective",
     if presentation not in ("affine", "projective"):
         raise InputError("presentation must be 'affine' or 'projective'")
     G = complex_ if complex_ is not None else groebner_complex(I, cap=cap)
-    nv = I.num_vars
-    full = frozenset(range(nv))
     if presentation == "affine":
         return VarietySubcomplex(I, "affine", dict(G.strata), quotiented=False)
     strata = {}
     for sigma, gcs in G.strata.items():
-        if sigma == full:
-            continue
-        wrapped = PolyComplex(nv, {sigma: [gc.cell for gc in gcs]})
-        quotient = quotient_lineality(wrapped)
-        cells = quotient.stratum(sigma)
-        strata[sigma] = [GroebnerCell(cells[i], gc.witness, gc.fingerprint, gc.in_variety)
-                         for i, gc in enumerate(gcs)]
+        if len(sigma) == I.num_vars:
+            continue  # the all-infinite point
+        cells = quotient_lineality(PolyComplex(I.num_vars, {sigma: [gc.cell for gc in gcs]}))
+        strata[sigma] = [GroebnerCell(c, gc.witness, gc.fingerprint, gc.in_variety)
+                         for c, gc in zip(cells.stratum(sigma), gcs)]
     return VarietySubcomplex(I, "projective", strata, quotiented=True)
 
 
@@ -230,8 +222,7 @@ def tropical_basis(I: TruncIdeal, complex_: GroebnerComplex | None = None,
     attained only at the loop, so its hypersurface misses the cell.
     """
     G = complex_ if complex_ is not None else groebner_complex(I, cap=cap)
-    polys = []
-    seen = set()
+    polys, seen = [], set()
     for sigma, gc in G.all_cells():
         if gc.in_variety:
             continue

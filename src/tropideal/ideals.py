@@ -536,8 +536,13 @@ def _initial_bases(C: VMatroid, smask: int, w: Sequence[Trop]) -> frozenset[int]
     """
     finite = [0 if x.is_inf else x.value for x in w]  # u is 0 on sigma
     N = initial_matroid(C, [sum(a * e for a, e in zip(finite, u)) for u in C.ground])
-    keep = [i for i in range(len(C.ground) + smask.bit_count()) if not (smask >> i) & 1]
+    keep = _lift_index(smask, len(C.ground))
     return frozenset(smask | _mask_of(keep[j] for j in _bits(B)) for B in N.bases)
+
+
+def _lift_index(smask: int, n: int) -> list[int]:
+    """Per element of the n-element contraction by smask, its layer index."""
+    return [i for i in range(n + smask.bit_count()) if not (smask >> i) & 1]
 
 
 def _initial_layers(I: TruncIdeal, w: Sequence[Trop]) -> list[VMatroid]:

@@ -204,6 +204,10 @@ class VMatroid:
     def valuation_items(self) -> list[tuple[int, Fraction]]:
         return [(m, Fraction(v, self.den)) for m, v in sorted(self._val.items())]
 
+    def int_valuation_items(self):
+        """Unsorted pairs (mask, p(B) * den), the ints the valuation is stored as."""
+        return self._val.items()
+
     def bases_as_sets(self) -> list[frozenset]:
         return [frozenset(self.ground[i] for i in _bits(m)) for m in self.basis_masks()]
 

@@ -105,28 +105,37 @@ def test_fingerprint_ranks_match_hilbert():
 
 
 def other_interior_point(cell):
-    """The midpoint of the relint point and a point of the closed cell on its
-    first satisfiable row; by convexity it lies in the relative interior."""
+    """A relative-interior point besides the relint point p.
+
+    It is the midpoint of p and a point of the closed cell on its first
+    satisfiable row, interior by convexity.  A cell without inequality rows
+    gets p shifted along the all-ones direction instead: every row of a
+    homogeneous ideal's cell sums to 0, so the shift keeps p in the cell.
+    """
     p = cell.relint_point()
     m = len(cell.free)
     for i, row in enumerate(cell.ineqs):
         q = fm_solve(m, cell.eqs + (row,), cell.ineqs[:i] + cell.ineqs[i + 1:])
         if q is not None and q != p:
             return tuple((a + b) / 2 for a, b in zip(p, q))
-    return None
+    return tuple(x + 2 for x in p)
 
 
 def test_witness_stability_on_cells():
     I = line_ideal(2)
     G = groebner_complex(I)
+    checked = 0
     for sigma, gc in G.all_cells():
         other = other_interior_point(gc.cell)
-        if other is None:
-            continue
+        if other == gc.cell.relint_point():
+            continue  # the all-infinite point has no free coordinate
+        assert gc.cell.contains_relint(other)
+        checked += 1
         coords = dict(zip(gc.cell.free, other))
         w = tuple(INF if i in sigma else Trop(coords[i]) for i in range(3))
         layers = _initial_layers(I, w)
         assert tuple(frozenset(M.basis_masks()) for M in layers) == gc.fingerprint
+    assert checked == G.cell_count() - 1
 
 
 def assert_fingerprints_match_initial_bases(I):

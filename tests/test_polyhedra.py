@@ -529,18 +529,23 @@ def probe_points(cells, m, rng):
 
     Besides the relint point p, each cell gives the midpoint of p and a point
     q of the closed cell; by convexity it lies in the relative interior too.
+    A cell without inequality rows is an affine space, and q is a solution
+    of its equalities with one coordinate below p's.
     """
     points = []
     for cell in cells:
         p = cell.relint_point()
         if p is None:
             continue
-        points.append(p)
-        for i, row in enumerate(cell.ineqs):  # a point of the closed cell on row i
-            q = fm_solve(m, cell.eqs + (row,), cell.ineqs[:i] + cell.ineqs[i + 1:])
-            if q is not None:
-                points.append(q)
-        points.append(tuple((a + b) / 2 for a, b in zip(p, points[-1])))
+        qs = [fm_solve(m, cell.eqs + (row,), cell.ineqs[:i] + cell.ineqs[i + 1:])
+              for i, row in enumerate(cell.ineqs)]  # a point of the closed cell on row i
+        if not cell.ineqs:
+            qs = [fm_solve(m, cell.eqs, [(tuple(int(k == j) for k in range(m)), p[j] - 1)])
+                  for j in range(m)]
+        qs = [q for q in qs if q is not None]
+        points += [p, *qs]
+        if qs:
+            points.append(tuple((a + b) / 2 for a, b in zip(p, qs[-1])))
     points += [tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(m))
                for _ in range(6)]
     return points
