@@ -10,7 +10,7 @@ use on shared data.
 from .semiring import INF, Trop, dot, tsum, weight_sigma
 from .polynomials import (TropPoly, least_coefficients, poly_from_roots,
                           tropical_roots)
-from .matroids import (OrdMatroid, VMatroid, check_valuated_exchange, circuits,
+from .matroids import (VMatroid, check_valuated_exchange, circuits,
                        coloop_extension, contract, dual, fundamental_circuit,
                        initial_matroid, is_vector)
 from .ideals import (ClassicalInput, QPoly, TruncIdeal, Valuation,
@@ -18,8 +18,8 @@ from .ideals import (ClassicalInput, QPoly, TruncIdeal, Valuation,
                      check_compatibility, compare, contains, hilbert,
                      initial_ideal, nonrealizable_ideal, point_ideal,
                      tropicalize)
-from .polyhedra import (Cell, PolyComplex, feasible_dim, normal_complex,
-                        quotient_lineality, refine)
+from .polyhedra import (Cell, PolyComplex, normal_complex, quotient_lineality,
+                        refine)
 from .groebner import (Certificate, GroebnerComplex, VarietySubcomplex,
                        groebner_complex, groebner_poly, nullstellensatz,
                        tropical_basis, variety, variety_supports_equal)
@@ -33,15 +33,14 @@ __version__ = "0.1.0"
 __all__ = [
     "INF", "Trop", "dot", "tsum", "weight_sigma",
     "TropPoly", "least_coefficients", "tropical_roots", "poly_from_roots",
-    "OrdMatroid", "VMatroid", "check_valuated_exchange", "circuits",
+    "VMatroid", "check_valuated_exchange", "circuits",
     "coloop_extension", "contract", "dual", "fundamental_circuit",
     "initial_matroid", "is_vector",
     "ClassicalInput", "QPoly", "TruncIdeal", "Valuation",
     "affine_point_ideal", "affine_unit_ideal", "boolean_image",
     "check_compatibility", "compare", "contains", "hilbert",
     "initial_ideal", "nonrealizable_ideal", "point_ideal", "tropicalize",
-    "Cell", "PolyComplex", "feasible_dim", "normal_complex",
-    "quotient_lineality", "refine",
+    "Cell", "PolyComplex", "normal_complex", "quotient_lineality", "refine",
     "Certificate", "GroebnerComplex", "VarietySubcomplex", "groebner_complex",
     "groebner_poly", "nullstellensatz", "tropical_basis", "variety",
     "variety_supports_equal",

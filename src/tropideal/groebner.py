@@ -85,8 +85,11 @@ class GroebnerCell:
 class _Strata:
     """Cells per stratum sigma, iterated by the size of sigma, then sigma."""
 
+    def sigmas(self) -> list:
+        return sorted(self.strata, key=lambda s: (len(s), sorted(s)))
+
     def all_cells(self):
-        for sigma in sorted(self.strata, key=lambda s: (len(s), sorted(s))):
+        for sigma in self.sigmas():
             for gc in self.strata[sigma]:
                 yield sigma, gc
 

@@ -537,7 +537,7 @@ def _initial_bases(C: VMatroid, smask: int, w: Sequence[Trop]) -> frozenset[int]
     finite = [0 if x.is_inf else x.value for x in w]  # u is 0 on sigma
     N = initial_matroid(C, [sum(a * e for a, e in zip(finite, u)) for u in C.ground])
     keep = _lift_index(smask, len(C.ground))
-    return frozenset(smask | _mask_of(keep[j] for j in _bits(B)) for B in N.bases)
+    return frozenset(smask | _mask_of(keep[j] for j in _bits(B)) for B in N.basis_masks())
 
 
 def _lift_index(smask: int, n: int) -> list[int]:
@@ -569,7 +569,7 @@ def initial_ideal(I: TruncIdeal, w: Sequence[Trop]) -> TruncIdeal:
 
 def boolean_image(I: TruncIdeal) -> TruncIdeal:
     """Forget coefficients: finite values become 0, layerwise."""
-    layers = [VMatroid.from_bases(M.ground, M.basis_masks()) for M in I.layers]
+    layers = [M.underlying() for M in I.layers]
     return TruncIdeal(I.num_vars, layers, mode="boolean")
 
 

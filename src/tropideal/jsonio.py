@@ -214,15 +214,19 @@ def _gcell_to_json(gc: GroebnerCell, verbose: bool) -> dict:
     return out
 
 
+def _strata_to_json(X: GroebnerComplex | VarietySubcomplex, verbose: bool) -> list:
+    """Each stratum's sigma and cells, in all_cells order."""
+    return [{"sigma": sorted(sigma),
+             "cells": [_gcell_to_json(gc, verbose) for gc in X.strata[sigma]]}
+            for sigma in X.sigmas()]
+
+
 def groebner_complex_to_json(G: GroebnerComplex, verbose: bool = False) -> dict:
-    strata = []
-    for sigma in sorted(G.strata, key=lambda s: (len(s), sorted(s))):
-        strata.append({"sigma": sorted(sigma),
-                       "cells": [_gcell_to_json(gc, verbose) for gc in G.strata[sigma]]})
+    strata = _strata_to_json(G, verbose)
     classes: dict[str, list] = {}
-    for sigma, gc in G.all_cells():
-        classes.setdefault(gc.fingerprint_digest(), []).append(
-            [sorted(sigma), G.strata[sigma].index(gc)])
+    for stratum in strata:
+        for pos, cell in enumerate(stratum["cells"]):
+            classes.setdefault(cell["fingerprint"], []).append([stratum["sigma"], pos])
     return {"ambient": G.ideal.num_vars, "degree_bound": G.ideal.degree_bound,
             "strata": strata,
             "classes": [{"fingerprint": k, "cells": v}
@@ -230,12 +234,8 @@ def groebner_complex_to_json(G: GroebnerComplex, verbose: bool = False) -> dict:
 
 
 def variety_to_json(V: VarietySubcomplex, verbose: bool = False) -> dict:
-    strata = []
-    for sigma in sorted(V.strata, key=lambda s: (len(s), sorted(s))):
-        strata.append({"sigma": sorted(sigma),
-                       "cells": [_gcell_to_json(gc, verbose) for gc in V.strata[sigma]]})
     return {"ambient": V.ideal.num_vars, "presentation": V.presentation,
-            "quotiented": V.quotiented, "strata": strata}
+            "quotiented": V.quotiented, "strata": _strata_to_json(V, verbose)}
 
 
 def certificate_to_json(cert: Certificate) -> dict:

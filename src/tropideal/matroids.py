@@ -1,7 +1,9 @@
-"""Valuated matroids over the min-plus semiring, and ordinary matroids.
+"""Valuated matroids over the min-plus semiring.
 
-Basis valuations are stored sparsely (absence encodes infinity) on subsets
-encoded as bitmasks over an ordered ground set, as ints over one
+A matroid is the Boolean valuated matroid that values each of its bases 0
+(Dress-Wenzel, Valuated matroids, 1992), so VMatroid is the one matroid
+type.  Basis valuations are stored sparsely (absence encodes infinity) on
+subsets encoded as bitmasks over an ordered ground set, as ints over one
 denominator, normalized so the minimum finite value is 0 and no factor
 above 1 divides the denominator and every int.  That makes equality of
 valuated matroids a direct map comparison.  Vectors over the ground set are
@@ -49,79 +51,6 @@ def _loops_mask(masks: Iterable[int], n: int) -> int:
 def _as_mask(M, subset) -> int:
     """subset as a bitmask over M's ground: a mask already, or ground labels."""
     return subset if isinstance(subset, int) else _mask_of(M._index[e] for e in subset)
-
-
-class OrdMatroid:
-    """An ordinary matroid given by its bases over an ordered ground set."""
-
-    __slots__ = ("ground", "_index", "bases")
-
-    def __init__(self, ground: Sequence[Hashable], bases: Iterable):
-        self.ground = tuple(ground)
-        self._index = {e: i for i, e in enumerate(self.ground)}
-        if len(self._index) != len(self.ground):
-            raise InputError("duplicate ground labels")
-        masks = {_as_mask(self, B) for B in bases}
-        if not masks:
-            raise InvalidMatroidError("a matroid needs at least one basis")
-        sizes = {bin(m).count("1") for m in masks}
-        if len(sizes) != 1:
-            raise InvalidMatroidError("bases of unequal size")
-        self.bases = frozenset(masks)
-
-    @property
-    def rank(self) -> int:
-        return bin(next(iter(self.bases))).count("1")
-
-    def bases_as_sets(self) -> list[frozenset]:
-        out = [frozenset(self.ground[i] for i in _bits(m)) for m in self.bases]
-        return sorted(out, key=lambda s: sorted(self._index[e] for e in s))
-
-    def loops(self) -> list:
-        """Elements in no basis."""
-        return [self.ground[i] for i in _bits(_loops_mask(self.bases, len(self.ground)))]
-
-    def is_basis(self, subset) -> bool:
-        return _as_mask(self, subset) in self.bases
-
-    def circuit_masks(self) -> list[int]:
-        """All circuits, as masks.  Every fundamental circuit of a matroid is a
-        circuit and every circuit arises that way."""
-        found = set()
-        n = len(self.ground)
-        for B in self.bases:
-            outside = ((1 << n) - 1) & ~B
-            for e in _bits(outside):
-                circ = 1 << e
-                for x in _bits(B):
-                    if (B | (1 << e)) ^ (1 << x) in self.bases:
-                        circ |= 1 << x
-                found.add(circ)
-        return sorted(found)
-
-    def circuits(self) -> list[frozenset]:
-        return [frozenset(self.ground[i] for i in _bits(m)) for m in self.circuit_masks()]
-
-    def is_cycle(self, subset) -> bool:
-        """Cycles are unions of circuits."""
-        mask = _as_mask(self, subset)
-        if mask == 0:
-            return True
-        cover = 0
-        for c in self.circuit_masks():
-            if c & ~mask == 0:
-                cover |= c
-        return cover == mask
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, OrdMatroid) and self.ground == other.ground
-                and self.bases == other.bases)
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.bases))
-
-    def __repr__(self) -> str:
-        return "OrdMatroid(|E|=%d, rank=%d, %d bases)" % (len(self.ground), self.rank, len(self.bases))
 
 
 class VMatroid:
@@ -211,22 +140,30 @@ class VMatroid:
     def bases_as_sets(self) -> list[frozenset]:
         return [frozenset(self.ground[i] for i in _bits(m)) for m in self.basis_masks()]
 
-    def underlying(self) -> OrdMatroid:
-        return OrdMatroid(self.ground, self.basis_masks())
+    def loops(self) -> list:
+        """Elements in no basis."""
+        return [self.ground[i] for i in _bits(_loops_mask(self._val, len(self.ground)))]
+
+    def underlying(self) -> "VMatroid":
+        """The Boolean valuated matroid on the same bases: every value 0."""
+        return VMatroid.from_bases(self.ground, self.basis_masks())
 
     def index_of(self, e) -> int:
         return self._index[e]
 
     @classmethod
     def from_bases(cls, ground: Sequence[Hashable], bases: Iterable) -> "VMatroid":
-        """Boolean valuated matroid: value 0 on every listed basis."""
+        """Boolean valuated matroid: value 0 on every listed basis.
+
+        Bases are masks or label sets, each listed once; the rank is the
+        size of the first.
+        """
         bases = list(bases)
-        idx = {e: i for i, e in enumerate(ground)}
-        masks = [B if isinstance(B, int) else _mask_of(idx[e] for e in B) for B in bases]
-        if not masks:
+        if not bases:
             raise InvalidMatroidError("a matroid needs at least one basis")
-        rank = bin(masks[0]).count("1")
-        return cls(ground, rank, {m: 0 for m in masks})
+        first = bases[0]
+        rank = first.bit_count() if isinstance(first, int) else len(first)
+        return cls(ground, rank, [(B, 0) for B in bases])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, VMatroid) and self.ground == other.ground
@@ -512,8 +449,9 @@ def is_vector(M: VMatroid, v: Sequence[Trop], cap: int | None = None) -> bool:
     return True
 
 
-def initial_matroid(M: VMatroid, w: Sequence[Fraction]) -> OrdMatroid:
-    """Bases minimizing p(B) - sum of w over B, for a finite weight on the ground.
+def initial_matroid(M: VMatroid, w: Sequence[Fraction]) -> VMatroid:
+    """The Boolean matroid of the bases minimizing p(B) - sum of w over B,
+    for a finite weight w on the ground.
 
     With w = P / q, den q times that difference is the int p q - den sum of
     P over B.
@@ -532,7 +470,7 @@ def initial_matroid(M: VMatroid, w: Sequence[Fraction]) -> OrdMatroid:
             best, arg = t, [mask]
         elif t == best:
             arg.append(mask)
-    return OrdMatroid(M.ground, arg)
+    return VMatroid.from_bases(M.ground, arg)
 
 
 def lex_min_basis_of_subset(M: VMatroid, subset) -> int:
@@ -583,7 +521,7 @@ def contract(M: VMatroid, A) -> VMatroid:
     return VMatroid(ground, newrank, val, M.den)
 
 
-def coloop_extension(M, F: Sequence[Hashable]):
+def coloop_extension(M: VMatroid, F: Sequence[Hashable]) -> VMatroid:
     """Attach the labels in F as coloops (every basis absorbs all of F)."""
     F = tuple(F)
     overlap = set(F) & set(M.ground)
@@ -593,11 +531,7 @@ def coloop_extension(M, F: Sequence[Hashable]):
         raise LabelCollisionError("duplicate labels in the extension")
     ground = tuple(M.ground) + F
     add = _mask_of(range(len(M.ground), len(ground)))
-    if isinstance(M, OrdMatroid):
-        return OrdMatroid(ground, [m | add for m in M.bases])
-    if isinstance(M, VMatroid):
-        return VMatroid(ground, M.rank + len(F), {m | add: v for m, v in M._val.items()}, M.den)
-    raise InputError("expected an OrdMatroid or VMatroid")
+    return VMatroid(ground, M.rank + len(F), {m | add: v for m, v in M._val.items()}, M.den)
 
 
 # Elimination witnesses (used by verification suites and compatibility checks) ----

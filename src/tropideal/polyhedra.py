@@ -240,11 +240,9 @@ class Cell:
         return self._relint
 
     def dim(self) -> Optional[int]:
+        """The affine-hull dimension, or None when the closed system is empty."""
         self._solve()
         return self._dim
-
-    def is_empty(self) -> bool:
-        return self.relint_point() is None
 
     def contains_closed(self, point: Sequence[Fraction]) -> bool:
         return self._holds_at(*self._point_ints(point), relint=False)
@@ -296,11 +294,6 @@ class Cell:
 
     def __repr__(self) -> str:
         return "Cell(sigma=%s, dim=%s, label=%r)" % (sorted(self.sigma), self.dim(), self.label)
-
-
-def feasible_dim(cell: Cell) -> Optional[int]:
-    """None when the closed system is empty, else the affine-hull dimension."""
-    return None if cell.is_empty() else cell.dim()
 
 
 @dataclass

@@ -260,6 +260,14 @@ def test_cli_check_matroid_rejects_a_set_valued_twice(tmp_path):
     assert proc.returncode == 2 and "valued twice" in proc.stderr
 
 
+def test_cli_check_matroid_rejects_a_repeated_basis(tmp_path):
+    twice = {"ground": ["a", "b", "c"], "rank": 2, "bases": [[0, 1], [0, 2], [1, 0]]}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(twice))
+    proc = run_cli(["check-matroid", "--matroid", str(p)])
+    assert proc.returncode == 2 and "the set ['a', 'b'] is valued twice" in proc.stderr
+
+
 def test_cli_check_matroid_disjoint_blocks(tmp_path):
     # two disjoint U(4,12) blocks: 990 bases, past the brute-force switch;
     # every three-term relation holds but the support is not a matroid

@@ -19,6 +19,11 @@ from tropideal.matroids import (VMatroid, check_valuated_exchange,
 from tropideal.semiring import INF, Trop
 
 
+def circuit_supports(M):
+    """The supports of the circuits of M, as sets of ground labels."""
+    return [frozenset(u for u, c in zip(M.ground, H) if not c.is_inf) for H in circuits(M)]
+
+
 def uniform(ground, r):
     return VMatroid(ground, r, {frozenset(B): 0 for B in itertools.combinations(ground, r)})
 
@@ -121,18 +126,6 @@ def test_circuits_first_fundamental_circuit_per_support():
         assert circuits(M) == [first[m] for m in sorted(first)]
 
 
-def test_circuit_supports_match_underlying_matroid():
-    vals = {(1, 2): 1, (3, 4): 1}
-    vals.update({k: 0 for k in itertools.combinations((1, 2, 3, 4), 2) if k not in vals})
-    M = pair_matroid(vals)
-    supp = {frozenset(i + 1 for i, c in enumerate(H) if not c.is_inf) for H in circuits(M)}
-    assert supp == set(map(frozenset, M.underlying().circuits()))
-    # supports are pairwise incomparable
-    for a in supp:
-        for b in supp:
-            assert a == b or not a < b
-
-
 def test_dual_examples():
     M = uniform("abc", 2)
     D = dual(M)
@@ -174,13 +167,13 @@ def test_initial_matroid_examples():
     M = uniform("abc", 2)
     N = initial_matroid(M, [0, 0, 1])
     assert N.bases_as_sets() == [frozenset("ac"), frozenset("bc")]
-    assert N.circuits() == [frozenset("ab")]
+    assert circuit_supports(N) == [frozenset("ab")]
     N2 = initial_matroid(M, [0, 1, 2])
     assert N2.bases_as_sets() == [frozenset("bc")]
-    assert N2.circuits() == [frozenset("a")]
+    assert circuit_supports(N2) == [frozenset("a")]
     assert N2.loops() == ["a"]
     N3 = initial_matroid(M, [0, 0, 0])
-    assert N3.bases == M.underlying().bases
+    assert N3 == M.underlying()
 
 
 def test_initial_matroid_bases_are_bases_of_underlying():
@@ -199,9 +192,7 @@ def test_initial_matroid_bases_are_bases_of_underlying():
         w = [Fraction(rng.randint(-5, 5)) for _ in range(5)]
         N = initial_matroid(M, w)
         assert N.rank == M.rank
-        under = M.underlying()
-        for B in N.bases:
-            assert under.is_basis(B)
+        assert set(N.basis_masks()) <= set(M.underlying().basis_masks())
 
 
 def test_initial_circuits_are_minimal_initial_forms_of_circuits():
@@ -217,7 +208,7 @@ def test_initial_circuits_are_minimal_initial_forms_of_circuits():
         m = min(finite)
         inits.add(frozenset(i + 1 for i, v in enumerate(vals_at) if v == m))
     minimal = {s for s in inits if not any(t < s for t in inits)}
-    assert set(map(frozenset, N.circuits())) == minimal
+    assert set(circuit_supports(N)) == minimal
 
 
 def test_contract_examples():
@@ -469,6 +460,40 @@ def test_basis_driven_scan_matches_full_scan_on_matroid_supports(M):
         assert_witness_fails(M, fast)
 
 
+def circuit_masks_by_fundamental_circuits(M):
+    """Reference: for every basis B and element e outside it, e plus each x in B
+    with B + e - x a basis, read off the bases alone.  Every fundamental circuit
+    of a matroid is a circuit and every circuit arises that way."""
+    bases = set(M.basis_masks())
+    found = set()
+    for B in bases:
+        for e in range(len(M.ground)):
+            if (B >> e) & 1:
+                continue
+            circ = 1 << e
+            for x in matroids._bits(B):
+                if (B | (1 << e)) ^ (1 << x) in bases:
+                    circ |= 1 << x
+            found.add(circ)
+    return sorted(found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matroid_supports())
+def test_circuit_supports_match_underlying_matroid(M):
+    def supports(N):
+        return [sum(1 << i for i, c in enumerate(H) if not c.is_inf) for H in circuits(N)]
+
+    masks = supports(M)
+    assert masks == circuit_masks_by_fundamental_circuits(M)
+    assert supports(M.underlying()) == masks
+    # the circuits are the minimal sets in no basis
+    bases = M.basis_masks()
+    indep = {S for S in range(1 << len(M.ground)) if any(S & ~B == 0 for B in bases)}
+    assert masks == [S for S in range(1 << len(M.ground)) if S not in indep
+                     and all(S ^ (1 << i) in indep for i in matroids._bits(S))]
+
+
 def _blocks(sizes, r, shared):
     """Rank-r uniform blocks of the given sizes; consecutive blocks share `shared` elements."""
     blocks, start = [], 0
@@ -598,7 +623,7 @@ def valuations_and_weights(draw):
 @given(valuations_and_weights())
 def test_integer_initial_matroid_matches_fraction_sums(case):
     M, w = case
-    assert initial_matroid(M, w).bases == initial_matroid_by_fractions(M, w)
+    assert frozenset(initial_matroid(M, w).basis_masks()) == initial_matroid_by_fractions(M, w)
 
 
 def lex_min_basis_by_greedy(M, mask):
@@ -692,6 +717,8 @@ def test_a_set_valued_twice_is_rejected():
         VMatroid("abc", 2, [("ab", INF), ("ab", INF), ("ac", 1)])
     with pytest.raises(InvalidMatroidError, match="valued twice"):
         VMatroid("abc", 2, [("ab", INF), ("ac", 1), ("ab", 0)])
+    with pytest.raises(InvalidMatroidError, match="valued twice"):
+        VMatroid.from_bases("abc", ["ab", "ac", "ba"])
 
 
 @pytest.mark.parametrize("den", [0, -2, Fraction(1, 2), 1.0])

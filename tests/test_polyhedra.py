@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from tropideal import polyhedra
 from tropideal.errors import InputError, InvariantViolationError, SizeGuardError
-from tropideal.polyhedra import (Cell, PolyComplex, canonical_row, feasible_dim,
-                                 fm_solve, normal_complex, quotient_lineality,
-                                 refine, weight_to_cell_coords)
+from tropideal.polyhedra import (Cell, PolyComplex, canonical_row, fm_solve,
+                                 normal_complex, quotient_lineality, refine,
+                                 weight_to_cell_coords)
 from tropideal.polyhedra import _tie_at, _tie_system
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
@@ -24,11 +24,11 @@ def C1(eqs, ineqs, ambient=1, sigma=()):
 def test_feasible_dim_examples():
     empty = C1([], [((Fraction(-1),), Fraction(-1)), ((Fraction(1),), Fraction(0))])
     # w >= 1 and w <= 0
-    assert feasible_dim(empty) is None
+    assert empty.dim() is None
     line = Cell(2, (), [((1, -1), 0)], [])
-    assert feasible_dim(line) == 1
+    assert line.dim() == 1
     space = Cell(3, (), [], [])
-    assert feasible_dim(space) == 3
+    assert space.dim() == 3
 
 
 def test_relint_point_is_interior():
@@ -253,7 +253,7 @@ def test_disjoint_relative_interiors():
     f = poly([((1, 0), 0), ((0, 1), 0), ((0, 0), 0)], 2)
     cells = normal_complex(f).stratum(())
     for i, a in enumerate(cells):
-        assert feasible_dim(a) is not None
+        assert a.dim() is not None
         for b in cells[i + 1:]:
             assert not b.contains_relint(a.relint_point())
             # the strict-intersection system of the pair is infeasible
