@@ -15,9 +15,8 @@ from .matroids import (VMatroid, check_valuated_exchange, circuits,
                        initial_matroid, is_vector)
 from .ideals import (ClassicalInput, QPoly, TruncIdeal, Valuation,
                      affine_point_ideal, affine_unit_ideal, boolean_image,
-                     check_compatibility, compare, contains, hilbert,
-                     initial_ideal, nonrealizable_ideal, point_ideal,
-                     tropicalize)
+                     check_compatibility, compare, contains, initial_ideal,
+                     nonrealizable_ideal, point_ideal, tropicalize)
 from .polyhedra import (Cell, PolyComplex, normal_complex, quotient_lineality,
                         refine)
 from .groebner import (Certificate, GroebnerComplex, VarietySubcomplex,
@@ -38,7 +37,7 @@ __all__ = [
     "initial_matroid", "is_vector",
     "ClassicalInput", "QPoly", "TruncIdeal", "Valuation",
     "affine_point_ideal", "affine_unit_ideal", "boolean_image",
-    "check_compatibility", "compare", "contains", "hilbert",
+    "check_compatibility", "compare", "contains",
     "initial_ideal", "nonrealizable_ideal", "point_ideal", "tropicalize",
     "Cell", "PolyComplex", "normal_complex", "quotient_lineality", "refine",
     "Certificate", "GroebnerComplex", "VarietySubcomplex", "groebner_complex",

@@ -12,7 +12,6 @@ import json
 import sys
 
 from . import jsonio
-from .config import RunConfig
 from .errors import InputError, SizeGuardError, TropidealError
 from .groebner import (groebner_complex, nullstellensatz, tropical_basis,
                        variety)
@@ -49,8 +48,8 @@ def _inline_json(text: str):
         raise InputError("malformed inline JSON: %s" % (exc,))
 
 
-def _emit(obj, cfg: RunConfig, text_renderer=None):
-    if cfg.output == "text" and text_renderer is not None:
+def _emit(obj, output: str, text_renderer=None):
+    if output == "text" and text_renderer is not None:
         print(text_renderer(obj))
     else:
         print(json.dumps(obj, indent=2, sort_keys=True))
@@ -58,14 +57,8 @@ def _emit(obj, cfg: RunConfig, text_renderer=None):
 
 def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--output", choices=("json", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cap", type=int, default=None)
     parser.add_argument("--verbose", action="store_true")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(cap=args.cap, seed=args.seed, output=args.output,
-                     verbose=args.verbose)
 
 
 def _load_ideal(args):
@@ -133,10 +126,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv[1:])
     except SystemExit as exc:
         return 2 if exc.code else 0
-    cfg = _config(args)
 
     try:
-        return _dispatch(name, args, cfg)
+        return _dispatch(name, args)
     except SizeGuardError as exc:
         sys.stderr.write("size guard: %s\n" % (exc,))
         return 3
@@ -145,98 +137,98 @@ def main(argv=None) -> int:
         return 2
 
 
-def _dispatch(name: str, args, cfg: RunConfig) -> int:
-    cap = cfg.cap
+def _dispatch(name: str, args) -> int:
+    cap, fmt = args.cap, args.output
     if name == "check-matroid":
         M = jsonio.vmatroid_from_json(_read_json(args.matroid))
         witness = check_valuated_exchange(M, cap=cap)
         if witness is None:
-            _emit({"ok": True}, cfg, lambda o: "ok")
+            _emit({"ok": True}, fmt, lambda o: "ok")
         else:
             A, B, a = witness
             _emit({"ok": False,
                    "witness": {"A": sorted(map(str, A)), "B": sorted(map(str, B)),
                                "a": str(a)}},
-                  cfg, lambda o: "violation: %s" % (o["witness"],))
+                  fmt, lambda o: "violation: %s" % (o["witness"],))
         return 0
 
     if name == "circuits":
         M = jsonio.vmatroid_from_json(_read_json(args.matroid))
         out = [[str(c) for c in H] for H in circuits(M, cap=cap)]
-        _emit({"ground": [str(e) for e in M.ground], "circuits": out}, cfg)
+        _emit({"ground": [str(e) for e in M.ground], "circuits": out}, fmt)
         return 0
 
     if name == "tropicalize":
         inp = jsonio.classical_input_from_json(_read_json(args.input))
         I = tropicalize(inp, args.degree, cap=cap)
-        _emit(jsonio.ideal_to_json(I), cfg)
+        _emit(jsonio.ideal_to_json(I), fmt)
         return 0
 
     if name == "point-ideal":
         point = jsonio.weight_from_json(_inline_json(args.point))
         I = point_ideal(point, args.degree, cap=cap)
-        _emit(jsonio.ideal_to_json(I), cfg)
+        _emit(jsonio.ideal_to_json(I), fmt)
         return 0
 
     if name == "nonrealizable":
         I = nonrealizable_ideal(args.n, args.degree, cap=cap)
-        _emit(jsonio.ideal_to_json(I), cfg)
+        _emit(jsonio.ideal_to_json(I), fmt)
         return 0
 
     if name == "compatibility":
         I = _load_ideal(args)
         witness = check_compatibility(I, cap=cap)
         if witness is None:
-            _emit({"ok": True}, cfg, lambda o: "ok")
+            _emit({"ok": True}, fmt, lambda o: "ok")
         else:
             _emit({"ok": False, "witness": {
                 "degree": witness.degree, "variable": witness.variable,
                 "U": [jsonio._ground_label(u) for u in witness.U],
-                "V": [jsonio._ground_label(v) for v in witness.V]}}, cfg)
+                "V": [jsonio._ground_label(v) for v in witness.V]}}, fmt)
         return 0
 
     if name == "hilbert":
         I = _load_ideal(args)
         value = I.hilbert(args.degree)
-        _emit({"degree": args.degree, "hilbert": value}, cfg,
+        _emit({"degree": args.degree, "hilbert": value}, fmt,
               lambda o: str(o["hilbert"]))
         return 0
 
     if name == "contains":
         I = _load_ideal(args)
         f = jsonio.poly_from_json(_inline_json(args.poly))
-        _emit({"contains": contains(I, f, cap=cap)}, cfg,
+        _emit({"contains": contains(I, f, cap=cap)}, fmt,
               lambda o: str(o["contains"]).lower())
         return 0
 
     if name == "initial":
         I = _load_ideal(args)
         w = jsonio.weight_from_json(_inline_json(args.weight))
-        _emit(jsonio.ideal_to_json(initial_ideal(I, w)), cfg)
+        _emit(jsonio.ideal_to_json(initial_ideal(I, w)), fmt)
         return 0
 
     if name == "groebner-complex":
         I = _load_ideal(args)
         G = groebner_complex(I, cap=cap)
-        _emit(jsonio.groebner_complex_to_json(G, verbose=cfg.verbose), cfg, _complex_text)
+        _emit(jsonio.groebner_complex_to_json(G, verbose=args.verbose), fmt, _complex_text)
         return 0
 
     if name == "variety":
         I = _load_ideal(args)
         V = variety(I, args.presentation, cap=cap)
-        _emit(jsonio.variety_to_json(V, verbose=cfg.verbose), cfg, _complex_text)
+        _emit(jsonio.variety_to_json(V, verbose=args.verbose), fmt, _complex_text)
         return 0
 
     if name == "tropical-basis":
         I = _load_ideal(args)
         polys = tropical_basis(I, cap=cap)
-        _emit({"basis": [jsonio.poly_to_json(f) for f in polys]}, cfg)
+        _emit({"basis": [jsonio.poly_to_json(f) for f in polys]}, fmt)
         return 0
 
     if name == "nullstellensatz":
         I = _load_ideal(args)
         cert = nullstellensatz(I, cap=cap)
-        _emit(jsonio.certificate_to_json(cert), cfg,
+        _emit(jsonio.certificate_to_json(cert), fmt,
               lambda o: o["kind"] + ("" if "degree" not in o else " degree=%d" % o["degree"]))
         return 0
 
@@ -248,7 +240,7 @@ def _dispatch(name: str, args, cfg: RunConfig) -> int:
         _emit({"roots": [[str(Trop(r)), m] for r, m in roots],
                "x_power": low,
                "leading": str(f.coeff((f.degree(),))),
-               "least_coefficients": jsonio.poly_to_json(least)}, cfg)
+               "least_coefficients": jsonio.poly_to_json(least)}, fmt)
         return 0
 
     if name == "compare":
@@ -259,7 +251,7 @@ def _dispatch(name: str, args, cfg: RunConfig) -> int:
                "hilbert_left": list(report.hilbert_left),
                "hilbert_right": list(report.hilbert_right),
                "equal_through_degree": report.equal_through_degree,
-               "first_difference": report.first_difference}, cfg,
+               "first_difference": report.first_difference}, fmt,
               lambda o: o["relation"])
         return 0
 

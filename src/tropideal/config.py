@@ -1,4 +1,4 @@
-"""Run configuration: enumeration cap, seed, output options.
+"""Run configuration: the enumeration cap.
 
 Everything here is plain data; core operations receive the cap as an
 argument so they stay pure.
@@ -7,7 +7,6 @@ argument so they stay pure.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import InputError, SizeGuardError
 
@@ -49,17 +48,3 @@ class Budget:
                 "%s needs %d more subsets; cap is %d (set %s to raise it)"
                 % (what, -self.remaining, self.cap, CAP_ENV_VAR)
             )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """CLI-level options; fixed seed implies byte-identical reports."""
-
-    cap: int | None = None
-    seed: int = 0
-    output: str = "json"
-    verbose: bool = False
-
-    def __post_init__(self):
-        if self.output not in ("json", "text"):
-            raise InputError("output format must be 'json' or 'text'")

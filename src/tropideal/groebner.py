@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, InvariantViolationError, SizeGuardError
-from .ideals import TruncIdeal, _contract_sigma, _lift_index, _sigma_mask
-from .matroids import (VMatroid, _bits, _fundamental_circuit_idx, _loops_mask,
-                       lex_min_basis_of_subset)
+from .ideals import TruncIdeal, _contract_sigma, _sigma_mask
+from .matroids import (VMatroid, _bits, _fundamental_circuit_idx, _lift_index,
+                       _loops_mask, lex_min_basis_of_subset)
 from .polyhedra import (Cell, PolyComplex, fm_solve, normal_complex,
                         quotient_lineality, refine)
 from .polynomials import TropPoly

@@ -19,8 +19,8 @@ from .config import Budget
 from .errors import (DimensionError, InputError, InvariantViolationError,
                      OutOfRangeError)
 from .linalg import echelon
-from .matroids import (VMatroid, _bits, _mask_of, circuits, contract, initial_matroid,
-                       is_vector)
+from .matroids import (VMatroid, _bits, _lift_index, _mask_of, circuits, contract,
+                       initial_matroid, is_vector)
 from .polynomials import TropPoly
 from .semiring import INF, Trop, all_infinite, dot, weight_sigma
 
@@ -104,6 +104,8 @@ class QPoly:
             u = tuple(int(e) for e in u)
             if len(u) != num_vars:
                 raise DimensionError("exponent %r has wrong length" % (u,))
+            if any(e < 0 for e in u):
+                raise InputError("negative exponent in %r" % (u,))
             c = Fraction(c)
             if c == 0:
                 continue
@@ -216,10 +218,6 @@ class TruncIdeal:
 
     def __repr__(self) -> str:
         return "TruncIdeal(vars=%d, D=%d, mode=%s)" % (self.num_vars, self.degree_bound, self.mode)
-
-
-def hilbert(I: TruncIdeal, d: int) -> int:
-    return I.hilbert(d)
 
 
 # Tropicalization ----------------------------------------------------------------
@@ -538,11 +536,6 @@ def _initial_bases(C: VMatroid, smask: int, w: Sequence[Trop]) -> frozenset[int]
     N = initial_matroid(C, [sum(a * e for a, e in zip(finite, u)) for u in C.ground])
     keep = _lift_index(smask, len(C.ground))
     return frozenset(smask | _mask_of(keep[j] for j in _bits(B)) for B in N.basis_masks())
-
-
-def _lift_index(smask: int, n: int) -> list[int]:
-    """Per element of the n-element contraction by smask, its layer index."""
-    return [i for i in range(n + smask.bit_count()) if not (smask >> i) & 1]
 
 
 def _initial_layers(I: TruncIdeal, w: Sequence[Trop]) -> list[VMatroid]:

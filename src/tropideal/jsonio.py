@@ -49,15 +49,22 @@ def poly_to_json(f: TropPoly) -> dict:
             "terms": [{"exp": list(u), "coeff": str(c)} for u, c in f.terms()]}
 
 
+def _exponent(item, where) -> tuple:
+    exp = _expect(item, "exp", list, where)
+    if not all(type(e) is int for e in exp):
+        raise ParseError("%s: every exponent must be a JSON integer" % where)
+    return tuple(exp)
+
+
 def poly_from_json(obj) -> TropPoly:
     nv = _expect(obj, "vars", int, "polynomial")
     terms = {}
     for i, item in enumerate(_expect(obj, "terms", list, "polynomial")):
-        exp = _expect(item, "exp", list, "term %d" % i)
+        exp = _exponent(item, "term %d" % i)
         coeff = _expect(item, "coeff", None, "term %d" % i)
         if coeff == "inf":
             raise ParseError("term %d: absence encodes infinity; 'inf' is not allowed" % i)
-        terms[tuple(exp)] = Trop(_parse_frac(coeff))
+        terms[exp] = Trop(_parse_frac(coeff))
     return TropPoly(nv, terms)
 
 
@@ -65,8 +72,8 @@ def qpoly_from_json(obj) -> QPoly:
     nv = _expect(obj, "vars", int, "generator")
     coeffs = {}
     for i, item in enumerate(_expect(obj, "terms", list, "generator")):
-        exp = _expect(item, "exp", list, "generator term %d" % i)
-        coeffs[tuple(exp)] = _parse_frac(_expect(item, "coeff", None, "generator term %d" % i))
+        where = "generator term %d" % i
+        coeffs[_exponent(item, where)] = _parse_frac(_expect(item, "coeff", None, where))
     return QPoly(nv, coeffs)
 
 
@@ -123,6 +130,8 @@ def vmatroid_to_json(M: VMatroid, boolean: bool = False) -> dict:
 
 def vmatroid_from_json(obj, ground=None) -> VMatroid:
     labels = _expect(obj, "ground", list, "matroid")
+    if any(isinstance(e, (list, dict)) for e in labels):
+        raise ParseError("a ground label is a JSON scalar")
     if ground is None:
         ground = tuple(labels)
     if len(ground) != len(labels):
@@ -131,7 +140,7 @@ def vmatroid_from_json(obj, ground=None) -> VMatroid:
     n = len(ground)
     if "valuation" in obj:
         val = []
-        for i, item in enumerate(obj["valuation"]):
+        for i, item in enumerate(_expect(obj, "valuation", list, "matroid")):
             idxs = _expect(item, "set", list, "valuation entry %d" % i)
             if any(not isinstance(j, int) or j < 0 or j >= n for j in idxs):
                 raise ParseError("valuation entry %d has bad indices" % i)
@@ -140,8 +149,9 @@ def vmatroid_from_json(obj, ground=None) -> VMatroid:
         return VMatroid(ground, rank, val)
     if "bases" in obj:
         masks = []
-        for i, idxs in enumerate(obj["bases"]):
-            if any(not isinstance(j, int) or j < 0 or j >= n for j in idxs):
+        for i, idxs in enumerate(_expect(obj, "bases", list, "matroid")):
+            if not isinstance(idxs, list) or any(
+                    not isinstance(j, int) or j < 0 or j >= n for j in idxs):
                 raise ParseError("basis %d has bad indices" % i)
             masks.append(_mask_of(idxs))
         M = VMatroid.from_bases(ground, masks)
@@ -246,20 +256,3 @@ def certificate_to_json(cert: Certificate) -> dict:
         out["witness_sigma"] = sorted(cert.witness_sigma)
         out["witness_cell"] = _gcell_to_json(cert.witness_cell, verbose=False)
     return out
-
-
-def round_trip(value):
-    """parse(serialize(value)); the identity on canonical forms."""
-    if isinstance(value, TropPoly):
-        return poly_from_json(poly_to_json(value))
-    if isinstance(value, TruncIdeal):
-        return ideal_from_json(ideal_to_json(value))
-    if isinstance(value, VMatroid):
-        return vmatroid_from_json(vmatroid_to_json(value))
-    if isinstance(value, QPoly):
-        return qpoly_from_json(qpoly_to_json(value))
-    if isinstance(value, ClassicalInput):
-        return classical_input_from_json(classical_input_to_json(value))
-    if isinstance(value, tuple):
-        return weight_from_json(weight_to_json(value))
-    raise ParseError("no serialization for %r" % (type(value).__name__,))

@@ -40,6 +40,11 @@ def _mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def _lift_index(smask: int, n: int) -> list[int]:
+    """Per element of the n-element contraction by smask, its index before contracting."""
+    return [i for i in range(n + smask.bit_count()) if not (smask >> i) & 1]
+
+
 def _loops_mask(masks: Iterable[int], n: int) -> int:
     """The elements of range(n) in none of the given basis masks."""
     union = 0
@@ -175,17 +180,6 @@ class VMatroid:
 
     def __repr__(self) -> str:
         return "VMatroid(|E|=%d, rank=%d, %d bases)" % (len(self.ground), self.rank, len(self._val))
-
-    # Vector helpers -----------------------------------------------------------
-
-    def canonicalize_vector(self, v: Sequence[Trop]) -> VVector:
-        """Scale so the minimum finite coordinate is 0 (circuit canonical form)."""
-        finite = [c.value for c in v if not c.is_inf]
-        if not finite:
-            return tuple(INF for _ in v)
-        shift = min(finite)
-        return tuple(INF if c.is_inf else Trop(c.value - shift) for c in v)
-
 
 # Operations --------------------------------------------------------------------
 
@@ -506,10 +500,9 @@ def contract(M: VMatroid, A) -> VMatroid:
     if amask == 0:
         return M
     BA = lex_min_basis_of_subset(M, amask)
-    s = bin(BA).count("1")
-    keep = [i for i in range(len(M.ground)) if not (amask >> i) & 1]
+    keep = _lift_index(amask, len(M.ground) - amask.bit_count())
     ground = tuple(M.ground[i] for i in keep)
-    newrank = M.rank - s
+    newrank = M.rank - BA.bit_count()
     val: dict[int, int] = {}
     for mask, p in M._val.items():
         if mask & BA != BA or mask & amask != BA:

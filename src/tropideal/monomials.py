@@ -8,9 +8,7 @@ this order.
 
 from __future__ import annotations
 
-import re
-
-from .errors import ParseError
+from .errors import InputError
 
 Monomial = tuple  # tuple[int, ...]
 
@@ -40,7 +38,7 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
             rec(prefix + [e], remaining - e, slots - 1)
 
     if nvars < 1:
-        raise ValueError("need at least one variable")
+        raise InputError("need at least one variable")
     rec([], d, nvars)
     return out
 
@@ -71,23 +69,3 @@ def label(u: Monomial) -> str:
         elif e > 1:
             parts.append("x%d^%d" % (i, e))
     return "*".join(parts) if parts else "1"
-
-
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-
-
-def parse_label(text: str, nvars: int) -> Monomial:
-    if text == "1":
-        return (0,) * nvars
-    exps = [0] * nvars
-    for factor in text.split("*"):
-        m = _FACTOR_RE.match(factor)
-        if not m:
-            raise ParseError("bad monomial label %r" % (text,))
-        i = int(m.group(1))
-        e = int(m.group(2)) if m.group(2) else 1
-        if i >= nvars:
-            raise ParseError("monomial label %r uses variable x%d but only %d variables exist"
-                             % (text, i, nvars))
-        exps[i] += e
-    return tuple(exps)

@@ -24,7 +24,6 @@ from .config import Budget
 from .errors import InputError, InvariantViolationError
 from .linalg import echelon
 from .polynomials import TropPoly
-from .semiring import Trop
 
 Row = tuple  # (coeffs: tuple[int, ...], rhs: int), primitive: the gcd of all entries is 1
 
@@ -245,30 +244,17 @@ class Cell:
         return self._dim
 
     def contains_closed(self, point: Sequence[Fraction]) -> bool:
-        return self._holds_at(*self._point_ints(point), relint=False)
-
-    def contains_relint(self, point: Sequence[Fraction]) -> bool:
-        return self._holds_at(*self._point_ints(point), relint=True)
-
-    def _point_ints(self, point) -> tuple[list[int], int]:
         if len(point) != len(self.free):
             raise InputError("point has wrong dimension")
-        return _scaled(point)
+        return self._holds_at(*_scaled(point))
 
-    def _holds_at(self, P: Sequence[int], q: int, relint: bool) -> bool:
-        """Whether the point P / q (q > 0) lies in the cell, or in its relative
-        interior: there the tight rows hold with equality and the others strictly."""
-        if relint:
-            self._solve()
-            if self._relint is None:
-                return False
+    def _holds_at(self, P: Sequence[int], q: int) -> bool:
+        """Whether the point P / q (q > 0) lies in the closed cell."""
         for c, r in self.eqs:
             if sum(a * x for a, x in zip(c, P)) != r * q:
                 return False
-        for i, (c, r) in enumerate(self.ineqs):
-            v = sum(a * x for a, x in zip(c, P))
-            rq = r * q
-            if v > rq or (relint and (v == rq) != (i in self._tight)):
+        for c, r in self.ineqs:
+            if sum(a * x for a, x in zip(c, P)) > r * q:
                 return False
         return True
 
@@ -303,11 +289,6 @@ class PolyComplex:
     ambient: int
     strata: dict = field(default_factory=dict)  # frozenset -> list[Cell]
     quotiented: bool = False
-
-    def all_cells(self):
-        for sigma in sorted(self.strata, key=lambda s: (len(s), sorted(s))):
-            for cell in self.strata[sigma]:
-                yield cell
 
     def stratum(self, sigma) -> list:
         return self.strata.get(frozenset(sigma), [])
@@ -492,7 +473,7 @@ def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComp
                     if p is None:
                         continue
                     P, q = _scaled(p)
-                    if not all(c._holds_at(P, q, relint=False) for c in (*reps, cell)):
+                    if not all(c._holds_at(P, q) for c in (*reps, cell)):
                         raise InvariantViolationError("refinement point escaped the input complexes")
                     found[key + (j,)] = ([*reps, cell], *system)
             partial = found
@@ -536,25 +517,3 @@ def quotient_lineality(C: PolyComplex) -> PolyComplex:
                 free=cell.free[:-1]))
         out.strata[sigma] = new_cells
     return out
-
-
-# Point membership helpers -------------------------------------------------------------
-
-
-def weight_to_cell_coords(cell: Cell, w: Sequence[Trop], quotiented: bool) -> Optional[tuple]:
-    """Coordinates of an ambient weight inside the cell's chart, or None.
-
-    None when the weight's infinite coordinates do not match the cell's
-    stratum.  In a quotiented complex the last finite coordinate is
-    subtracted from the others and dropped.
-    """
-    if len(w) != cell.ambient:
-        raise InputError("weight has wrong length")
-    sig = frozenset(i for i, x in enumerate(w) if x.is_inf)
-    if sig != cell.sigma:
-        return None
-    if not quotiented:
-        return tuple(w[i].value for i in cell.free)
-    full_free = tuple(i for i in range(cell.ambient) if i not in cell.sigma)
-    last = w[full_free[-1]].value
-    return tuple(w[i].value - last for i in full_free[:-1])

@@ -1,0 +1,46 @@
+"""Reference helpers shared by the test modules: point charts and membership.
+
+These are oracles, not library API: they read a cell's rows with plain
+Fractions, so the integer kernels in tropideal.polyhedra can be checked
+against them.
+"""
+
+from fractions import Fraction
+
+
+def weight_to_cell_coords(cell, w, quotiented):
+    """Coordinates of an ambient weight inside the cell's chart, or None.
+
+    None when the weight's infinite coordinates do not match the cell's
+    stratum.  In a quotiented complex the last finite coordinate is
+    subtracted from the others and dropped.
+    """
+    assert len(w) == cell.ambient, "weight has wrong length"
+    sig = frozenset(i for i, x in enumerate(w) if x.is_inf)
+    if sig != cell.sigma:
+        return None
+    if not quotiented:
+        return tuple(w[i].value for i in cell.free)
+    full_free = tuple(i for i in range(cell.ambient) if i not in cell.sigma)
+    last = w[full_free[-1]].value
+    return tuple(w[i].value - last for i in full_free[:-1])
+
+
+def contains_by_fractions(cell, point, relint):
+    """Whether point lies in the closed cell, or with relint in its relative
+    interior: there the tight rows hold with equality and the others strictly."""
+    if relint and cell.relint_point() is None:
+        return False
+    point = tuple(Fraction(x) for x in point)
+    for c, r in cell.eqs:
+        if sum(a * x for a, x in zip(c, point)) != r:
+            return False
+    tight = cell._tight if relint else frozenset()
+    for i, (c, r) in enumerate(cell.ineqs):
+        v = sum(a * x for a, x in zip(c, point))
+        if i in tight:
+            if v != r:
+                return False
+        elif v > r or (relint and v == r):
+            return False
+    return True

@@ -22,10 +22,11 @@ from tropideal.matroids import (VMatroid, check_valuated_exchange,
                                 circuit_elimination_witness, circuits,
                                 is_vector, vector_elimination_witness)
 from tropideal.monomials import monomials_of_degree
-from tropideal.polyhedra import weight_to_cell_coords
 from tropideal.polynomials import (TropPoly, least_coefficients,
                                    poly_from_roots, tropical_roots)
 from tropideal.semiring import INF, Trop
+
+from oracles import weight_to_cell_coords
 
 
 def report(k, text):

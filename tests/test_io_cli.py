@@ -49,14 +49,14 @@ def test_round_trip_polynomials():
     rng = random.Random(123)
     for _ in range(1000):
         f = rand_poly(rng, rng.randint(1, 3))
-        assert jsonio.round_trip(f) == f
+        assert jsonio.poly_from_json(jsonio.poly_to_json(f)) == f
 
 
 def test_round_trip_matroids():
     rng = random.Random(456)
     for _ in range(1000):
         M = rand_matroid(rng)
-        assert jsonio.round_trip(M) == M
+        assert jsonio.vmatroid_from_json(jsonio.vmatroid_to_json(M)) == M
 
 
 def test_round_trip_matroid_fraction_value():
@@ -67,10 +67,10 @@ def test_round_trip_matroid_fraction_value():
 
 
 def test_round_trip_ideals():
-    ideals = [point_ideal((Trop(0), Trop(3)), 2),
-              nonrealizable_ideal(2, 2),
-              tropicalize(ClassicalInput(
-                  (QPoly(2, {(1, 0): 5, (0, 1): -1}),), Valuation("padic", 5)), 2)]
+    inp = ClassicalInput((QPoly(2, {(1, 0): 5, (0, 1): -1}),), Valuation("padic", 5))
+    obj = jsonio.classical_input_to_json(inp)
+    assert jsonio.classical_input_to_json(jsonio.classical_input_from_json(obj)) == obj
+    ideals = [point_ideal((Trop(0), Trop(3)), 2), nonrealizable_ideal(2, 2), tropicalize(inp, 2)]
     rng = random.Random(789)
     while len(ideals) < 200:
         coords = [Trop(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
@@ -79,7 +79,7 @@ def test_round_trip_ideals():
             coords[rng.randrange(len(coords))] = INF
         ideals.append(point_ideal(coords, rng.randint(1, 2)))
     for I in ideals:
-        assert jsonio.round_trip(I) == I
+        assert jsonio.ideal_from_json(jsonio.ideal_to_json(I)) == I
 
 
 def test_round_trip_weights_randomized():
@@ -88,7 +88,7 @@ def test_round_trip_weights_randomized():
         w = tuple(INF if rng.random() < 0.2 else
                   Trop(Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
                   for _ in range(rng.randint(1, 4)))
-        assert jsonio.round_trip(w) == w
+        assert jsonio.weight_from_json(jsonio.weight_to_json(w)) == w
 
 
 def test_round_trip_boolean_ideal_uses_bases():
@@ -194,10 +194,47 @@ def test_public_names_resolve():
 
 
 def test_cli_deterministic_output(tmp_path):
-    a = run_cli(["nonrealizable", "--n", "2", "--degree", "2", "--seed", "1"])
-    b = run_cli(["nonrealizable", "--n", "2", "--degree", "2", "--seed", "1"])
+    a = run_cli(["nonrealizable", "--n", "2", "--degree", "2"])
+    b = run_cli(["nonrealizable", "--n", "2", "--degree", "2"])
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_cli_rejects_seed():
+    # the package has no randomness, so there is no seed to set
+    proc = run_cli(["nonrealizable", "--n", "2", "--degree", "2", "--seed", "1"])
+    assert proc.returncode == 2 and "--seed" in proc.stderr
+
+
+def _poly_arg(exp):
+    return ["--poly", json.dumps({"vars": 1, "terms": [{"exp": exp, "coeff": "0"}]})]
+
+
+_CONSTANT_LAYER = {"ground": ["1"], "rank": 1, "valuation": [{"set": [0], "val": "0"}]}
+
+
+@pytest.mark.parametrize("command, inline, flag, payload", [
+    ("check-matroid", [], "--matroid", {"ground": ["a"], "rank": 1, "valuation": 5}),
+    ("check-matroid", [], "--matroid", {"ground": ["a"], "rank": 1, "bases": [5]}),
+    ("circuits", [], "--matroid", {"ground": [["a"]], "rank": 1, "bases": [[0]]}),
+    ("hilbert", ["--degree", "0"], "--ideal",
+     {"vars": 0, "degree_bound": 0, "layers": [_CONSTANT_LAYER]}),
+    ("factor-univariate", _poly_arg(["x"]), None, None),
+    ("tropicalize", ["--degree", "1"], "--input",
+     {"generators": [{"vars": 2, "terms": [{"exp": [-1, 2], "coeff": "1"}]}],
+      "valuation": {"type": "trivial"}}),
+    ("factor-univariate", _poly_arg([1.5]), None, None),
+], ids=["valuation-not-list", "basis-not-list", "label-not-scalar", "zero-vars", "exp-string",
+        "negative-exp", "exp-float"])
+def test_cli_malformed_json_exits_2(tmp_path, command, inline, flag, payload):
+    args = [command, *inline]
+    if flag is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        args += [flag, str(path)]
+    proc = run_cli(args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_cli_variety_text_output(tmp_path):

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from tropideal import polyhedra
 from tropideal.errors import InputError, InvariantViolationError, SizeGuardError
 from tropideal.polyhedra import (Cell, PolyComplex, canonical_row, fm_solve,
-                                 normal_complex, quotient_lineality, refine,
-                                 weight_to_cell_coords)
+                                 normal_complex, quotient_lineality, refine)
 from tropideal.polyhedra import _tie_at, _tie_system
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
+
+from oracles import contains_by_fractions, weight_to_cell_coords
 
 
 def C1(eqs, ineqs, ambient=1, sigma=()):
@@ -36,7 +37,7 @@ def test_relint_point_is_interior():
     p = cell.relint_point()
     assert p is not None and p[0] < 0 and p[1] < 0
     mid = tuple((a + b) / 2 for a, b in zip(p, (0, 0)))  # toward the closed cell's vertex
-    assert mid != p and cell.contains_relint(mid)
+    assert mid != p and contains_by_fractions(cell, mid, relint=True)
 
 
 def test_relint_with_implied_equality():
@@ -241,7 +242,7 @@ def test_normal_complex_covering_property():
              Fraction(rng.randint(-60, 60), rng.randint(1, 7)))
         containing = [c for c in cells if c.contains_closed(p)]
         assert containing, "point not covered"
-        exact = [c for c in containing if c.contains_relint(p)]
+        exact = [c for c in containing if contains_by_fractions(c, p, relint=True)]
         if len(containing) == 1:
             assert exact == containing
         else:
@@ -255,7 +256,7 @@ def test_disjoint_relative_interiors():
     for i, a in enumerate(cells):
         assert a.dim() is not None
         for b in cells[i + 1:]:
-            assert not b.contains_relint(a.relint_point())
+            assert not contains_by_fractions(b, a.relint_point(), relint=True)
             # the strict-intersection system of the pair is infeasible
             ea, sa = a.relint_system()
             eb, sb = b.relint_system()
@@ -305,7 +306,8 @@ def refine_by_product(complexes):
                          [row for cell in combo for row in cell.ineqs])
             if p is None:
                 continue
-            located = tuple(next(i for i, cell in enumerate(lst) if cell.contains_relint(p))
+            located = tuple(next(i for i, cell in enumerate(lst)
+                                 if contains_by_fractions(cell, p, relint=True))
                             for lst in lists)
             if located in found:
                 continue
@@ -448,24 +450,6 @@ def tie_at_by_fractions(terms, point):
     return frozenset(arg)
 
 
-def contains_by_fractions(cell, point, relint):
-    if relint and cell.relint_point() is None:
-        return False
-    point = tuple(Fraction(x) for x in point)
-    for c, r in cell.eqs:
-        if sum(a * x for a, x in zip(c, point)) != r:
-            return False
-    tight = cell._tight if relint else frozenset()
-    for i, (c, r) in enumerate(cell.ineqs):
-        v = sum(a * x for a, x in zip(c, point))
-        if i in tight:
-            if v != r:
-                return False
-        elif v > r or (relint and v == r):
-            return False
-    return True
-
-
 def merged_terms(f, sigma):
     """The (projected exponent, Fraction coefficient) terms normal_complex works on."""
     free = [i for i in range(f.num_vars) if i not in sigma]
@@ -576,7 +560,6 @@ def test_integer_tie_kernel_matches_fraction_oracle(case, rng):
     for p in probe_points(got, m, rng):
         assert _tie_at(int_terms, scale, p) == tie_at_by_fractions(terms, p)
         for cell in got:
-            assert cell.contains_relint(p) == contains_by_fractions(cell, p, relint=True)
             assert cell.contains_closed(p) == contains_by_fractions(cell, p, relint=False)
 
 
@@ -654,15 +637,14 @@ def test_membership_on_tight_rows_and_outside():
     # the square 0 <= w <= 1: corner, edge, interior and outside points
     sq = Cell(2, (), [], [((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)])
     half, third = Fraction(1, 2), Fraction(1, 3)
-    for point, closed, relint in [((half, third), True, True), ((0, third), True, False),
-                                  ((0, 0), True, False), ((1, Fraction(4, 3)), False, False)]:
+    for point, closed in [((half, third), True), ((0, third), True), ((0, 0), True),
+                          ((1, Fraction(4, 3)), False)]:
         assert sq.contains_closed(point) is closed
-        assert sq.contains_relint(point) is relint
     edge = Cell(2, (), [((1, 0), 0)], [((0, -1), 0), ((0, 1), 1)])
-    assert edge.contains_relint((0, half)) and not edge.contains_relint((0, 1))
+    assert edge.contains_closed((0, half)) and edge.contains_closed((0, 1))
     assert not edge.contains_closed((Fraction(1, 7), half))
     with pytest.raises(InputError):
-        edge.contains_relint((0,))
+        edge.contains_closed((0,))
 
 
 def test_quotient_lineality():
