@@ -51,6 +51,10 @@ CASES = {
     "check-matroid-stiefel-scan": (["check-matroid", "--matroid",
                                     _inp("stiefel_u3_16.json")], 0),
     "circuits": (["circuits", "--matroid", _inp("uniform.json")], 0),
+    "circuits-mixed-denominators": (["circuits", "--matroid",
+                                     _inp("mixed_denominators.json")], 0),
+    "check-matroid-mixed-denominators": (["check-matroid", "--matroid",
+                                          _inp("mixed_denominators.json")], 0),
     "compatibility-failing": (["compatibility", "--ideal", _inp("incompatible.json")], 0),
     "tropicalize-padic": (["tropicalize", "--input", _inp("padic.json"), "--degree", "2"], 0),
     "tropicalize-trivial": (["tropicalize", "--input", _inp("trivial.json"),
