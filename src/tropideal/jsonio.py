@@ -5,38 +5,52 @@ never as floats; 'inf' appears only where a scalar field admits it.
 Inside polynomial term lists infinity is encoded by absence, so 'inf'
 coefficients are rejected there.  All emitted lists are canonically
 sorted, which makes serialization deterministic.
+
+A rational is read by one grammar, semiring.parse_ratio: a JSON integer
+(not a boolean) or a string 'p' or 'p/q', reduced or not ('2/4' reads as
+1/2), with q written without a leading zero.  Integer fields such as
+'rank' and 'vars' reject booleans too, and a matroid's valuation sets and
+bases list distinct integer indices into its ground.  A matroid valuation
+goes in and out as VMatroid stores it, ints over one denominator, with no
+Fraction per entry.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import monomials as mon
 from .errors import ParseError
 from .groebner import Certificate, GroebnerCell, GroebnerComplex, VarietySubcomplex
 from .ideals import ClassicalInput, QPoly, TruncIdeal, Valuation
-from .matroids import VMatroid, _bits, _mask_of
+from .matroids import VMatroid, _bits
 from .polyhedra import Cell
 from .polynomials import TropPoly
-from .semiring import Trop
+from .semiring import Trop, parse_ratio
 
 
 def _frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _parse_frac(text) -> Fraction:
-    t = Trop.parse(text)
-    if t.is_inf:
+def _ratio(text) -> tuple[int, int]:
+    """The unreduced (p, q) of a finite rational; 'inf' is rejected."""
+    if text == "inf":
         raise ParseError("'inf' is not allowed here")
-    return t.value
+    return parse_ratio(text)
+
+
+def _parse_frac(text) -> Fraction:
+    return Fraction(*_ratio(text))
 
 
 def _expect(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError("missing %r in %s" % (key, where))
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind)
+                             or (kind is int and type(value) is bool)):
         raise ParseError("%r in %s has the wrong type" % (key, where))
     return value
 
@@ -123,9 +137,25 @@ def vmatroid_to_json(M: VMatroid, boolean: bool = False) -> dict:
     if boolean:
         out["bases"] = [list(_bits(m)) for m in M.basis_masks()]
     else:
-        out["valuation"] = [{"set": list(_bits(m)), "val": _frac_str(v)}
-                            for m, v in M.valuation_items()]
+        den = M.den
+        out["valuation"] = [{"set": list(_bits(m)),
+                             "val": str(v) if den == 1 else str(Fraction(v, den))}
+                            for m, v in sorted(M.int_valuation_items())]
     return out
+
+
+def _index_mask(idxs, n: int, where: str) -> int:
+    """The bitmask of a JSON list of distinct indices into a ground of size n."""
+    if not isinstance(idxs, list):
+        raise ParseError("%s has bad indices" % where)
+    mask = 0
+    for j in idxs:
+        if type(j) is not int or not 0 <= j < n:
+            raise ParseError("%s has bad indices" % where)
+        mask |= 1 << j
+    if mask.bit_count() != len(idxs):
+        raise ParseError("%s lists an index twice" % where)
+    return mask
 
 
 def vmatroid_from_json(obj, ground=None) -> VMatroid:
@@ -139,21 +169,20 @@ def vmatroid_from_json(obj, ground=None) -> VMatroid:
     rank = _expect(obj, "rank", int, "matroid")
     n = len(ground)
     if "valuation" in obj:
-        val = []
+        items, den = [], 1  # den: the lcm of the denominators q
         for i, item in enumerate(_expect(obj, "valuation", list, "matroid")):
-            idxs = _expect(item, "set", list, "valuation entry %d" % i)
-            if any(not isinstance(j, int) or j < 0 or j >= n for j in idxs):
-                raise ParseError("valuation entry %d has bad indices" % i)
-            val.append((_mask_of(idxs),
-                        _parse_frac(_expect(item, "val", None, "valuation entry %d" % i))))
-        return VMatroid(ground, rank, val)
+            where = "valuation entry %d" % i
+            mask = _index_mask(_expect(item, "set", list, where), n, where)
+            p, q = _ratio(_expect(item, "val", None, where))
+            if den % q:
+                den = math.lcm(den, q)
+            items.append((mask, p, q))
+        for k, (mask, p, q) in enumerate(items):  # in place: no second list
+            items[k] = (mask, p * (den // q))
+        return VMatroid(ground, rank, items, den)
     if "bases" in obj:
-        masks = []
-        for i, idxs in enumerate(_expect(obj, "bases", list, "matroid")):
-            if not isinstance(idxs, list) or any(
-                    not isinstance(j, int) or j < 0 or j >= n for j in idxs):
-                raise ParseError("basis %d has bad indices" % i)
-            masks.append(_mask_of(idxs))
+        masks = [_index_mask(idxs, n, "basis %d" % i)
+                 for i, idxs in enumerate(_expect(obj, "bases", list, "matroid"))]
         M = VMatroid.from_bases(ground, masks)
         if M.rank != rank:
             raise ParseError("declared rank %d but bases have size %d" % (rank, M.rank))

@@ -85,7 +85,7 @@ class VMatroid:
         infinite = set()
         scale = 1  # the lcm of the Fraction values' denominators
         for key, value in items:
-            mask = _as_mask(self, key)
+            mask = key if type(key) is int else _as_mask(self, key)
             if mask.bit_count() != rank:
                 raise InvalidMatroidError("valuated set of size %d in a rank-%d matroid"
                                           % (mask.bit_count(), rank))

@@ -77,20 +77,28 @@ class Trop:
     @staticmethod
     def parse(text) -> "Trop":
         """Parse 'p/q', 'p' or 'inf'; exact integers are also accepted."""
-        if isinstance(text, bool):
-            raise ParseError("expected rational string or 'inf', got %r" % (text,))
-        if isinstance(text, int):
-            return Trop(Fraction(text))
-        if isinstance(text, str):
-            if text == "inf":
-                return INF
-            if not _RATIONAL_RE.match(text):
-                raise ParseError("not a 'p/q' rational: %r" % (text,))
-            try:
-                return Trop(Fraction(text))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError("not a rational: %r" % (text,))
+        if text == "inf":
+            return INF
+        return Trop(Fraction(*parse_ratio(text)))
+
+
+def parse_ratio(text) -> tuple[int, int]:
+    """The ints (p, q), q > 0 and not reduced, of a 'p' or 'p/q' string or a JSON int.
+
+    The one rational grammar of the package: an optional '-', decimal
+    digits, then optionally '/' and a denominator without a leading zero.
+    """
+    if type(text) is int:
+        return text, 1
+    if not isinstance(text, str):
         raise ParseError("expected rational string or 'inf', got %r" % (text,))
+    if not _RATIONAL_RE.match(text):
+        raise ParseError("not a 'p/q' rational: %r" % (text,))
+    num, _, den = text.partition("/")
+    try:
+        return int(num), int(den) if den else 1
+    except ValueError:  # more digits than int() converts
+        raise ParseError("not a rational: %r" % (text,))
 
 
 INF = Trop(None)

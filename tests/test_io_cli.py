@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropideal import jsonio
 from tropideal.errors import ParseError
@@ -64,6 +67,64 @@ def test_round_trip_matroid_fraction_value():
     obj = jsonio.vmatroid_to_json(M)
     assert any(item["val"] == "1/3" for item in obj["valuation"])
     assert jsonio.vmatroid_from_json(obj) == M
+
+
+@st.composite
+def matroid_json(draw):
+    """(ground, rank, entries): distinct r-sets in any index order, each with
+    a value that is a JSON int or a 'p' / 'p/q' string, reduced or not."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, n))
+    sets = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), r))),
+                         min_size=1, max_size=12, unique=True))
+    text = st.one_of(
+        st.integers(-40, 40),
+        st.integers(-40, 40).map(str),
+        st.just("-0"),
+        st.builds("{}/{}".format, st.integers(-40, 40), st.integers(1, 12)))
+    entries = [{"set": draw(st.permutations(S)), "val": draw(text)} for S in sets]
+    return ["e%d" % i for i in range(n)], r, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(matroid_json())
+def test_matroid_reader_matches_per_entry_fractions(case):
+    ground, rank, entries = case
+    obj = json.loads(json.dumps({"ground": ground, "rank": rank, "valuation": entries}))
+    M = jsonio.vmatroid_from_json(obj)
+    oracle = VMatroid(ground, rank, [(sum(1 << j for j in e["set"]), Trop(Fraction(e["val"])))
+                                     for e in entries])
+    assert M == oracle
+    assert jsonio.vmatroid_to_json(M)["valuation"] == [
+        {"set": [j for j in range(len(ground)) if m >> j & 1], "val": str(v)}
+        for m, v in oracle.valuation_items()]
+
+
+@pytest.mark.parametrize("val, message", [
+    ("inf", "'inf' is not allowed here"),
+    ("1/0", "not a 'p/q' rational: '1/0'"),
+    ("1/02", "not a 'p/q' rational: '1/02'"),
+    ("0.5", "not a 'p/q' rational: '0.5'"),
+    (0.5, "expected rational string or 'inf', got 0.5"),
+    (True, "expected rational string or 'inf', got True"),
+    ("", "not a 'p/q' rational: ''"),
+    (" 1", "not a 'p/q' rational: ' 1'"),
+])
+def test_matroid_reader_rejects_value(val, message):
+    obj = {"ground": ["a", "b"], "rank": 1,
+           "valuation": [{"set": [0], "val": "0"}, {"set": [1], "val": val}]}
+    with pytest.raises(ParseError) as err:
+        jsonio.vmatroid_from_json(obj)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("val, value", [("5\n", 5), ("\u0663", 3)])
+def test_matroid_reader_odd_accepted_values(val, value):
+    # the grammar's '$' admits one trailing newline and its digits are the
+    # Unicode decimal digits, as int() reads them
+    obj = {"ground": ["a", "b"], "rank": 1,
+           "valuation": [{"set": [0], "val": "0"}, {"set": [1], "val": val}]}
+    assert jsonio.vmatroid_from_json(obj).value_mask(0b10) == value
 
 
 def test_round_trip_ideals():
@@ -224,8 +285,23 @@ _CONSTANT_LAYER = {"ground": ["1"], "rank": 1, "valuation": [{"set": [0], "val":
      {"generators": [{"vars": 2, "terms": [{"exp": [-1, 2], "coeff": "1"}]}],
       "valuation": {"type": "trivial"}}),
     ("factor-univariate", _poly_arg([1.5]), None, None),
+    ("circuits", [], "--matroid",
+     {"ground": ["a", "b"], "rank": True,
+      "valuation": [{"set": [True], "val": "0"}, {"set": [0], "val": "1"}]}),
+    ("circuits", [], "--matroid",
+     {"ground": ["a", "b"], "rank": 1,
+      "valuation": [{"set": [True], "val": "0"}, {"set": [0], "val": "1"}]}),
+    ("circuits", [], "--matroid", {"ground": ["a", "b"], "rank": 1, "bases": [[False], [1]]}),
+    ("hilbert", ["--degree", "0"], "--ideal",
+     {"vars": True, "degree_bound": 0, "layers": [_CONSTANT_LAYER]}),
+    ("circuits", [], "--matroid",
+     {"ground": ["a", "b", "c"], "rank": 2,
+      "valuation": [{"set": [0, 0, 1], "val": "0"}, {"set": [0, 2], "val": "1"}]}),
+    ("check-matroid", [], "--matroid",
+     {"ground": ["a", "b", "c"], "rank": 2, "bases": [[0, 1], [2, 2, 0]]}),
 ], ids=["valuation-not-list", "basis-not-list", "label-not-scalar", "zero-vars", "exp-string",
-        "negative-exp", "exp-float"])
+        "negative-exp", "exp-float", "bool-rank", "bool-set-index", "bool-basis-index",
+        "bool-vars", "repeated-set-index", "repeated-basis-index"])
 def test_cli_malformed_json_exits_2(tmp_path, command, inline, flag, payload):
     args = [command, *inline]
     if flag is not None:

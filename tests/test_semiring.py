@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tropideal.errors import DimensionError, ParseError
-from tropideal.semiring import INF, Trop, dot, tsum, weight_sigma
+from tropideal.semiring import INF, Trop, dot, parse_ratio, tsum, weight_sigma
 
 
 def rand_scalar(rng):
@@ -69,3 +69,13 @@ def test_parse_and_format():
     for bad in ("1.5", "x", "", None, 1.5, True):
         with pytest.raises(ParseError):
             Trop.parse(bad)
+
+
+def test_parse_ratio_keeps_the_written_pair():
+    assert parse_ratio("2/4") == (2, 4)
+    assert parse_ratio("-5/6") == (-5, 6)
+    assert parse_ratio("-0") == (0, 1)
+    assert parse_ratio(-3) == (-3, 1)
+    for bad in ("inf", "1/0", "1/02", "+1", True, 2.0):
+        with pytest.raises(ParseError):
+            parse_ratio(bad)
