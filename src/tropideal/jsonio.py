@@ -169,16 +169,24 @@ def vmatroid_from_json(obj, ground=None) -> VMatroid:
     rank = _expect(obj, "rank", int, "matroid")
     n = len(ground)
     if "valuation" in obj:
-        items, den = [], 1  # den: the lcm of the denominators q
+        # each value p / q is written as an int over den, the lcm of the q
+        # read so far, so an integer valuation is never rescaled; each
+        # (end, d) in grown records that den was d until items had end entries
+        items, den, grown = [], 1, []
         for i, item in enumerate(_expect(obj, "valuation", list, "matroid")):
             where = "valuation entry %d" % i
             mask = _index_mask(_expect(item, "set", list, where), n, where)
             p, q = _ratio(_expect(item, "val", None, where))
             if den % q:
+                grown.append((len(items), den))
                 den = math.lcm(den, q)
-            items.append((mask, p, q))
-        for k, (mask, p, q) in enumerate(items):  # in place: no second list
-            items[k] = (mask, p * (den // q))
+            items.append((mask, p * (den // q)))
+        start = 0
+        for end, d in grown:  # bring each entry written over an older den to den
+            for k in range(start, end):
+                mask, v = items[k]
+                items[k] = (mask, v * (den // d))
+            start = end
         return VMatroid(ground, rank, items, den)
     if "bases" in obj:
         masks = [_index_mask(idxs, n, "basis %d" % i)
