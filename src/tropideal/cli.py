@@ -1,13 +1,15 @@
-"""Command-line front end: one subcommand per pipeline.
+"""Command-line front end: one subcommand per pipeline, all listed in `COMMANDS`.
 
-Exit codes: 0 success, 2 input error, 3 enumeration-cap error, 64 unknown
-subcommand.  Diagnostics go to stderr; results go to stdout as JSON (the
-default) or text.  All outputs are deterministic.
+Exit codes: 0 success, 2 input error (a flag the subcommand does not read
+included), 3 enumeration-cap error, 64 unknown subcommand.  Diagnostics go
+to stderr; results go to stdout as JSON (the default) or, where the
+subcommand has a text form, `--output text`.  All outputs are deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -21,13 +23,6 @@ from .matroids import check_valuated_exchange, circuits
 from .polynomials import least_coefficients, tropical_roots
 from .semiring import Trop
 
-SUBCOMMANDS = (
-    "check-matroid", "circuits", "tropicalize", "point-ideal", "nonrealizable",
-    "compatibility", "hilbert", "contains", "initial", "groebner-complex",
-    "variety", "tropical-basis", "nullstellensatz", "factor-univariate",
-    "compare",
-)
-
 
 def _read_json(path: str):
     try:
@@ -35,30 +30,23 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError("malformed JSON in %s: %s" % (path, exc))
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
+        raise InputError("malformed JSON in %s: %s" % (path, exc))
 
 
 def _inline_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError("malformed inline JSON: %s" % (exc,))
 
 
 def _emit(obj, output: str, text_renderer=None):
-    if output == "text" and text_renderer is not None:
-        print(text_renderer(obj))
-    else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _common(parser: argparse.ArgumentParser):
-    parser.add_argument("--output", choices=("json", "text"), default="json")
-    parser.add_argument("--cap", type=int, default=None)
-    parser.add_argument("--verbose", action="store_true")
+    """Print obj as text when asked and the renderer gives some, else as JSON."""
+    text = text_renderer(obj) if output == "text" and text_renderer is not None else None
+    print(json.dumps(obj, indent=2, sort_keys=True) if text is None else text)
 
 
 def _load_ideal(args):
@@ -81,181 +69,163 @@ def _complex_text(obj) -> str:
     return "\n".join(lines)
 
 
+# Handlers: parsed arguments -> output object.  They call the library by its
+# module-global names at run time, so rebinding a name here reaches them all.
+
+def _check_matroid(args):
+    M = jsonio.vmatroid_from_json(_read_json(args.matroid))
+    witness = check_valuated_exchange(M, cap=args.cap)
+    if witness is None:
+        return {"ok": True}
+    A, B, a = witness
+    return {"ok": False,
+            "witness": {"A": sorted(map(str, A)), "B": sorted(map(str, B)), "a": str(a)}}
+
+
+def _circuits(args):
+    M = jsonio.vmatroid_from_json(_read_json(args.matroid))
+    out = [[str(c) for c in H] for H in circuits(M, cap=args.cap)]
+    return {"ground": [str(e) for e in M.ground], "circuits": out}
+
+
+def _tropicalize(args):
+    inp = jsonio.classical_input_from_json(_read_json(args.input))
+    return jsonio.ideal_to_json(tropicalize(inp, args.degree, cap=args.cap))
+
+
+def _point_ideal(args):
+    point = jsonio.weight_from_json(_inline_json(args.point))
+    return jsonio.ideal_to_json(point_ideal(point, args.degree, cap=args.cap))
+
+
+def _nonrealizable(args):
+    return jsonio.ideal_to_json(nonrealizable_ideal(args.n, args.degree, cap=args.cap))
+
+
+def _compatibility(args):
+    witness = check_compatibility(_load_ideal(args), cap=args.cap)
+    if witness is None:
+        return {"ok": True}
+    return {"ok": False, "witness": {
+        "degree": witness.degree, "variable": witness.variable,
+        "U": [jsonio._ground_label(u) for u in witness.U],
+        "V": [jsonio._ground_label(v) for v in witness.V]}}
+
+
+def _hilbert(args):
+    return {"degree": args.degree, "hilbert": _load_ideal(args).hilbert(args.degree)}
+
+
+def _contains(args):
+    I = _load_ideal(args)
+    f = jsonio.poly_from_json(_inline_json(args.poly))
+    return {"contains": contains(I, f, cap=args.cap)}
+
+
+def _initial(args):
+    I = _load_ideal(args)
+    w = jsonio.weight_from_json(_inline_json(args.weight))
+    return jsonio.ideal_to_json(initial_ideal(I, w))
+
+
+def _groebner_complex(args):
+    G = groebner_complex(_load_ideal(args), cap=args.cap)
+    return jsonio.groebner_complex_to_json(G, verbose=args.verbose)
+
+
+def _variety(args):
+    V = variety(_load_ideal(args), args.presentation, cap=args.cap)
+    return jsonio.variety_to_json(V, verbose=args.verbose)
+
+
+def _tropical_basis(args):
+    polys = tropical_basis(_load_ideal(args), cap=args.cap)
+    return {"basis": [jsonio.poly_to_json(f) for f in polys]}
+
+
+def _nullstellensatz(args):
+    return jsonio.certificate_to_json(nullstellensatz(_load_ideal(args), cap=args.cap))
+
+
+def _factor_univariate(args):
+    f = jsonio.poly_from_json(_inline_json(args.poly))
+    roots = tropical_roots(f, cap=args.cap)
+    least = least_coefficients(f, cap=args.cap)
+    return {"roots": [[str(Trop(r)), m] for r, m in roots],
+            "x_power": f.min_support_degree(),
+            "leading": str(f.coeff((f.degree(),))),
+            "least_coefficients": jsonio.poly_to_json(least)}
+
+
+def _compare(args):
+    I = _load_ideal(args)
+    J = jsonio.ideal_from_json(_read_json(args.other))
+    return dataclasses.asdict(compare(I, J, cap=args.cap))
+
+
+# How each flag parses; a flag not listed is a required string.
+_INT = {"type": int, "required": True}
+FLAGS = {"--n": _INT, "--degree": _INT,
+         "--presentation": {"choices": ("affine", "projective"), "default": "projective"},
+         "--cap": {"type": int, "default": None},
+         "--verbose": {"action": "store_true"}}
+
+# name -> (flags it reads, handler, text renderer or None).  A subcommand with
+# a text renderer also reads --output; a renderer returning None falls back to JSON.
+COMMANDS = {
+    "check-matroid": (("--matroid", "--cap"), _check_matroid,
+                      lambda o: "ok" if o["ok"] else "violation: %s" % (o["witness"],)),
+    "circuits": (("--matroid", "--cap"), _circuits, None),
+    "tropicalize": (("--input", "--degree", "--cap"), _tropicalize, None),
+    "point-ideal": (("--point", "--degree", "--cap"), _point_ideal, None),
+    "nonrealizable": (("--n", "--degree", "--cap"), _nonrealizable, None),
+    "compatibility": (("--ideal", "--cap"), _compatibility,
+                      lambda o: "ok" if o["ok"] else None),
+    "hilbert": (("--ideal", "--degree"), _hilbert, lambda o: str(o["hilbert"])),
+    "contains": (("--ideal", "--poly", "--cap"), _contains,
+                 lambda o: str(o["contains"]).lower()),
+    "initial": (("--ideal", "--weight"), _initial, None),
+    "groebner-complex": (("--ideal", "--cap", "--verbose"), _groebner_complex, _complex_text),
+    "variety": (("--ideal", "--presentation", "--cap", "--verbose"), _variety, _complex_text),
+    "tropical-basis": (("--ideal", "--cap"), _tropical_basis, None),
+    "nullstellensatz": (("--ideal", "--cap"), _nullstellensatz,
+                        lambda o: o["kind"] + (" degree=%d" % o["degree"] if "degree" in o else "")),
+    "factor-univariate": (("--poly", "--cap"), _factor_univariate, None),
+    "compare": (("--ideal", "--other", "--cap"), _compare, lambda o: o["relation"]),
+}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
         print("usage: tropideal <subcommand> [options]\nsubcommands: %s"
-              % ", ".join(SUBCOMMANDS))
+              % ", ".join(COMMANDS))
         return 0 if argv else 64
     name = argv[0]
-    if name not in SUBCOMMANDS:
+    if name not in COMMANDS:
         sys.stderr.write("unknown subcommand %r\nusage: tropideal <subcommand>; "
-                         "one of: %s\n" % (name, ", ".join(SUBCOMMANDS)))
+                         "one of: %s\n" % (name, ", ".join(COMMANDS)))
         return 64
+    flags, handler, text = COMMANDS[name]
     parser = argparse.ArgumentParser(prog="tropideal %s" % name)
-    _common(parser)
-    if name in ("check-matroid", "circuits"):
-        parser.add_argument("--matroid", required=True)
-    if name in ("compatibility", "hilbert", "contains", "initial", "groebner-complex",
-                "variety", "tropical-basis", "nullstellensatz", "compare"):
-        parser.add_argument("--ideal", required=True)
-    if name == "tropicalize":
-        parser.add_argument("--input", required=True)
-        parser.add_argument("--degree", type=int, required=True)
-    if name == "point-ideal":
-        parser.add_argument("--point", required=True)
-        parser.add_argument("--degree", type=int, required=True)
-    if name == "nonrealizable":
-        parser.add_argument("--n", type=int, required=True)
-        parser.add_argument("--degree", type=int, required=True)
-    if name == "hilbert":
-        parser.add_argument("--degree", type=int, required=True)
-    if name == "contains":
-        parser.add_argument("--poly", required=True)
-    if name == "initial":
-        parser.add_argument("--weight", required=True)
-    if name == "variety":
-        parser.add_argument("--presentation", choices=("affine", "projective"),
-                            default="projective")
-    if name == "factor-univariate":
-        parser.add_argument("--poly", required=True)
-    if name == "compare":
-        parser.add_argument("--other", required=True)
-
+    if text is not None:
+        parser.add_argument("--output", choices=("json", "text"), default="json")
+    for flag in flags:
+        parser.add_argument(flag, **FLAGS.get(flag, {"required": True}))
     try:
         args = parser.parse_args(argv[1:])
     except SystemExit as exc:
         return 2 if exc.code else 0
 
     try:
-        return _dispatch(name, args)
+        _emit(handler(args), getattr(args, "output", "json"), text)
     except SizeGuardError as exc:
         sys.stderr.write("size guard: %s\n" % (exc,))
         return 3
     except TropidealError as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return 2
-
-
-def _dispatch(name: str, args) -> int:
-    cap, fmt = args.cap, args.output
-    if name == "check-matroid":
-        M = jsonio.vmatroid_from_json(_read_json(args.matroid))
-        witness = check_valuated_exchange(M, cap=cap)
-        if witness is None:
-            _emit({"ok": True}, fmt, lambda o: "ok")
-        else:
-            A, B, a = witness
-            _emit({"ok": False,
-                   "witness": {"A": sorted(map(str, A)), "B": sorted(map(str, B)),
-                               "a": str(a)}},
-                  fmt, lambda o: "violation: %s" % (o["witness"],))
-        return 0
-
-    if name == "circuits":
-        M = jsonio.vmatroid_from_json(_read_json(args.matroid))
-        out = [[str(c) for c in H] for H in circuits(M, cap=cap)]
-        _emit({"ground": [str(e) for e in M.ground], "circuits": out}, fmt)
-        return 0
-
-    if name == "tropicalize":
-        inp = jsonio.classical_input_from_json(_read_json(args.input))
-        I = tropicalize(inp, args.degree, cap=cap)
-        _emit(jsonio.ideal_to_json(I), fmt)
-        return 0
-
-    if name == "point-ideal":
-        point = jsonio.weight_from_json(_inline_json(args.point))
-        I = point_ideal(point, args.degree, cap=cap)
-        _emit(jsonio.ideal_to_json(I), fmt)
-        return 0
-
-    if name == "nonrealizable":
-        I = nonrealizable_ideal(args.n, args.degree, cap=cap)
-        _emit(jsonio.ideal_to_json(I), fmt)
-        return 0
-
-    if name == "compatibility":
-        I = _load_ideal(args)
-        witness = check_compatibility(I, cap=cap)
-        if witness is None:
-            _emit({"ok": True}, fmt, lambda o: "ok")
-        else:
-            _emit({"ok": False, "witness": {
-                "degree": witness.degree, "variable": witness.variable,
-                "U": [jsonio._ground_label(u) for u in witness.U],
-                "V": [jsonio._ground_label(v) for v in witness.V]}}, fmt)
-        return 0
-
-    if name == "hilbert":
-        I = _load_ideal(args)
-        value = I.hilbert(args.degree)
-        _emit({"degree": args.degree, "hilbert": value}, fmt,
-              lambda o: str(o["hilbert"]))
-        return 0
-
-    if name == "contains":
-        I = _load_ideal(args)
-        f = jsonio.poly_from_json(_inline_json(args.poly))
-        _emit({"contains": contains(I, f, cap=cap)}, fmt,
-              lambda o: str(o["contains"]).lower())
-        return 0
-
-    if name == "initial":
-        I = _load_ideal(args)
-        w = jsonio.weight_from_json(_inline_json(args.weight))
-        _emit(jsonio.ideal_to_json(initial_ideal(I, w)), fmt)
-        return 0
-
-    if name == "groebner-complex":
-        I = _load_ideal(args)
-        G = groebner_complex(I, cap=cap)
-        _emit(jsonio.groebner_complex_to_json(G, verbose=args.verbose), fmt, _complex_text)
-        return 0
-
-    if name == "variety":
-        I = _load_ideal(args)
-        V = variety(I, args.presentation, cap=cap)
-        _emit(jsonio.variety_to_json(V, verbose=args.verbose), fmt, _complex_text)
-        return 0
-
-    if name == "tropical-basis":
-        I = _load_ideal(args)
-        polys = tropical_basis(I, cap=cap)
-        _emit({"basis": [jsonio.poly_to_json(f) for f in polys]}, fmt)
-        return 0
-
-    if name == "nullstellensatz":
-        I = _load_ideal(args)
-        cert = nullstellensatz(I, cap=cap)
-        _emit(jsonio.certificate_to_json(cert), fmt,
-              lambda o: o["kind"] + ("" if "degree" not in o else " degree=%d" % o["degree"]))
-        return 0
-
-    if name == "factor-univariate":
-        f = jsonio.poly_from_json(_inline_json(args.poly))
-        roots = tropical_roots(f)
-        least = least_coefficients(f)
-        low = f.min_support_degree()
-        _emit({"roots": [[str(Trop(r)), m] for r, m in roots],
-               "x_power": low,
-               "leading": str(f.coeff((f.degree(),))),
-               "least_coefficients": jsonio.poly_to_json(least)}, fmt)
-        return 0
-
-    if name == "compare":
-        I = _load_ideal(args)
-        J = jsonio.ideal_from_json(_read_json(args.other))
-        report = compare(I, J, cap=cap)
-        _emit({"relation": report.relation,
-               "hilbert_left": list(report.hilbert_left),
-               "hilbert_right": list(report.hilbert_right),
-               "equal_through_degree": report.equal_through_degree,
-               "first_difference": report.first_difference}, fmt,
-              lambda o: o["relation"])
-        return 0
-
-    raise InputError("unhandled subcommand %r" % (name,))
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Run configuration: the enumeration cap.
 
-Everything here is plain data; core operations receive the cap as an
-argument so they stay pure.
+Enumerating operations take an optional `cap` argument and charge their
+work to a `Budget`.  A `Budget(None)` reads the `TROPIDEAL_CAP` environment
+variable when it is made, so whether such a call is refused depends on the
+environment unless the caller passes the cap explicitly.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import monomials as mon
+from .config import Budget
 from .errors import DegenerateInputError, DimensionError, InputError
 from .semiring import INF, Trop, dot
 
@@ -230,16 +231,18 @@ def _univariate_coeffs(f: TropPoly) -> dict[int, Trop]:
     return {u[0]: a for u, a in f._terms.items()}
 
 
-def least_coefficients(f: TropPoly) -> TropPoly:
+def least_coefficients(f: TropPoly, cap: int | None = None) -> TropPoly:
     """The smallest-coefficient polynomial defining the same function.
 
     c_j is the minimum of b_j and all chord interpolations
     (b_i*(k-j) + b_k*(j-i)) / (k-i) over i < j < k with finite b_i, b_k;
-    the extreme coefficients are unchanged.
+    the extreme coefficients are unchanged.  The (j, i, k) steps, at most
+    (top + 1) * terms**2, are charged to the enumeration cap up front.
     """
     b = _univariate_coeffs(f)
     top = max(b)
     finite = sorted(b)
+    Budget(cap).charge((top + 1) * len(finite) ** 2, "least coefficients")
     out: dict[tuple, Trop] = {}
     for j in range(top + 1):
         best = b.get(j, INF)
@@ -256,15 +259,15 @@ def least_coefficients(f: TropPoly) -> TropPoly:
     return TropPoly(1, out)
 
 
-def tropical_roots(f: TropPoly) -> list[tuple[Fraction, int]]:
+def tropical_roots(f: TropPoly, cap: int | None = None) -> list[tuple[Fraction, int]]:
     """Finite tropical roots with multiplicities, sorted by root value.
 
     A root is a point where the univariate minimum is attained at least
     twice; its multiplicity is the gap between the extreme attaining
     exponents.  The multiplicities plus the lowest support exponent sum to
-    the top exponent.
+    the top exponent.  The cap bounds the work of `least_coefficients`.
     """
-    g = least_coefficients(f)
+    g = least_coefficients(f, cap)
     c = _univariate_coeffs(g)
     low, high = min(c), max(c)
     roots: list[tuple[Fraction, int]] = []

@@ -3,13 +3,15 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropideal import jsonio
+from tropideal import cli, jsonio
 from tropideal.errors import ParseError
 from tropideal.ideals import (ClassicalInput, QPoly, Valuation,
                               nonrealizable_ideal, point_ideal, tropicalize)
@@ -410,3 +412,68 @@ def test_cli_env_cap(tmp_path):
         [sys.executable, "-m", "tropideal.cli", "nonrealizable", "--n", "2", "--degree", "3"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 3
+
+
+# Subcommand table ------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("args", [
+    ["hilbert", "--ideal", "-", "--degree", "1", "--verbose"],
+    ["initial", "--ideal", "-", "--weight", '["0", "0"]', "--cap", "5"],
+    ["factor-univariate", *_poly_arg([1]), "--verbose"],
+    ["circuits", "--matroid", "-", "--output", "text"],
+    ["tropicalize", "--input", "-", "--degree", "1", "--output", "json"],
+    ["point-ideal", "--point", '["0", "3"]', "--degree", "2", "--verbose"],
+], ids=["hilbert-verbose", "initial-cap", "factor-univariate-verbose", "circuits-output",
+        "tropicalize-output", "point-ideal-verbose"])
+def test_cli_rejects_flags_a_subcommand_does_not_read(args):
+    proc = run_cli(args, stdin="")
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr and proc.stdout == ""
+
+
+def test_cli_without_arguments_and_help(capsys):
+    assert cli.main([]) == 64
+    assert cli.main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in cli.COMMANDS)
+
+
+def test_cli_compatibility_text_of_a_failing_ideal_is_json():
+    proc = run_cli(["compatibility", "--ideal", str(GOLDEN / "inputs" / "incompatible.json"),
+                    "--output", "text"])
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "compatibility-failing.out").read_text()
+
+
+@pytest.mark.parametrize("raw", [b'{"ground": ["a\xff"]}', b"[" * 100_000],
+                         ids=["not-utf8", "nested-100000"])
+def test_cli_undecodable_json_exits_2(tmp_path, raw):
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    proc = run_cli(["circuits", "--matroid", str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def _two_term_poly(top):
+    return ["--poly", json.dumps({"vars": 1, "terms": [{"exp": [top], "coeff": "0"},
+                                                       {"exp": [0], "coeff": "1"}]})]
+
+
+def test_cli_factor_univariate_charges_the_cap(capsys, monkeypatch):
+    monkeypatch.delenv("TROPIDEAL_CAP", raising=False)
+    # first in a child with a timeout: without the charge this run takes minutes and gigabytes
+    argv = ["factor-univariate", *_two_term_poly(10 ** 7)]
+    proc = subprocess.run([sys.executable, "-m", "tropideal.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3 and proc.stderr.startswith("size guard: ")
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert cli.main(["factor-univariate", *_two_term_poly(10 ** 3), "--cap", "1000"]) == 3
+    assert capsys.readouterr().err.startswith("size guard: ")
+    assert cli.main(["factor-univariate", *_two_term_poly(10 ** 3)]) == 0
+

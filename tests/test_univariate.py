@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropideal.errors import DegenerateInputError
+from tropideal.errors import DegenerateInputError, SizeGuardError
 from tropideal.polynomials import (TropPoly, least_coefficients,
                                    poly_from_roots, tropical_roots)
 from tropideal.semiring import Trop
@@ -124,3 +124,11 @@ def test_empty_polynomial_rejected():
         least_coefficients(TropPoly.infinity(1))
     with pytest.raises(DegenerateInputError):
         tropical_roots(TropPoly.infinity(1))
+
+
+def test_least_coefficients_charges_the_cap():
+    f = U([(10 ** 3, 0), (0, 1)])
+    for run in (least_coefficients, tropical_roots):
+        with pytest.raises(SizeGuardError):
+            run(f, cap=4003)
+        run(f, cap=4004)  # (top + 1) * terms**2 steps
