@@ -149,8 +149,8 @@ def _nullstellensatz(args):
 
 def _factor_univariate(args):
     f = jsonio.poly_from_json(_inline_json(args.poly))
-    roots = tropical_roots(f, cap=args.cap)
     least = least_coefficients(f, cap=args.cap)
+    roots = tropical_roots(f)
     return {"roots": [[str(Trop(r)), m] for r, m in roots],
             "x_power": f.min_support_degree(),
             "leading": str(f.coeff((f.degree(),))),

@@ -282,14 +282,9 @@ def _layer_from_row_space(ground: Sequence[tuple], pivots: list[int],
     and columns named by their ground index.
     """
     N = len(ground)
-    k = len(pivots)
-    if k == 0:
-        return VMatroid(ground, N, {(1 << N) - 1: 0})
     free = [c for c in range(N) if c not in set(pivots)]
-    if not free:
-        return VMatroid(ground, 0, {0: 0})
     vd = valuation.of_int(d)
-    corank = N - k
+    corank = len(free)
     budget.charge(math.comb(N, corank), "tropicalization minors")
     # the A-block, scaled by d: row i sits at pivot column pivots[i]
     rows = [(p, [(c, reduced[i][c]) for c in free if reduced[i][c]])
@@ -599,12 +594,8 @@ def compare(I: TruncIdeal, J: TruncIdeal, cap: int | None = None) -> CompareRepo
     hv_i = tuple(I.hilbert(d) for d in range(D + 1))
     hv_j = tuple(J.hilbert(d) for d in range(D + 1))
     equal_layers = [I.layers[d] == J.layers[d] for d in range(D + 1)]
-    equal_through = -1
-    for d in range(D + 1):
-        if not equal_layers[d]:
-            break
-        equal_through = d
     first_diff = next((d for d in range(D + 1) if not equal_layers[d]), None)
+    equal_through = D if first_diff is None else first_diff - 1
 
     inc_ij = included(I, J)
     inc_ji = included(J, I)

@@ -378,19 +378,13 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
     if f.is_inf:
         cells.append(Cell(ambient, sigma, [], [], label="inf"))
         return complex_
-    merged: dict[tuple, Fraction] = {}
-    for u, c in f.terms():
-        proj = tuple(u[i] for i in free)
-        cv = c.value
-        if proj not in merged or cv < merged[proj]:
-            merged[proj] = cv
-    scale = lcm(*(c.denominator for c in merged.values()))
-    terms = sorted((u, c.numerator * (scale // c.denominator)) for u, c in merged.items())
-    full_exp = {proj: tuple(0 if i in sigma else proj[free.index(i)] for i in range(ambient))
-                for proj, _ in terms}
+    # no term uses sigma, so u's lex order is that of its free coordinates
+    full = sorted((u, c.value) for u, c in f.terms())
+    scale = lcm(*(c.denominator for _, c in full))
+    terms = [(tuple(u[i] for i in free), c.numerator * (scale // c.denominator)) for u, c in full]
 
     def label_of(T):
-        return frozenset(full_exp[terms[t][0]] for t in T)
+        return frozenset(full[t][0] for t in T)
 
     m = len(free)
     vertices = []

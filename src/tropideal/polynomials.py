@@ -231,58 +231,57 @@ def _univariate_coeffs(f: TropPoly) -> dict[int, Trop]:
     return {u[0]: a for u, a in f._terms.items()}
 
 
+def _lower_hull(b: dict[int, Trop]) -> list[tuple[int, Fraction]]:
+    """Vertices (j, b_j) of the lower convex hull of the points, by increasing j.
+
+    Andrew's monotone chain, exact in Fractions: a point on or above the
+    segment between its neighbours is popped, so consecutive edges have
+    strictly increasing slopes.
+    """
+    hull: list[tuple[int, Fraction]] = []
+    for k in sorted(b):
+        yk = b[k].value
+        while len(hull) >= 2:
+            (i, yi), (j, yj) = hull[-2], hull[-1]
+            if (yj - yi) * (k - i) < (yk - yi) * (j - i):
+                break
+            hull.pop()
+        hull.append((k, yk))
+    return hull
+
+
 def least_coefficients(f: TropPoly, cap: int | None = None) -> TropPoly:
     """The smallest-coefficient polynomial defining the same function.
 
-    c_j is the minimum of b_j and all chord interpolations
+    c_j is the value at j of the lower hull of the points (j, b_j), which
+    is the minimum of b_j and all chord interpolations
     (b_i*(k-j) + b_k*(j-i)) / (k-i) over i < j < k with finite b_i, b_k;
-    the extreme coefficients are unchanged.  The (j, i, k) steps, at most
-    (top + 1) * terms**2, are charged to the enumeration cap up front.
+    the extreme coefficients are unchanged.  The cap is charged
+    (top + 1) * terms**2 up front, the (j, i, k) steps of that chord scan.
     """
     b = _univariate_coeffs(f)
-    top = max(b)
-    finite = sorted(b)
-    Budget(cap).charge((top + 1) * len(finite) ** 2, "least coefficients")
-    out: dict[tuple, Trop] = {}
-    for j in range(top + 1):
-        best = b.get(j, INF)
-        for i in finite:
-            if i >= j:
-                break
-            for k in finite:
-                if k <= j:
-                    continue
-                chord = Trop(Fraction(b[i].value * (k - j) + b[k].value * (j - i), k - i))
-                best = best + chord
-        if not best.is_inf:
-            out[(j,)] = best
+    Budget(cap).charge((max(b) + 1) * len(b) ** 2, "least coefficients")
+    hull = _lower_hull(b)
+    low, y_low = hull[0]
+    out = {(low,): Trop(y_low)}
+    for (i, yi), (k, yk) in zip(hull, hull[1:]):
+        slope = (yk - yi) / (k - i)
+        for j in range(i + 1, k + 1):
+            out[(j,)] = Trop(yi + slope * (j - i))
     return TropPoly(1, out)
 
 
-def tropical_roots(f: TropPoly, cap: int | None = None) -> list[tuple[Fraction, int]]:
+def tropical_roots(f: TropPoly) -> list[tuple[Fraction, int]]:
     """Finite tropical roots with multiplicities, sorted by root value.
 
     A root is a point where the univariate minimum is attained at least
     twice; its multiplicity is the gap between the extreme attaining
-    exponents.  The multiplicities plus the lowest support exponent sum to
-    the top exponent.  The cap bounds the work of `least_coefficients`.
+    exponents.  Each lower hull edge of the points (j, b_j) gives one
+    root, minus its slope, with the edge width as multiplicity, so the
+    multiplicities plus the lowest support exponent sum to the top exponent.
     """
-    g = least_coefficients(f, cap)
-    c = _univariate_coeffs(g)
-    low, high = min(c), max(c)
-    roots: list[tuple[Fraction, int]] = []
-    j = low
-    while j < high:
-        # slopes are nondecreasing after least_coefficients; one run = one root
-        slope = c[j + 1].value - c[j].value
-        k = j + 1
-        while k < high and c[k + 1].value - c[k].value == slope:
-            k += 1
-        roots.append((-slope, k - j))
-        j = k
-    roots.sort(key=lambda rm: rm[0])
-    assert sum(m for _, m in roots) + low == high
-    return roots
+    hull = _lower_hull(_univariate_coeffs(f))
+    return sorted((-(yk - yi) / (k - i), k - i) for (i, yi), (k, yk) in zip(hull, hull[1:]))
 
 
 def poly_from_roots(leading: Trop, roots, x_power: int = 0) -> TropPoly:

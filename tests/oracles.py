@@ -1,11 +1,16 @@
-"""Reference helpers shared by the test modules: point charts and membership.
+"""Reference helpers shared by the test modules: point charts, membership
+and the univariate chord scan.
 
 These are oracles, not library API: they read a cell's rows with plain
 Fractions, so the integer kernels in tropideal.polyhedra can be checked
-against them.
+against them, and they take the least coefficients of a univariate
+polynomial by brute force, so the lower hull in tropideal.polynomials can be.
 """
 
 from fractions import Fraction
+
+from tropideal.polynomials import TropPoly
+from tropideal.semiring import INF, Trop
 
 
 def weight_to_cell_coords(cell, w, quotiented):
@@ -44,3 +49,26 @@ def contains_by_fractions(cell, point, relint):
         elif v > r or (relint and v == r):
             return False
     return True
+
+
+def least_coefficients_by_chords(f):
+    """c_j = min(b_j, every chord (b_i*(k-j) + b_k*(j-i)) / (k-i), i < j < k)
+    for j up to the top exponent, over the finite coefficients b of the
+    univariate f: O(top * terms**2) steps."""
+    b = {u[0]: a for u, a in f.terms()}
+    top = max(b)
+    finite = sorted(b)
+    out = {}
+    for j in range(top + 1):
+        best = b.get(j, INF)
+        for i in finite:
+            if i >= j:
+                break
+            for k in finite:
+                if k <= j:
+                    continue
+                chord = Trop(Fraction(b[i].value * (k - j) + b[k].value * (j - i), k - i))
+                best = best + chord
+        if not best.is_inf:
+            out[(j,)] = best
+    return TropPoly(1, out)

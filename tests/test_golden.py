@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -96,8 +95,7 @@ def run_case(argv) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, monkeypatch):
-    monkeypatch.delenv("TROPIDEAL_CAP", raising=False)
+def test_golden(name):
     argv, expected_code = CASES[name]
     code, out = run_case(argv)
     assert code == expected_code
@@ -111,7 +109,6 @@ if __name__ == "__main__":
     unknown = [name for name in names if name not in CASES]
     if unknown:
         sys.exit("unknown case: %s" % ", ".join(unknown))
-    os.environ.pop("TROPIDEAL_CAP", None)
     for name in names:
         argv, expected_code = CASES[name]
         code, out = run_case(argv)

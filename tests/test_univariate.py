@@ -1,8 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import least_coefficients_by_chords
 from tropideal.errors import DegenerateInputError, SizeGuardError
 from tropideal.polynomials import (TropPoly, least_coefficients,
                                    poly_from_roots, tropical_roots)
@@ -128,7 +132,40 @@ def test_empty_polynomial_rejected():
 
 def test_least_coefficients_charges_the_cap():
     f = U([(10 ** 3, 0), (0, 1)])
-    for run in (least_coefficients, tropical_roots):
-        with pytest.raises(SizeGuardError):
-            run(f, cap=4003)
-        run(f, cap=4004)  # (top + 1) * terms**2 steps
+    with pytest.raises(SizeGuardError):
+        least_coefficients(f, cap=4003)
+    least_coefficients(f, cap=4004)  # (top + 1) * terms**2 steps
+
+
+def test_tropical_roots_of_a_wide_binomial_is_one_edge():
+    f = U([(10 ** 7, 0), (0, 1)])
+    start = time.perf_counter()
+    assert tropical_roots(f) == [(Fraction(1, 10 ** 7), 10 ** 7)]
+    assert time.perf_counter() - start < 0.1
+
+
+@st.composite
+def sparse_univariate(draw):
+    """Up to 12 exponents in 0..60 with rational coefficients: some on one
+    common line, the rest off it, and up to three middle points of triples
+    moved onto their chord."""
+    exps = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=12)))
+    ratio = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    base, slope = draw(ratio), draw(ratio)
+    b = {e: base + slope * e + draw(st.one_of(st.just(Fraction(0)), ratio)) for e in exps}
+    if len(exps) >= 3:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j, k = sorted(draw(st.lists(st.sampled_from(exps), min_size=3, max_size=3,
+                                           unique=True)))
+            b[j] = (b[i] * (k - j) + b[k] * (j - i)) / (k - i)
+    return U(b.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_univariate())
+def test_hull_matches_the_chord_scan(f):
+    expected = least_coefficients_by_chords(f)
+    assert least_coefficients(f) == expected
+    exps = [u[0] for u in f.support()]
+    leading = f.coeff((max(exps),))
+    assert poly_from_roots(leading, tropical_roots(f), x_power=min(exps)) == expected
