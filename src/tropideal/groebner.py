@@ -3,11 +3,13 @@
 The weight space of a truncated ideal decomposes, stratum by stratum, into
 cells on which every degenerated layer is constant.  Each stratum's
 decomposition is the common refinement of the normal complexes of one
-polynomial per degree.  A cell's fingerprint, its tower of degenerated
-layers, is read off the tie sets in its label (the initial matroids are
-the faces of the regular subdivision the coefficients induce; Speyer,
-"Tropical linear spaces", 2008); its exact interior witness is only
-reported.  Everything is reported for the truncation only.
+polynomial per degree, read with its basis table straight off the
+layer's sigma-face (ideals._basis_table; no contracted matroid is built).
+A cell's fingerprint, its tower of degenerated layers, is read off the tie
+sets in its label (the initial matroids are the faces of the regular
+subdivision the coefficients induce; Speyer, "Tropical linear spaces",
+2008); its exact interior witness is only reported.  Everything is
+reported for the truncation only.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, InvariantViolationError, SizeGuardError
-from .ideals import TruncIdeal, _contract_sigma, _sigma_mask
-from .matroids import (VMatroid, _bits, _fundamental_circuit_idx, _lift_index,
-                       _loops_mask, lex_min_basis_of_subset)
+from .ideals import TruncIdeal, _basis_table, _sigma_mask
+from .matroids import (_bits, _fundamental_circuit_idx, _loops_mask,
+                       lex_min_basis_of_subset)
 from .polyhedra import (Cell, PolyComplex, fm_solve, normal_complex,
                         quotient_lineality, refine)
 from .polynomials import TropPoly
@@ -36,35 +37,7 @@ def groebner_poly(I: TruncIdeal, d: int, sigma=()) -> TropPoly:
     exponent the sum of the remaining monomials.  Equal exponents merge by
     minimum.
     """
-    return _basis_table(I.num_vars, *_contract_sigma(I.layer(d), frozenset(sigma)))[0]
-
-
-def _basis_table(num_vars: int, C: VMatroid, smask: int) -> tuple[TropPoly, dict]:
-    """The stratum polynomial of the contracted layer C, and its basis table:
-    per exponent e = total - sum_B u, the least p(B) and the bases attaining
-    it as masks over the whole layer, OR'ed with smask.  At a weight w the
-    initial matroid's bases minimize p(B) + w.e, so they are the entries of
-    the exponents that tie at w.  Exponents are packed into fixed-width int
-    fields; no field borrows, as sum_B u <= total.
-    """
-    total = [sum(u[i] for u in C.ground) for i in range(num_vars)]
-    width = max(total).bit_length()
-    packed = [sum(e << (width * i) for i, e in enumerate(u)) for u in C.ground]
-    keep = _lift_index(smask, len(C.ground))
-    best: dict[int, tuple[int, list[int]]] = {}
-    for mask, p in C.int_valuation_items():
-        s, full = 0, smask
-        for j in _bits(mask):
-            s += packed[j]
-            full |= 1 << keep[j]
-        old = best.get(s)
-        if old is None or p < old[0]:
-            best[s] = (p, [full])
-        elif p == old[0]:
-            old[1].append(full)
-    table = {tuple(t - ((s >> (width * i)) & ((1 << width) - 1)) for i, t in enumerate(total)):
-             (Fraction(p, C.den), frozenset(masks)) for s, (p, masks) in best.items()}
-    return TropPoly(num_vars, {e: Trop(p) for e, (p, _) in table.items()}), table
+    return _basis_table(I.layer(d), I.num_vars, frozenset(sigma))[0]
 
 
 @dataclass
@@ -108,9 +81,9 @@ def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
 
     Per stratum this is the common refinement of the normal complexes of
     the degree-d stratum polynomials for all d up to the bound.  Each layer
-    is contracted once per stratum into a basis table, which gives the
-    stratum polynomial and, in degree d, a cell's fingerprint: the bases of
-    the exponents in its degree-d tie set.  The exact interior witness is
+    is read once per stratum into a basis table, which gives the stratum
+    polynomial and, in degree d, a cell's fingerprint: the bases of the
+    exponents in its degree-d tie set.  The exact interior witness is
     only reported.  Cells with equal fingerprints are grouped, never merged.
     """
     nv = I.num_vars
@@ -118,8 +91,7 @@ def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
     for size in range(nv + 1):
         for sig in itertools.combinations(range(nv), size):
             sigma = frozenset(sig)
-            polys, tables = zip(*(_basis_table(nv, *_contract_sigma(M, sigma))
-                                  for M in I.layers))
+            polys, tables = zip(*(_basis_table(M, nv, sigma) for M in I.layers))
             complexes = []
             for d, f in enumerate(polys):
                 try:

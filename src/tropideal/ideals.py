@@ -19,8 +19,8 @@ from .config import Budget
 from .errors import (DimensionError, InputError, InvariantViolationError,
                      OutOfRangeError)
 from .linalg import echelon
-from .matroids import (VMatroid, _bits, _lift_index, _mask_of, circuits, contract,
-                       initial_matroid, is_vector)
+from .matroids import (VMatroid, _bits, _mask_of, circuits, is_vector,
+                       lex_min_basis_of_subset)
 from .polynomials import TropPoly
 from .semiring import INF, Trop, all_infinite, dot, weight_sigma
 
@@ -134,12 +134,6 @@ class QPoly:
             for v, b in other.coeffs.items():
                 w = mon.mul(u, v)
                 data[w] = data.get(w, Fraction(0)) + a * b
-        return QPoly(self.num_vars, data)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        data = dict(self.coeffs)
-        for u, c in other.coeffs.items():
-            data[u] = data.get(u, Fraction(0)) - c
         return QPoly(self.num_vars, data)
 
     def trop(self, valuation: Valuation) -> TropPoly:
@@ -514,29 +508,43 @@ def _sigma_mask(ground: Sequence[tuple], sigma) -> int:
     return _mask_of(i for i, u in enumerate(ground) if mon.uses_sigma(u, sigma))
 
 
-def _contract_sigma(M: VMatroid, sigma) -> tuple[VMatroid, int]:
-    """M contracted by its sigma-monomials, and their mask; see _initial_bases."""
-    smask = _sigma_mask(M.ground, sigma)
-    return contract(M, smask), smask
+def _basis_table(M: VMatroid, num_vars: int, sigma) -> tuple[TropPoly, dict]:
+    """The stratum polynomial of the layer M on the stratum sigma, and its
+    basis table.
 
-
-def _initial_bases(C: VMatroid, smask: int, w: Sequence[Trop]) -> frozenset[int]:
-    """The bases of the initial matroid at w, as masks over the whole layer.
-
-    (C, smask) is _contract_sigma of the layer for sigma the infinite
-    coordinates of w.  C is degenerated by the finite weight w.u, and every
-    basis then takes the sigma-monomials back as coloops.
+    With S the sigma-monomials and B_S the least basis of M restricted to S,
+    the layer contracted by S has a basis B - B_S for each basis B of M with
+    B & S == B_S (the sigma-face of M), valued p(B) up to a global shift.
+    The table maps each exponent e = total - sum of u over B - B_S (total
+    summing the monomials outside S) to the least p(B), less the least kept
+    p, and the masks B | S of the bases attaining it.  At a weight w infinite
+    exactly on sigma the initial matroid's bases minimize p(B) + w.e, so they
+    are the entries of the exponents that tie at w; S returns as coloops.
+    Exponents are packed into fixed-width int fields; no field borrows, as
+    the sum over B - B_S is at most total.
     """
-    finite = [0 if x.is_inf else x.value for x in w]  # u is 0 on sigma
-    N = initial_matroid(C, [sum(a * e for a, e in zip(finite, u)) for u in C.ground])
-    keep = _lift_index(smask, len(C.ground))
-    return frozenset(smask | _mask_of(keep[j] for j in _bits(B)) for B in N.basis_masks())
-
-
-def _initial_layers(I: TruncIdeal, w: Sequence[Trop]) -> list[VMatroid]:
-    sigma = weight_sigma(w)
-    return [VMatroid.from_bases(M.ground, _initial_bases(*_contract_sigma(M, sigma), w))
-            for M in I.layers]
+    S = _sigma_mask(M.ground, sigma)
+    BS = lex_min_basis_of_subset(M, S)
+    outside = [u for j, u in enumerate(M.ground) if not (S >> j) & 1]
+    total = [sum(u[i] for u in outside) for i in range(num_vars)]
+    width = max(total).bit_length()
+    packed = [sum(e << (width * i) for i, e in enumerate(u)) for u in M.ground]
+    best: dict[int, tuple[int, list[int]]] = {}
+    for B, p in M.int_valuation_items():
+        if B & S != BS:
+            continue
+        s = 0
+        for j in _bits(B ^ BS):
+            s += packed[j]
+        old = best.get(s)
+        if old is None or p < old[0]:
+            best[s] = (p, [B | S])
+        elif p == old[0]:
+            old[1].append(B | S)
+    low = min(p for p, _ in best.values())
+    table = {tuple(t - ((s >> (width * i)) & ((1 << width) - 1)) for i, t in enumerate(total)):
+             (Fraction(p - low, M.den), frozenset(masks)) for s, (p, masks) in best.items()}
+    return TropPoly(num_vars, {e: Trop(p) for e, (p, _) in table.items()}), table
 
 
 def initial_ideal(I: TruncIdeal, w: Sequence[Trop]) -> TruncIdeal:
@@ -544,7 +552,8 @@ def initial_ideal(I: TruncIdeal, w: Sequence[Trop]) -> TruncIdeal:
 
     In each degree the monomials supported on the infinite coordinates of w
     are contracted away, the rest is degenerated by the induced weight
-    w.u, and the contracted monomials return as coloops.
+    w.u, and the contracted monomials return as coloops: the bases are the
+    basis-table entries of the stratum polynomial's initial form at w.
     """
     w = tuple(x if isinstance(x, Trop) else Trop(x) for x in w)
     if len(w) != I.num_vars:
@@ -552,7 +561,12 @@ def initial_ideal(I: TruncIdeal, w: Sequence[Trop]) -> TruncIdeal:
                              % (len(w), I.num_vars))
     if all_infinite(w):
         raise InputError("initial ideal needs a weight with a finite coordinate")
-    return TruncIdeal(I.num_vars, _initial_layers(I, w), mode="boolean")
+    sigma, layers = weight_sigma(w), []
+    for M in I.layers:
+        f, table = _basis_table(M, I.num_vars, sigma)
+        layers.append(VMatroid.from_bases(
+            M.ground, frozenset().union(*(table[e][1] for e in f.initial_form(w)))))
+    return TruncIdeal(I.num_vars, layers, mode="boolean")
 
 
 def boolean_image(I: TruncIdeal) -> TruncIdeal:

@@ -216,9 +216,13 @@ def ideal_from_json(obj) -> TruncIdeal:
         raise ParseError("degree_bound %d but %d layers" % (D, len(layer_objs)))
     layers = []
     for d, lobj in enumerate(layer_objs):
+        labels = _expect(lobj, "ground", list, "layer %d" % d)
+        # the size first, so a short ground never lists comb(nv + d - 1, d) monomials;
+        # nv < 1 is left to monomials_of_degree, as math.comb refuses negatives
+        if nv >= 1 and len(labels) != math.comb(nv + d - 1, d):
+            raise ParseError("layer %d ground is not the canonical degree-%d list" % (d, d))
         ground = tuple(mon.monomials_of_degree(nv, d))
-        labels = [_ground_label(u) for u in ground]
-        if _expect(lobj, "ground", list, "layer %d" % d) != labels:
+        if labels != [_ground_label(u) for u in ground]:
             raise ParseError("layer %d ground is not the canonical degree-%d list" % (d, d))
         layers.append(vmatroid_from_json(lobj, ground=ground))
     return TruncIdeal(nv, layers, mode=mode)

@@ -40,11 +40,6 @@ def _mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def _lift_index(smask: int, n: int) -> list[int]:
-    """Per element of the n-element contraction by smask, its index before contracting."""
-    return [i for i in range(n + smask.bit_count()) if not (smask >> i) & 1]
-
-
 def _loops_mask(masks: Iterable[int], n: int) -> int:
     """The elements of range(n) in none of the given basis masks."""
     union = 0
@@ -500,7 +495,7 @@ def contract(M: VMatroid, A) -> VMatroid:
     if amask == 0:
         return M
     BA = lex_min_basis_of_subset(M, amask)
-    keep = _lift_index(amask, len(M.ground) - amask.bit_count())
+    keep = [i for i in range(len(M.ground)) if not (amask >> i) & 1]
     ground = tuple(M.ground[i] for i in keep)
     newrank = M.rank - BA.bit_count()
     val: dict[int, int] = {}

@@ -51,10 +51,6 @@ class TropPoly:
     def monomial(cls, num_vars: int, u, coeff=Trop(0)) -> "TropPoly":
         return cls(num_vars, {tuple(u): coeff})
 
-    @classmethod
-    def constant(cls, num_vars: int, coeff) -> "TropPoly":
-        return cls(num_vars, {(0,) * num_vars: coeff})
-
     # Basic views ----------------------------------------------------------
 
     @property
@@ -139,14 +135,6 @@ class TropPoly:
     def times_monomial(self, v) -> "TropPoly":
         v = tuple(v)
         return TropPoly(self.num_vars, {mon.mul(u, v): a for u, a in self._terms.items()})
-
-    def __pow__(self, n: int) -> "TropPoly":
-        if n < 0:
-            raise InputError("negative power")
-        out = TropPoly.constant(self.num_vars, Trop(0))
-        for _ in range(n):
-            out = out * self
-        return out
 
     # Evaluation and initial forms -------------------------------------------
 

@@ -102,7 +102,6 @@ def parse_ratio(text) -> tuple[int, int]:
 
 
 INF = Trop(None)
-ZERO = Trop(0)  # multiplicative identity
 
 
 def tsum(values: Iterable[Trop]) -> Trop:

@@ -1,16 +1,21 @@
-"""Reference helpers shared by the test modules: point charts, membership
-and the univariate chord scan.
+"""Reference helpers shared by the test modules: point charts, membership,
+the univariate chord scan, and stratum polynomials and initial towers by
+contraction.
 
 These are oracles, not library API: they read a cell's rows with plain
 Fractions, so the integer kernels in tropideal.polyhedra can be checked
-against them, and they take the least coefficients of a univariate
-polynomial by brute force, so the lower hull in tropideal.polynomials can be.
+against them; they take the least coefficients of a univariate polynomial
+by brute force, so the lower hull in tropideal.polynomials can be; and they
+build each stratum from the public contract and initial_matroid on ground
+labels, so the basis table that reads the sigma-face off the layer can be.
 """
 
 from fractions import Fraction
 
+from tropideal.matroids import VMatroid, contract, initial_matroid
+from tropideal.monomials import uses_sigma
 from tropideal.polynomials import TropPoly
-from tropideal.semiring import INF, Trop
+from tropideal.semiring import INF, Trop, dot, weight_sigma
 
 
 def weight_to_cell_coords(cell, w, quotiented):
@@ -72,3 +77,37 @@ def least_coefficients_by_chords(f):
         if not best.is_inf:
             out[(j,)] = best
     return TropPoly(1, out)
+
+
+def stratum_poly_by_contraction(I, d, sigma):
+    """The degree-d stratum polynomial on sigma: contract the layer by its
+    sigma-monomials, and give each basis B of the contraction the term
+    p(B) x^e, e the sum of the contraction's ground outside B; equal
+    exponents merge by minimum."""
+    M = I.layer(d)
+    C = contract(M, [u for u in M.ground if uses_sigma(u, sigma)])
+    terms = {}
+    for mask, p in C.valuation_items():
+        outside = [u for i, u in enumerate(C.ground) if not (mask >> i) & 1]
+        e = tuple(sum(u[i] for u in outside) for i in range(I.num_vars))
+        if e not in terms or p < terms[e]:
+            terms[e] = p
+    return TropPoly(I.num_vars, {e: Trop(p) for e, p in terms.items()})
+
+
+def initial_layers_by_label_sets(I, w):
+    """The initial tower at the weight w by ground labels.
+
+    Contract each layer by its sigma-monomials given as labels, weight the
+    rest by the tropical dot product w.u, and add the sigma-monomials back
+    to every basis as a label set.
+    """
+    sigma = weight_sigma(w)
+    layers = []
+    for M in I.layers:
+        sigma_mons = [u for u in M.ground if uses_sigma(u, sigma)]
+        C = contract(M, sigma_mons)
+        N = initial_matroid(C, [dot(w, u).value for u in C.ground])
+        bases = [set(B) | set(sigma_mons) for B in N.bases_as_sets()]
+        layers.append(VMatroid.from_bases(M.ground, bases))
+    return layers

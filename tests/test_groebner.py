@@ -3,21 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropideal.groebner import (groebner_complex, groebner_poly,
                                 nullstellensatz, tropical_basis, variety,
                                 variety_supports_equal)
-from tropideal.ideals import (ClassicalInput, QPoly, Valuation, _contract_sigma,
-                              _initial_bases, _initial_layers, nonrealizable_ideal,
-                              point_ideal, tropicalize)
-from tropideal.matroids import _loops_mask, circuits
+from tropideal.ideals import (ClassicalInput, QPoly, Valuation, initial_ideal,
+                              nonrealizable_ideal, point_ideal, tropicalize)
+from tropideal.matroids import circuits
 from tropideal.polyhedra import fm_solve
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
-from oracles import contains_by_fractions, weight_to_cell_coords
+from oracles import (contains_by_fractions, initial_layers_by_label_sets,
+                     stratum_poly_by_contraction, weight_to_cell_coords)
 
 
 def line_ideal(D=1):
@@ -135,20 +135,21 @@ def test_witness_stability_on_cells():
         checked += 1
         coords = dict(zip(gc.cell.free, other))
         w = tuple(INF if i in sigma else Trop(coords[i]) for i in range(3))
-        layers = _initial_layers(I, w)
+        layers = initial_ideal(I, w).layers
         assert tuple(frozenset(M.basis_masks()) for M in layers) == gc.fingerprint
     assert checked == G.cell_count() - 1
 
 
 def assert_fingerprints_match_initial_bases(I):
     """Oracle: each cell's label-read fingerprint and in_variety against the
-    initial matroids that _initial_bases computes at the cell's witness."""
+    initial matroids that initial_layers_by_label_sets builds at the cell's
+    witness by contracting on ground labels."""
     G = groebner_complex(I)
     for sigma, gc in G.all_cells():
-        want = tuple(_initial_bases(*_contract_sigma(M, sigma), gc.witness) for M in I.layers)
+        layers = initial_layers_by_label_sets(I, gc.witness)
+        want = tuple(frozenset(N.basis_masks()) for N in layers)
         assert gc.fingerprint == want, (sorted(sigma), gc.cell.label)
-        has_loop = any(_loops_mask(bases, len(M.ground)) for bases, M in zip(want, I.layers))
-        assert gc.in_variety == (not has_loop)
+        assert gc.in_variety == (not any(N.loops() for N in layers))
 
 
 @pytest.mark.parametrize("D", [2, 3, 4])
@@ -156,19 +157,22 @@ def test_fingerprints_match_initial_bases_on_towers(D):
     assert_fingerprints_match_initial_bases(nonrealizable_ideal(2, D))
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 3).flatmap(lambda nv: st.lists(
+# points in 2 or 3 coordinates, inf and fractions with denominators up to 3 included
+points = st.integers(2, 3).flatmap(lambda nv: st.lists(
     st.one_of(st.just(INF), st.builds(Trop, st.builds(Fraction, st.integers(-6, 6),
                                                       st.integers(1, 3)))),
-    min_size=nv, max_size=nv).filter(lambda a: not all(x.is_inf for x in a))),
-    st.integers(0, 4))
+    min_size=nv, max_size=nv).filter(lambda a: not all(x.is_inf for x in a)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(points, st.integers(0, 4))
 def test_fingerprints_match_initial_bases_on_point_ideals(a, D):
     assert_fingerprints_match_initial_bases(point_ideal(tuple(a), D))
 
 
 @st.composite
-def small_classical_inputs(draw):
-    """One or two homogeneous generators in three variables, 2- or 5-adic."""
+def small_classical_inputs(draw, primes=(2, 5)):
+    """One or two homogeneous generators in three variables, p-adic for a p in primes."""
     deg = draw(st.integers(1, 2))
     monos = [u for u in itertools.product(range(deg + 1), repeat=3) if sum(u) == deg]
     coeff = st.sampled_from([1, -1, 2, -3, 4, 5, 10, 25])
@@ -176,7 +180,7 @@ def small_classical_inputs(draw):
     for _ in range(draw(st.integers(1, 1 if deg == 2 else 2))):
         support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
         gens.append(QPoly(3, {u: draw(coeff) for u in support}))
-    return ClassicalInput(tuple(gens), Valuation("padic", draw(st.sampled_from([2, 5])))), deg
+    return ClassicalInput(tuple(gens), Valuation("padic", draw(st.sampled_from(primes)))), deg
 
 
 @settings(max_examples=15, deadline=None)
@@ -184,6 +188,29 @@ def small_classical_inputs(draw):
 def test_fingerprints_match_initial_bases_on_tropicalized_inputs(case, extra):
     inp, deg = case
     assert_fingerprints_match_initial_bases(tropicalize(inp, deg + extra))
+
+
+@st.composite
+def stratum_oracle_ideals(draw):
+    """A point ideal, a divisibility tower or a 5-adic tropicalization."""
+    kind = draw(st.sampled_from(["point", "tower", "padic"]))
+    if kind == "point":
+        return point_ideal(tuple(draw(points)), draw(st.integers(0, 3)))
+    if kind == "tower":
+        return nonrealizable_ideal(*draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 2)])))
+    inp, deg = draw(small_classical_inputs(primes=(5,)))
+    return tropicalize(inp, deg + draw(st.integers(0, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stratum_oracle_ideals())
+@example(point_ideal((Trop(0), Trop(Fraction(1, 2)), INF), 3))  # den 2, B_S smaller than S
+@example(nonrealizable_ideal(2, 3))
+def test_groebner_poly_matches_contraction(I):
+    for d in range(I.degree_bound + 1):
+        for size in range(I.num_vars + 1):
+            for sigma in itertools.combinations(range(I.num_vars), size):
+                assert groebner_poly(I, d, sigma) == stratum_poly_by_contraction(I, d, sigma)
 
 
 def test_full_dimensional_cells_have_monomial_fingerprints():

@@ -16,13 +16,14 @@ from tropideal.ideals import (ClassicalInput, CompatibilityWitness, QPoly,
                               boolean_image, check_compatibility, compare,
                               contains, initial_ideal, nonrealizable_ideal,
                               point_ideal, single_circuit_matroid, tropicalize)
-from tropideal.ideals import _initial_layers, _layer_from_row_space
+from tropideal.ideals import _layer_from_row_space
 from tropideal.linalg import echelon
-from tropideal.matroids import (VMatroid, check_valuated_exchange, circuits,
-                                contract, initial_matroid, is_vector)
-from tropideal.monomials import monomials_of_degree, uses_sigma
+from tropideal.matroids import VMatroid, check_valuated_exchange, circuits, is_vector
+from tropideal.monomials import monomials_of_degree
 from tropideal.polynomials import TropPoly
-from tropideal.semiring import INF, Trop, dot, weight_sigma
+from tropideal.semiring import INF, Trop, dot
+
+from oracles import initial_layers_by_label_sets
 
 
 # Test-local oracles ---------------------------------------------------------------
@@ -601,24 +602,6 @@ def test_initial_ideal_with_infinite_weight_coordinates():
     assert (0, 1) in K.layers[1].underlying().loops()
 
 
-def initial_layers_by_label_sets(I, w):
-    """Test-local oracle: the initial tower by ground labels.
-
-    Contract each layer by its sigma-monomials given as labels, weight the
-    rest by the tropical dot product w.u, and add the sigma-monomials back
-    to every basis as a label set.
-    """
-    sigma = weight_sigma(w)
-    layers = []
-    for M in I.layers:
-        sigma_mons = [u for u in M.ground if uses_sigma(u, sigma)]
-        C = contract(M, sigma_mons)
-        N = initial_matroid(C, [dot(w, u).value for u in C.ground])
-        bases = [set(B) | set(sigma_mons) for B in N.bases_as_sets()]
-        layers.append(VMatroid.from_bases(M.ground, bases))
-    return layers
-
-
 @functools.lru_cache(maxsize=None)
 def initial_oracle_ideals():
     g, gp = cubic_products()
@@ -645,9 +628,7 @@ def test_initial_layers_match_the_label_set_route(data):
         I = data.draw(st.sampled_from(initial_oracle_ideals()), label="ideal")
     w = tuple(data.draw(st.lists(_weight_coord, min_size=I.num_vars, max_size=I.num_vars)
                         .filter(lambda w: not all(x.is_inf for x in w)), label="weight"))
-    expected = initial_layers_by_label_sets(I, w)
-    assert _initial_layers(I, w) == expected
-    assert initial_ideal(I, w).layers == tuple(expected)
+    assert initial_ideal(I, w).layers == tuple(initial_layers_by_label_sets(I, w))
 
 
 def test_hilbert_preserved_under_initial(run_count=10):

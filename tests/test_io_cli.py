@@ -315,6 +315,22 @@ def test_cli_malformed_json_exits_2(tmp_path, command, inline, flag, payload):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+def _short_ground_ideal(nv):
+    """An ideal in nv variables whose degree-2 layer lists a single ground label."""
+    layer1 = {"ground": ["x%d" % i for i in range(nv)], "rank": 1,
+              "valuation": [{"set": [0], "val": "0"}]}
+    layer2 = {"ground": ["x0^2"], "rank": 1, "valuation": [{"set": [0], "val": "0"}]}
+    return {"vars": nv, "degree_bound": 2, "layers": [_CONSTANT_LAYER, layer1, layer2]}
+
+
+def test_ideal_from_json_checks_ground_size_before_listing_monomials():
+    # listing the 11,325 degree-2 monomials in 150 variables took seconds
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="layer 2 ground is not the canonical degree-2 list"):
+        jsonio.ideal_from_json(_short_ground_ideal(150))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_cli_variety_text_output(tmp_path):
     ideal = jsonio.ideal_to_json(point_ideal((Trop(0), Trop(0)), 1))
     path = tmp_path / "pt.json"
