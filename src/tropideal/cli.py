@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per pipeline, all listed in `COMMANDS`.
 
-Exit codes: 0 success, 2 input error (a flag the subcommand does not read
-included), 3 enumeration-cap error, 64 unknown subcommand.  Diagnostics go
+Exit codes: 0 success (a reader that closes stdout early included), 2
+input error (a flag the subcommand does not read included), 3
+enumeration-cap error, 64 unknown subcommand.  Diagnostics go
 to stderr; results go to stdout as JSON (the default) or, where the
 subcommand has a text form, `--output text`.  All outputs are deterministic.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import jsonio
@@ -219,6 +221,13 @@ def main(argv=None) -> int:
 
     try:
         _emit(handler(args), getattr(args, "output", "json"), text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; devnull takes the flush at exit quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except SizeGuardError as exc:
         sys.stderr.write("size guard: %s\n" % (exc,))
         return 3

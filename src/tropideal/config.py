@@ -13,22 +13,15 @@ from .errors import InputError, SizeGuardError
 DEFAULT_CAP = 5_000_000
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    """Effective enumeration cap: the explicit argument, else the default."""
-    if cap is None:
-        return DEFAULT_CAP
-    if cap < 1:
-        raise InputError("enumeration cap must be >= 1, got %r" % (cap,))
-    return cap
-
-
 class Budget:
     """Counts enumerated subsets and fails loudly past the cap."""
 
     __slots__ = ("remaining", "cap")
 
     def __init__(self, cap: int | None = None):
-        self.cap = resolve_cap(cap)
+        if cap is not None and cap < 1:
+            raise InputError("enumeration cap must be >= 1, got %r" % (cap,))
+        self.cap = DEFAULT_CAP if cap is None else cap
         self.remaining = self.cap
 
     def charge(self, amount: int, what: str = "enumeration") -> None:

@@ -129,12 +129,9 @@ class QPoly:
         return QPoly(self.num_vars, {mon.mul(u, v): c for u, c in self.coeffs.items()})
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        data: dict[tuple, Fraction] = {}
-        for u, a in self.coeffs.items():
-            for v, b in other.coeffs.items():
-                w = mon.mul(u, v)
-                data[w] = data.get(w, Fraction(0)) + a * b
-        return QPoly(self.num_vars, data)
+        return QPoly(self.num_vars, [(mon.mul(u, v), a * b)
+                                     for u, a in self.coeffs.items()
+                                     for v, b in other.coeffs.items()])
 
     def trop(self, valuation: Valuation) -> TropPoly:
         return TropPoly(self.num_vars, {u: valuation.of(c) for u, c in self.coeffs.items()})
@@ -617,16 +614,11 @@ def compare(I: TruncIdeal, J: TruncIdeal, cap: int | None = None) -> CompareRepo
         if not all(equal_layers):
             raise InvariantViolationError("mutual inclusion without layer equality")
         relation = "equal"
-    elif inc_ij:
+    elif inc_ij or inc_ji:
         if hv_i == hv_j:
             raise InvariantViolationError(
                 "strict inclusion with identical Hilbert functions contradicts layer rigidity")
-        relation = "subset"
-    elif inc_ji:
-        if hv_i == hv_j:
-            raise InvariantViolationError(
-                "strict inclusion with identical Hilbert functions contradicts layer rigidity")
-        relation = "superset"
+        relation = "subset" if inc_ij else "superset"
     else:
         relation = "incomparable"
     return CompareReport(relation, hv_i, hv_j, equal_through, first_diff)

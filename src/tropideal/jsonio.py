@@ -10,9 +10,11 @@ A rational is read by one grammar, semiring.parse_ratio: a JSON integer
 (not a boolean) or a string 'p' or 'p/q', reduced or not ('2/4' reads as
 1/2), with q written without a leading zero.  Integer fields such as
 'rank' and 'vars' reject booleans too, and a matroid's valuation sets and
-bases list distinct integer indices into its ground.  A matroid valuation
-goes in and out as VMatroid stores it, ints over one denominator, with no
-Fraction per entry.
+bases list distinct integer indices into its ground, and a polynomial
+lists each exponent once.  A matroid valuation is written as VMatroid
+stores it, ints over one denominator; it is read with integer values as
+ints and the others as Fractions, which VMatroid brings over one
+denominator.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ from .matroids import VMatroid, _bits
 from .polyhedra import Cell
 from .polynomials import TropPoly
 from .semiring import Trop, parse_ratio
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def _ratio(text) -> tuple[int, int]:
@@ -63,10 +61,13 @@ def poly_to_json(f: TropPoly) -> dict:
             "terms": [{"exp": list(u), "coeff": str(c)} for u, c in f.terms()]}
 
 
-def _exponent(item, where) -> tuple:
+def _exponent(item, where, terms: dict) -> tuple:
+    """A term's exponent as a tuple; a ParseError when terms already has it."""
     exp = _expect(item, "exp", list, where)
     if not all(type(e) is int for e in exp):
         raise ParseError("%s: every exponent must be a JSON integer" % where)
+    if tuple(exp) in terms:
+        raise ParseError("%s repeats the exponent %s" % (where, exp))
     return tuple(exp)
 
 
@@ -74,7 +75,7 @@ def poly_from_json(obj) -> TropPoly:
     nv = _expect(obj, "vars", int, "polynomial")
     terms = {}
     for i, item in enumerate(_expect(obj, "terms", list, "polynomial")):
-        exp = _exponent(item, "term %d" % i)
+        exp = _exponent(item, "term %d" % i, terms)
         coeff = _expect(item, "coeff", None, "term %d" % i)
         if coeff == "inf":
             raise ParseError("term %d: absence encodes infinity; 'inf' is not allowed" % i)
@@ -87,14 +88,15 @@ def qpoly_from_json(obj) -> QPoly:
     coeffs = {}
     for i, item in enumerate(_expect(obj, "terms", list, "generator")):
         where = "generator term %d" % i
-        coeffs[_exponent(item, where)] = _parse_frac(_expect(item, "coeff", None, where))
+        exp = _exponent(item, where, coeffs)
+        coeffs[exp] = _parse_frac(_expect(item, "coeff", None, where))
     return QPoly(nv, coeffs)
 
 
 def qpoly_to_json(g: QPoly) -> dict:
     items = sorted(g.coeffs.items(), key=lambda t: mon.grlex_key(t[0]))
     return {"vars": g.num_vars,
-            "terms": [{"exp": list(u), "coeff": _frac_str(c)} for u, c in items]}
+            "terms": [{"exp": list(u), "coeff": str(c)} for u, c in items]}
 
 
 def classical_input_from_json(obj) -> ClassicalInput:
@@ -169,25 +171,14 @@ def vmatroid_from_json(obj, ground=None) -> VMatroid:
     rank = _expect(obj, "rank", int, "matroid")
     n = len(ground)
     if "valuation" in obj:
-        # each value p / q is written as an int over den, the lcm of the q
-        # read so far, so an integer valuation is never rescaled; each
-        # (end, d) in grown records that den was d until items had end entries
-        items, den, grown = [], 1, []
+        # an integer value stays an int; VMatroid brings Fractions over one den
+        items = []
         for i, item in enumerate(_expect(obj, "valuation", list, "matroid")):
             where = "valuation entry %d" % i
             mask = _index_mask(_expect(item, "set", list, where), n, where)
             p, q = _ratio(_expect(item, "val", None, where))
-            if den % q:
-                grown.append((len(items), den))
-                den = math.lcm(den, q)
-            items.append((mask, p * (den // q)))
-        start = 0
-        for end, d in grown:  # bring each entry written over an older den to den
-            for k in range(start, end):
-                mask, v = items[k]
-                items[k] = (mask, v * (den // d))
-            start = end
-        return VMatroid(ground, rank, items, den)
+            items.append((mask, p if q == 1 else Fraction(p, q)))
+        return VMatroid(ground, rank, items)
     if "bases" in obj:
         masks = [_index_mask(idxs, n, "basis %d" % i)
                  for i, idxs in enumerate(_expect(obj, "bases", list, "matroid"))]
@@ -233,7 +224,7 @@ def ideal_from_json(obj) -> TruncIdeal:
 
 def _row_to_json(row) -> list:
     coeffs, rhs = row
-    return [_frac_str(c) for c in coeffs] + [_frac_str(rhs)]
+    return [str(c) for c in coeffs] + [str(rhs)]
 
 
 def _label_to_json(label):

@@ -107,23 +107,14 @@ class TropPoly:
     def __add__(self, other: "TropPoly") -> "TropPoly":
         if self.num_vars != other.num_vars:
             raise DimensionError("variable counts differ")
-        data = dict(self._terms)
-        for u, c in other._terms.items():
-            prev = data.get(u)
-            data[u] = c if prev is None else prev + c
-        return TropPoly(self.num_vars, data)
+        return TropPoly(self.num_vars, [*self._terms.items(), *other._terms.items()])
 
     def __mul__(self, other: "TropPoly") -> "TropPoly":
         if self.num_vars != other.num_vars:
             raise DimensionError("variable counts differ")
-        data: dict[tuple, Trop] = {}
-        for u, a in self._terms.items():
-            for v, b in other._terms.items():
-                w = mon.mul(u, v)
-                c = a * b
-                prev = data.get(w)
-                data[w] = c if prev is None else prev + c
-        return TropPoly(self.num_vars, data)
+        return TropPoly(self.num_vars, [(mon.mul(u, v), a * b)
+                                        for u, a in self._terms.items()
+                                        for v, b in other._terms.items()])
 
     def scale(self, c) -> "TropPoly":
         if not isinstance(c, Trop):
@@ -191,12 +182,7 @@ class TropPoly:
         """Substitute 0 for the first variable (left inverse of homogenize)."""
         if self.num_vars < 2:
             raise InputError("need at least two variables to dehomogenize")
-        data: dict[tuple, Trop] = {}
-        for u, a in self._terms.items():
-            v = u[1:]
-            prev = data.get(v)
-            data[v] = a if prev is None else prev + a
-        return TropPoly(self.num_vars - 1, data)
+        return TropPoly(self.num_vars - 1, [(u[1:], a) for u, a in self._terms.items()])
 
     def strip_sigma(self, sigma) -> "TropPoly":
         """Drop every term divisible by a variable with index in sigma."""

@@ -1,6 +1,6 @@
 """Reference helpers shared by the test modules: point charts, membership,
-the univariate chord scan, and stratum polynomials and initial towers by
-contraction.
+the univariate chord scan, term merging, and stratum polynomials and
+initial towers by contraction.
 
 These are oracles, not library API: they read a cell's rows with plain
 Fractions, so the integer kernels in tropideal.polyhedra can be checked
@@ -77,6 +77,15 @@ def least_coefficients_by_chords(f):
         if not best.is_inf:
             out[(j,)] = best
     return TropPoly(1, out)
+
+
+def merge_terms(pairs, combine):
+    """One coefficient per exponent: (exponent, coefficient) pairs folded
+    left to right, a repeated exponent's coefficients joined by combine."""
+    out = {}
+    for u, c in pairs:
+        out[u] = combine(out[u], c) if u in out else c
+    return out
 
 
 def stratum_poly_by_contraction(I, d, sigma):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropideal import cli, jsonio
@@ -90,6 +90,8 @@ def matroid_json(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(matroid_json())
+@example((["e0", "e1", "e2", "e3"], 1, [{"set": [0], "val": 3}, {"set": [1], "val": "-2"},
+                                        {"set": [2], "val": "1/2"}, {"set": [3], "val": "5/6"}]))
 def test_matroid_reader_matches_per_entry_fractions(case):
     ground, rank, entries = case
     obj = json.loads(json.dumps({"ground": ground, "rank": rank, "valuation": entries}))
@@ -97,6 +99,9 @@ def test_matroid_reader_matches_per_entry_fractions(case):
     oracle = VMatroid(ground, rank, [(sum(1 << j for j in e["set"]), Trop(Fraction(e["val"])))
                                      for e in entries])
     assert M == oracle
+    low = min(Fraction(e["val"]) for e in entries)
+    assert all(M.value_mask(sum(1 << j for j in e["set"])) == Fraction(e["val"]) - low
+               for e in entries)
     assert jsonio.vmatroid_to_json(M)["valuation"] == [
         {"set": [j for j in range(len(ground)) if m >> j & 1], "val": str(v)}
         for m, v in oracle.valuation_items()]
@@ -301,9 +306,18 @@ _CONSTANT_LAYER = {"ground": ["1"], "rank": 1, "valuation": [{"set": [0], "val":
       "valuation": [{"set": [0, 0, 1], "val": "0"}, {"set": [0, 2], "val": "1"}]}),
     ("check-matroid", [], "--matroid",
      {"ground": ["a", "b", "c"], "rank": 2, "bases": [[0, 1], [2, 2, 0]]}),
+    ("factor-univariate", ["--poly", json.dumps(
+        {"vars": 1, "terms": [{"exp": [1], "coeff": "0"}, {"exp": [1], "coeff": "5"},
+                              {"exp": [0], "coeff": "1"}]})], None, None),
+    ("tropicalize", ["--degree", "1"], "--input",
+     {"generators": [{"vars": 2, "terms": [{"exp": [1, 0], "coeff": "1"},
+                                           {"exp": [1, 0], "coeff": "-1"},
+                                           {"exp": [0, 1], "coeff": "1"}]}],
+      "valuation": {"type": "trivial"}}),
 ], ids=["valuation-not-list", "basis-not-list", "label-not-scalar", "zero-vars", "exp-string",
         "negative-exp", "exp-float", "bool-rank", "bool-set-index", "bool-basis-index",
-        "bool-vars", "repeated-set-index", "repeated-basis-index"])
+        "bool-vars", "repeated-set-index", "repeated-basis-index", "repeated-exp",
+        "repeated-generator-exp"])
 def test_cli_malformed_json_exits_2(tmp_path, command, inline, flag, payload):
     args = [command, *inline]
     if flag is not None:
@@ -313,6 +327,17 @@ def test_cli_malformed_json_exits_2(tmp_path, command, inline, flag, payload):
     proc = run_cli(args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_cli_closed_stdout_exits_0_quietly():
+    # about 99 KB of output, more than a pipe holds, so the write meets the closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "tropideal.cli", "point-ideal",
+                             "--point", '["0", "3"]', "--degree", "40"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and err == b""
 
 
 def _short_ground_ideal(nv):

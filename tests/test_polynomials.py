@@ -1,12 +1,18 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropideal.errors import DegenerateInputError, DimensionError, InputError
+from tropideal.ideals import QPoly
 from tropideal.monomials import grlex_key, label, monomials_of_degree
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
+
+from oracles import merge_terms
 
 
 def T(*pairs, nvars=None):
@@ -135,3 +141,47 @@ def test_product_and_sum_are_exact():
     assert fg.coeff((1, 0)) == Trop(0)  # min(1/3 - 1/3, ...) merged
     assert fg.coeff((0, 1)) == Trop(Fraction(-1, 3))
     assert (f + g).coeff((1, 0)) == Trop(0)
+
+
+def _exp_sum(u, v):
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def _polys(nv, coeffs):
+    """Up to 8 terms with exponents in 0..2, so sums, products and dropped
+    first coordinates often land on one exponent."""
+    exps = st.tuples(*[st.integers(0, 2)] * nv)
+    return st.dictionaries(exps, coeffs, max_size=8)
+
+
+_trop = st.fractions(-5, 5, max_denominator=4).map(Trop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda nv: st.tuples(
+    st.just(nv), _polys(nv, _trop), _polys(nv, _trop), _polys(nv + 1, _trop))))
+@example((1, {(1,): Trop(0)}, {(1,): Trop(3)}, {(1, 0): Trop(2), (0, 0): Trop(1)}))
+def test_operators_merge_repeated_exponents_by_min(case):
+    nv, tf, tg, th = case
+    f, g, h = TropPoly(nv, tf), TropPoly(nv, tg), TropPoly(nv + 1, th)
+    assert f + g == TropPoly(nv, merge_terms([*tf.items(), *tg.items()], min))
+    product = [(_exp_sum(u, v), Trop(a.value + b.value))
+               for u, a in tf.items() for v, b in tg.items()]
+    assert f * g == TropPoly(nv, merge_terms(product, min))
+    assert h.dehomogenize() == TropPoly(nv, merge_terms([(u[1:], a) for u, a in th.items()], min))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda nv: st.tuples(
+    st.just(nv), _polys(nv, st.integers(-3, 3)), _polys(nv, st.integers(-3, 3)))))
+def test_qpoly_product_sums_repeated_exponents(case):
+    nv, cf, cg = case
+    product = merge_terms([(_exp_sum(u, v), Fraction(a * b)) for u, a in cf.items()
+                           for v, b in cg.items()], operator.add)
+    assert (QPoly(nv, cf) * QPoly(nv, cg)).coeffs == {u: c for u, c in product.items() if c}
+
+
+def test_qpoly_product_drops_cancelled_terms():
+    x0, x1 = (1, 0), (0, 1)
+    p = QPoly(2, {x0: 1, x1: 1}) * QPoly(2, {x0: 1, x1: -1})
+    assert p.coeffs == {(2, 0): 1, (0, 2): -1}
