@@ -136,12 +136,12 @@ def _groebner_complex(args):
 
 
 def _variety(args):
-    V = variety(_load_ideal(args), args.presentation, cap=args.cap)
+    V = variety(groebner_complex(_load_ideal(args), cap=args.cap), args.presentation)
     return jsonio.variety_to_json(V, verbose=args.verbose)
 
 
 def _tropical_basis(args):
-    polys = tropical_basis(_load_ideal(args), cap=args.cap)
+    polys = tropical_basis(groebner_complex(_load_ideal(args), cap=args.cap))
     return {"basis": [jsonio.poly_to_json(f) for f in polys]}
 
 

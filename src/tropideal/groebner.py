@@ -104,7 +104,7 @@ def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
             except SizeGuardError as exc:
                 raise SizeGuardError("stratum %s: %s" % (sorted(sigma), exc))
             out = []
-            for cell in refined.stratum(sigma):
+            for cell in refined.cells:
                 labels = cell.label if len(tables) > 1 else (cell.label,)  # refine of one complex
                 fingerprint = tuple(frozenset().union(*(table[e][1] for e in label))
                                     for table, label in zip(tables, labels))
@@ -131,9 +131,9 @@ class VarietySubcomplex(_Strata):
         return [(s, gc) for s, gc in self.all_cells() if gc.in_variety]
 
 
-def variety(I: TruncIdeal, presentation: str = "projective",
-            complex_: GroebnerComplex | None = None, cap: int | None = None) -> VarietySubcomplex:
-    """Cells whose degenerated layers are monomial-free, affine or projective.
+def variety(G: GroebnerComplex, presentation: str = "projective") -> VarietySubcomplex:
+    """The cells of G whose degenerated layers are monomial-free, affine or
+    projective, as the variety of G.ideal.
 
     The affine presentation keeps all strata of the ambient stratified
     space including the all-infinite point; the projective one drops that
@@ -141,16 +141,16 @@ def variety(I: TruncIdeal, presentation: str = "projective",
     """
     if presentation not in ("affine", "projective"):
         raise InputError("presentation must be 'affine' or 'projective'")
-    G = complex_ if complex_ is not None else groebner_complex(I, cap=cap)
+    I = G.ideal
     if presentation == "affine":
         return VarietySubcomplex(I, "affine", dict(G.strata), quotiented=False)
     strata = {}
     for sigma, gcs in G.strata.items():
         if len(sigma) == I.num_vars:
             continue  # the all-infinite point
-        cells = quotient_lineality(PolyComplex(I.num_vars, {sigma: [gc.cell for gc in gcs]}))
+        cells = quotient_lineality(PolyComplex(I.num_vars, sigma, [gc.cell for gc in gcs])).cells
         strata[sigma] = [GroebnerCell(c, gc.witness, gc.fingerprint, gc.in_variety)
-                         for c, gc in zip(cells.stratum(sigma), gcs)]
+                         for c, gc in zip(cells, gcs)]
     return VarietySubcomplex(I, "projective", strata, quotiented=True)
 
 
@@ -172,11 +172,8 @@ def variety_supports_equal(V1: VarietySubcomplex, V2: VarietySubcomplex) -> bool
                     continue
                 P = gc.cell
                 for R in bad:
-                    rsys = R.relint_system()
-                    if rsys is None:
-                        continue
-                    eqs = list(P.eqs) + rsys[0]
-                    ineqs = [(c, r, False) for c, r in P.ineqs] + rsys[1]
+                    eqs = [*P.eqs, *R.core[0]]
+                    ineqs = [*((c, r, False) for c, r in P.ineqs), *R.core[1]]
                     if fm_solve(len(P.free), eqs, ineqs) is not None:
                         return False
         return True
@@ -187,16 +184,15 @@ def variety_supports_equal(V1: VarietySubcomplex, V2: VarietySubcomplex) -> bool
 # Tropical bases --------------------------------------------------------------------
 
 
-def tropical_basis(I: TruncIdeal, complex_: GroebnerComplex | None = None,
-                   cap: int | None = None) -> list[TropPoly]:
-    """A finite set of ideal elements whose hypersurfaces cut out the variety.
+def tropical_basis(G: GroebnerComplex) -> list[TropPoly]:
+    """Finitely many elements of G.ideal whose hypersurfaces cut out its variety.
 
     Every cell whose fingerprint has a loop contributes the fundamental
     circuit of the smallest loop monomial over the lexicographically
     smallest degenerated basis; on that cell the circuit's minimum is
     attained only at the loop, so its hypersurface misses the cell.
     """
-    G = complex_ if complex_ is not None else groebner_complex(I, cap=cap)
+    I = G.ideal
     polys, seen = [], set()
     for sigma, gc in G.all_cells():
         if gc.in_variety:
@@ -248,7 +244,7 @@ def nullstellensatz(I: TruncIdeal, cap: int | None = None) -> Certificate:
     for d, M in enumerate(I.layers):
         if M.rank == 0:  # every monomial is a loop
             return Certificate("unit", degree=d, truncation=I.degree_bound)
-    V = variety(I, "projective", cap=cap)
+    V = variety(groebner_complex(I, cap=cap), "projective")
     hits = V.in_variety_cells()
     if hits:
         sigma, gc = hits[0]

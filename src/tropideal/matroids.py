@@ -179,46 +179,10 @@ class VMatroid:
 # Operations --------------------------------------------------------------------
 
 
-_BRUTE_PAIR_LIMIT = 250_000
-
-
-def _exchange_holds_at(val: dict, A: int, B: int, a: int) -> bool:
-    """Some b in B \\ A has p(A) + p(B) >= p(A - a + b) + p(B - b + a).
-
-    val is a valuation, or a positive scaling of one, keyed by mask.
-    """
-    lhs = val[A] + val[B]
-    abit = 1 << a
-    for b in _bits(B & ~A):
-        bbit = 1 << b
-        v1 = val.get((A ^ abit) | bbit)
-        if v1 is None:
-            continue
-        v2 = val.get((B ^ bbit) | abit)
-        if v2 is not None and v1 + v2 <= lhs:
-            return True
-    return False
-
-
 def _witness(M: VMatroid, A: int, B: int, a: int):
     return (frozenset(M.ground[i] for i in _bits(A)),
             frozenset(M.ground[i] for i in _bits(B)),
             M.ground[a])
-
-
-def _exchange_bruteforce(M: VMatroid, budget: Budget):
-    masks = M.basis_masks()
-    budget.charge(len(masks) * len(masks), "valuated exchange check")
-    val = M._val
-    for A in masks:
-        for B in masks:
-            diff = A & ~B
-            if not diff:
-                continue
-            for a in _bits(diff):
-                if not _exchange_holds_at(val, A, B, a):
-                    return _witness(M, A, B, a)
-    return None
 
 
 def _exchange_three_term(M: VMatroid, budget: Budget):
@@ -328,14 +292,8 @@ def check_valuated_exchange(M: VMatroid, cap: int | None = None):
     - on a matroid support, the three-term relations for every S are the
       local exchange criterion for a valuated matroid (Murota, Matrices and
       Matroids for Systems Analysis; Dress-Wenzel, Valuated matroids, 1992).
-    On a violation with at most 500 bases the witness is the first one the
-    direct quantifier meets, in basis-mask order.
     """
-    budget = Budget(cap)
-    witness = _exchange_three_term(M, budget) or _disconnected_witness(M)
-    if witness is not None and len(M._val) ** 2 <= _BRUTE_PAIR_LIMIT:
-        return _exchange_bruteforce(M, budget)
-    return witness
+    return _exchange_three_term(M, Budget(cap)) or _disconnected_witness(M)
 
 
 def fundamental_circuit(M: VMatroid, B, e) -> VVector:

@@ -1,21 +1,21 @@
-"""Exact rational polyhedral cells and complexes in stratified space.
+"""Exact rational polyhedral cells and one-stratum complexes in stratified space.
 
 A cell lives in one stratum (the points whose infinite coordinates are
 exactly sigma) and is stored as a closed system of equalities and
-inequalities over the finite coordinates, plus an opaque label.  Cell
-rows are primitive integers (canonical_row); fm_solve takes int rows as
-given.  Rows stay integer through equality substitution and each
-Fourier-Motzkin step; rationals appear only in bounds and points, and a
-point P / q meets rows and tie sets in integers.  Feasibility, points in
-the relative interior and dimensions come from Fourier-Motzkin
-elimination with midpoint back-substitution; all exact, with no floating
-point and no perturbation.
+inequalities over the finite coordinates, plus an opaque label; a complex
+holds the cells of one stratum.  Cell rows are primitive integers
+(canonical_row); fm_solve takes int rows as given.  Rows stay integer
+through equality substitution and each Fourier-Motzkin step; rationals
+appear only in bounds and points, and a point P / q meets rows and tie
+sets in integers.  Feasibility, points in the relative interior and
+dimensions come from Fourier-Motzkin elimination with midpoint
+back-substitution; all exact, with no floating point and no perturbation.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -190,9 +190,8 @@ class Cell:
 
     Rows are primitive integer (coeffs, rhs) over the cell's free
     coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  core
-    is an (eqs, strict rows) pair cutting out exactly the relative interior,
-    for refine: given by the builder, else relint_system(), solved once on
-    first use (the infeasible row 0 < 0 for an empty cell).
+    is an (eqs, strict rows) pair cutting out exactly the relative interior:
+    given by the builder, else solved once on first use.
     """
 
     __slots__ = ("ambient", "sigma", "free", "eqs", "ineqs", "label", "_core",
@@ -258,24 +257,22 @@ class Cell:
                 return False
         return True
 
-    def relint_system(self):
-        """Equalities and strict rows whose solutions are exactly the relative interior."""
-        self._solve()
-        if self._relint is None:
-            return None
-        eqs = list(self.eqs)
-        strict = []
-        for i, row in enumerate(self.ineqs):
-            if i in self._tight:
-                eqs.append(row)
-            else:
-                strict.append((row[0], row[1], True))
-        return eqs, strict
-
     @property
     def core(self):
+        """The builder's core, else the equalities plus the tight rows with
+        every other row strict (the infeasible 0 < 0 for an empty cell)."""
         if self._core is None:
-            self._core = self.relint_system() or ((), [((0,) * len(self.free), 0, True)])
+            self._solve()
+            if self._relint is None:
+                self._core = ((), [((0,) * len(self.free), 0, True)])
+            else:
+                eqs, strict = list(self.eqs), []
+                for i, (c, r) in enumerate(self.ineqs):
+                    if i in self._tight:
+                        eqs.append((c, r))
+                    else:
+                        strict.append((c, r, True))
+                self._core = (eqs, strict)
         return self._core
 
     def __repr__(self) -> str:
@@ -284,17 +281,15 @@ class Cell:
 
 @dataclass
 class PolyComplex:
-    """Per-stratum cell lists; within a stratum the relative interiors are disjoint."""
+    """The cells of the stratum sigma, with pairwise disjoint relative interiors."""
 
     ambient: int
-    strata: dict = field(default_factory=dict)  # frozenset -> list[Cell]
+    sigma: frozenset
+    cells: list  # list[Cell]
     quotiented: bool = False
 
-    def stratum(self, sigma) -> list:
-        return self.strata.get(frozenset(sigma), [])
-
     def cell_count(self) -> int:
-        return sum(len(v) for v in self.strata.values())
+        return len(self.cells)
 
 
 # Normal complexes --------------------------------------------------------------------
@@ -373,11 +368,8 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
         raise InputError("normal_complex expects a polynomial with no terms in the stratum's "
                          "infinite variables; apply strip_sigma first")
     budget = Budget(cap)
-    complex_ = PolyComplex(ambient, {sigma: []})
-    cells = complex_.strata[sigma]
     if f.is_inf:
-        cells.append(Cell(ambient, sigma, [], [], label="inf"))
-        return complex_
+        return PolyComplex(ambient, sigma, [Cell(ambient, sigma, [], [], label="inf")])
     # no term uses sigma, so u's lex order is that of its free coordinates
     full = sorted((u, c.value) for u, c in f.terms())
     scale = lcm(*(c.denominator for _, c in full))
@@ -424,8 +416,7 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
             p = fm_solve(m, eqs, [(c, r, False) for c, r in ineqs])
             if p is not None:
                 register(_tie_at(terms, scale, p))
-    cells.extend(discovered[T] for T in sorted(discovered, key=sorted))
-    return complex_
+    return PolyComplex(ambient, sigma, [discovered[T] for T in sorted(discovered, key=sorted)])
 
 
 # Refinement --------------------------------------------------------------------------
@@ -446,68 +437,59 @@ def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComp
     first = complexes[0]
     if len(complexes) == 1:
         return first
-    for other in complexes[1:]:
-        if other.ambient != first.ambient or other.quotiented != first.quotiented:
-            raise InputError("refine needs complexes over the same ambient space")
-        if set(other.strata) != set(first.strata):
-            raise InputError("refine needs complexes over the same strata")
+    shape = (first.ambient, first.sigma, first.quotiented)
+    if any((c.ambient, c.sigma, c.quotiented) != shape for c in complexes[1:]):
+        raise InputError("refine needs complexes over the same ambient space and stratum")
     budget = Budget(cap)
-    out = PolyComplex(first.ambient, {}, quotiented=first.quotiented)
-    for sigma in first.strata:
-        lists = [c.strata[sigma] for c in complexes]
-        # key -> (input cells, their cores' equalities and strict rows), in key order
-        partial = {(j,): ([cell], *cell.core) for j, cell in enumerate(lists[0])}
-        for k in range(1, len(lists)):
-            found: dict[tuple, tuple] = {}
-            for key, (reps, eqs, strict) in partial.items():
-                for j, cell in enumerate(lists[k]):
-                    budget.charge(1, "refinement pairs")
-                    system = ([*eqs, *cell.core[0]], [*strict, *cell.core[1]])
-                    p = fm_solve(len(cell.free), *system)
-                    if p is None:
-                        continue
-                    P, q = _scaled(p)
-                    if not all(c._holds_at(P, q) for c in (*reps, cell)):
-                        raise InvariantViolationError("refinement point escaped the input complexes")
-                    found[key + (j,)] = ([*reps, cell], *system)
-            partial = found
-        out.strata[sigma] = [
-            Cell(first.ambient, sigma,
-                 [row for rep in reps for row in rep.eqs],
-                 [row for rep in reps for row in rep.ineqs],
-                 label=tuple(rep.label for rep in reps),
-                 free=reps[0].free)
-            for reps, _, _ in partial.values()]
-    return out
+    # key -> (input cells, their cores' equalities and strict rows), in key order
+    partial = {(j,): ([cell], *cell.core) for j, cell in enumerate(first.cells)}
+    for other in complexes[1:]:
+        found: dict[tuple, tuple] = {}
+        for key, (reps, eqs, strict) in partial.items():
+            for j, cell in enumerate(other.cells):
+                budget.charge(1, "refinement pairs")
+                system = ([*eqs, *cell.core[0]], [*strict, *cell.core[1]])
+                p = fm_solve(len(cell.free), *system)
+                if p is None:
+                    continue
+                P, q = _scaled(p)
+                if not all(c._holds_at(P, q) for c in (*reps, cell)):
+                    raise InvariantViolationError("refinement point escaped the input complexes")
+                found[key + (j,)] = ([*reps, cell], *system)
+        partial = found
+    return PolyComplex(first.ambient, first.sigma, [
+        Cell(first.ambient, first.sigma,
+             [row for rep in reps for row in rep.eqs],
+             [row for rep in reps for row in rep.ineqs],
+             label=tuple(rep.label for rep in reps),
+             free=reps[0].free)
+        for reps, _, _ in partial.values()], first.quotiented)
 
 
 # Lineality quotient -------------------------------------------------------------------
 
 
 def quotient_lineality(C: PolyComplex) -> PolyComplex:
-    """Rewrite every cell modulo the all-ones direction of its stratum.
+    """Rewrite every cell modulo the all-ones direction of the stratum.
 
     Requires each cell to be invariant under that line (all row sums 0);
     the last finite coordinate is normalized to 0 and dropped.
     """
     if C.quotiented:
         raise InputError("complex is already quotiented")
-    out = PolyComplex(C.ambient, {}, quotiented=True)
-    for sigma, cells in C.strata.items():
-        new_cells = []
-        for cell in cells:
-            if len(cell.free) == 0:
-                raise InputError("cannot quotient a zero-dimensional stratum")
-            for c, _ in itertools.chain(cell.eqs, cell.ineqs):
-                if sum(c) != 0:
-                    raise InvariantViolationError(
-                        "cell in stratum %s is not invariant under the all-ones line"
-                        % (sorted(sigma),))
-            new_cells.append(Cell(
-                C.ambient, sigma,
-                [(c[:-1], r) for c, r in cell.eqs],
-                [(c[:-1], r) for c, r in cell.ineqs],
-                label=cell.label,
-                free=cell.free[:-1]))
-        out.strata[sigma] = new_cells
-    return out
+    cells = []
+    for cell in C.cells:
+        if len(cell.free) == 0:
+            raise InputError("cannot quotient a zero-dimensional stratum")
+        for c, _ in itertools.chain(cell.eqs, cell.ineqs):
+            if sum(c) != 0:
+                raise InvariantViolationError(
+                    "cell in stratum %s is not invariant under the all-ones line"
+                    % (sorted(C.sigma),))
+        cells.append(Cell(
+            C.ambient, C.sigma,
+            [(c[:-1], r) for c, r in cell.eqs],
+            [(c[:-1], r) for c, r in cell.ineqs],
+            label=cell.label,
+            free=cell.free[:-1]))
+    return PolyComplex(C.ambient, C.sigma, cells, quotiented=True)

@@ -1,13 +1,15 @@
 """Reference helpers shared by the test modules: point charts, membership,
-the univariate chord scan, term merging, and stratum polynomials and
-initial towers by contraction.
+the direct exchange quantifier, the univariate chord scan, term merging,
+and stratum polynomials and initial towers by contraction.
 
 These are oracles, not library API: they read a cell's rows with plain
 Fractions, so the integer kernels in tropideal.polyhedra can be checked
 against them; they take the least coefficients of a univariate polynomial
 by brute force, so the lower hull in tropideal.polynomials can be; and they
 build each stratum from the public contract and initial_matroid on ground
-labels, so the basis table that reads the sigma-face off the layer can be.
+labels, so the basis table that reads the sigma-face off the layer can be;
+and they decide valuated exchange by its quantifier over all pairs of
+bases, so the three-term scan and connectivity walk can be.
 """
 
 from fractions import Fraction
@@ -54,6 +56,38 @@ def contains_by_fractions(cell, point, relint):
         elif v > r or (relint and v == r):
             return False
     return True
+
+
+def exchange_holds_at(val, A, B, a):
+    """Some b in B \\ A has p(A) + p(B) >= p(A - a + b) + p(B - b + a).
+
+    val is a valuation, or a positive scaling of one, keyed by mask.
+    """
+    lhs = val[A] + val[B]
+    abit = 1 << a
+    for b in range(B.bit_length()):
+        bbit = 1 << b
+        if B & ~A & bbit:
+            v1 = val.get((A ^ abit) | bbit)
+            v2 = val.get((B ^ bbit) | abit)
+            if v1 is not None and v2 is not None and v1 + v2 <= lhs:
+                return True
+    return False
+
+
+def exchange_by_quantifier(M):
+    """The first (A, B, a) in basis-mask order where exchange fails, as
+    label sets, or None: O(bases**2) pairs, each tried at every a in A \\ B."""
+    val = M._val
+    masks = sorted(val)
+    for A in masks:
+        for B in masks:
+            for a in range(len(M.ground)):
+                if (A & ~B) >> a & 1 and not exchange_holds_at(val, A, B, a):
+                    return (frozenset(e for i, e in enumerate(M.ground) if A >> i & 1),
+                            frozenset(e for i, e in enumerate(M.ground) if B >> i & 1),
+                            M.ground[a])
+    return None
 
 
 def least_coefficients_by_chords(f):

@@ -115,7 +115,7 @@ def test_criterion_01_nonrealizable_tower(tower4):
 
 
 def test_criterion_02_variety_is_tropical_line(tower4, tower4_complex):
-    V = variety(tower4, "projective", complex_=tower4_complex)
+    V = variety(tower4_complex, "projective")
     by_sigma = {}
     for sigma, gc in V.in_variety_cells():
         by_sigma.setdefault(sigma, []).append(gc)
@@ -138,8 +138,8 @@ def test_criterion_02_variety_is_tropical_line(tower4, tower4_complex):
     for pair in itertools.combinations(range(3), 2):
         assert frozenset(pair) not in by_sigma
     # exact cellwise support comparison against the linear ideal's variety
-    assert variety_supports_equal(V, variety(line_ideal(3), "projective"))
-    basis = tropical_basis(tower4, complex_=tower4_complex)
+    assert variety_supports_equal(V, variety(groebner_complex(line_ideal(3)), "projective"))
+    basis = tropical_basis(tower4_complex)
     assert T([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)], 3) in basis
     report(2, "projective variety = standard tropical line (vertex, 3 rays, 3 boundary "
               "points); basis contains x0+x1+x2")
@@ -156,8 +156,8 @@ def test_criterion_03_same_variety_different_ideals(example_2_7):
     assert rep.relation == "incomparable"
     assert contains(Ip, f)
     assert not contains(I, f)
-    V1 = variety(I, "projective")
-    V2 = variety(Ip, "projective")
+    V1 = variety(groebner_complex(I), "projective")
+    V2 = variety(groebner_complex(Ip), "projective")
     assert variety_supports_equal(V1, V2)
     report(3, "cubic ideals agree through degree 3, split at 4 on the witness "
               "polynomial, varieties coincide cellwise")
@@ -338,7 +338,7 @@ def test_criterion_09_nullstellensatz():
         cert = nullstellensatz(I)
         has_unit_degree = any(
             len(M.basis_masks()) == 1 and M.rank == 0 for M in I.layers)
-        has_variety_cell = bool(variety(I, "projective").in_variety_cells())
+        has_variety_cell = bool(variety(groebner_complex(I), "projective").in_variety_cells())
         assert not (has_unit_degree and has_variety_cell)
         assert (cert.kind == "unit") == has_unit_degree
         assert (cert.kind == "nonempty") == has_variety_cell
@@ -453,7 +453,7 @@ def test_criterion_11_elimination_axioms():
 
 def test_criterion_12_point_variety_at_degree_five():
     a = (Trop(0), Trop(Fraction(3, 2)), Trop(-2))
-    V = variety(point_ideal(a, 5), "projective")
+    V = variety(groebner_complex(point_ideal(a, 5)), "projective")
     cells = V.in_variety_cells()
     assert len(cells) == 1
     sigma, gc = cells[0]

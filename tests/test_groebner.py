@@ -228,9 +228,9 @@ def test_full_dimensional_cells_have_monomial_fingerprints():
 
 def test_variety_of_point_ideal_is_single_projective_point():
     I = point_ideal((Trop(0), Trop(0), Trop(0)), 2)
-    V = variety(I, "projective")
+    V = variety(groebner_complex(I), "projective")
     hits = V.in_variety_cells()
-    assert len(hits) == 1
+    assert V.ideal is I and len(hits) == 1
     sigma, gc = hits[0]
     assert sigma == frozenset()
     assert gc.cell.dim() == 0
@@ -239,13 +239,13 @@ def test_variety_of_point_ideal_is_single_projective_point():
 
 
 def test_variety_of_unit_ideal_is_empty():
-    V = variety(unit_ideal(), "projective")
+    V = variety(groebner_complex(unit_ideal()), "projective")
     assert V.in_variety_cells() == []
 
 
 def test_variety_of_divisibility_tower_is_tropical_line():
     I = nonrealizable_ideal(2, 3)
-    V = variety(I, "projective")
+    V = variety(groebner_complex(I), "projective")
     by_sigma = {}
     for sigma, gc in V.in_variety_cells():
         by_sigma.setdefault(sigma, []).append(gc)
@@ -271,17 +271,17 @@ def test_variety_of_divisibility_tower_is_tropical_line():
 
 
 def test_variety_supports_equal_line_vs_tower():
-    V1 = variety(nonrealizable_ideal(2, 3), "projective")
-    V2 = variety(line_ideal(3), "projective")
+    V1 = variety(groebner_complex(nonrealizable_ideal(2, 3)), "projective")
+    V2 = variety(groebner_complex(line_ideal(3)), "projective")
     assert variety_supports_equal(V1, V2)
-    V3 = variety(point_ideal((Trop(0), Trop(0), Trop(0)), 3), "projective")
+    V3 = variety(groebner_complex(point_ideal((Trop(0), Trop(0), Trop(0)), 3)), "projective")
     assert not variety_supports_equal(V1, V3)
 
 
 def test_variety_monotone_in_truncation():
     rng = random.Random(53)
-    V3 = variety(nonrealizable_ideal(2, 3), "projective")
-    V2 = variety(nonrealizable_ideal(2, 2), "projective")
+    V3 = variety(groebner_complex(nonrealizable_ideal(2, 3)), "projective")
+    V2 = variety(groebner_complex(nonrealizable_ideal(2, 2)), "projective")
     # support at D=3 is contained in support at D=2 (more constraints, smaller variety)
     for sigma, gc in V3.in_variety_cells():
         p = gc.cell.relint_point()
@@ -293,7 +293,7 @@ def test_variety_monotone_in_truncation():
 def test_variety_crosscheck_by_circuit_sampling():
     rng = random.Random(59)
     I = nonrealizable_ideal(2, 2)
-    V = variety(I, "affine")
+    V = variety(groebner_complex(I), "affine")
     all_circuits = {d: circuits(I.layers[d]) for d in range(3)}
     grounds = {d: I.layers[d].ground for d in range(3)}
     for trial in range(500):
@@ -346,17 +346,17 @@ def test_boundary_condition_on_sampled_limits():
 
 
 def test_tropical_basis_of_line():
-    basis = tropical_basis(line_ideal())
+    basis = tropical_basis(groebner_complex(line_ideal()))
     assert basis == [T([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)], 3)]
 
 
 def test_tropical_basis_of_point():
-    basis = tropical_basis(point_ideal((Trop(0), Trop(0)), 1))
+    basis = tropical_basis(groebner_complex(point_ideal((Trop(0), Trop(0)), 1)))
     assert basis == [T([((1, 0), 0), ((0, 1), 0)], 2)]
 
 
 def test_tropical_basis_of_tower_contains_line():
-    basis = tropical_basis(nonrealizable_ideal(2, 3))
+    basis = tropical_basis(groebner_complex(nonrealizable_ideal(2, 3)))
     line = T([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)], 3)
     assert line in basis
 
@@ -365,8 +365,8 @@ def test_tropical_basis_cuts_out_variety_on_samples():
     rng = random.Random(61)
     I = point_ideal((Trop(0), Trop(2)), 2)
     G = groebner_complex(I)
-    basis = tropical_basis(I, complex_=G)
-    V = variety(I, "affine", complex_=G)
+    basis = tropical_basis(G)
+    V = variety(G, "affine")
     for _ in range(300):
         sigma = frozenset(s for s in range(2) if rng.random() < 0.2)
         if len(sigma) == 2:
@@ -385,7 +385,7 @@ def test_tropical_basis_cuts_out_variety_on_samples():
 def test_tropical_basis_polynomials_belong_to_ideal():
     from tropideal.ideals import contains
     I = nonrealizable_ideal(2, 2)
-    for f in tropical_basis(I):
+    for f in tropical_basis(groebner_complex(I)):
         assert contains(I, f)
 
 
@@ -432,7 +432,7 @@ def test_nullstellensatz_inconclusive_then_unit():
 def test_nullstellensatz_branches_are_exclusive():
     for I in (unit_ideal(), point_ideal((Trop(0), Trop(0)), 2), line_ideal(2)):
         cert = nullstellensatz(I)
-        V = variety(I, "projective")
+        V = variety(groebner_complex(I), "projective")
         if cert.kind == "unit":
             assert V.in_variety_cells() == []
         if cert.kind == "nonempty":

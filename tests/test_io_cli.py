@@ -517,3 +517,12 @@ def test_cli_factor_univariate_charges_the_cap(capsys):
     assert capsys.readouterr().err.startswith("size guard: ")
     assert cli.main(["factor-univariate", *_two_term_poly(10 ** 3)]) == 0
 
+
+@pytest.mark.parametrize("sub", ["groebner-complex", "variety", "tropical-basis",
+                                 "nullstellensatz"])
+def test_cli_groebner_subcommands_charge_the_cap(capsys, sub):
+    # each builds the Groebner complex under --cap before reading it
+    point = str(Path(__file__).resolve().parent / "golden" / "inputs" / "point.json")
+    assert cli.main([sub, "--ideal", point, "--cap", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("size guard: ")

@@ -18,6 +18,8 @@ from tropideal.matroids import (VMatroid, check_valuated_exchange,
                                 is_vector, vector_elimination_witness)
 from tropideal.semiring import INF, Trop
 
+from oracles import exchange_by_quantifier, exchange_holds_at
+
 
 def circuit_supports(M):
     """The supports of the circuits of M, as sets of ground labels."""
@@ -290,8 +292,7 @@ def test_circuit_elimination_axiom_exhaustive():
 def test_three_term_scan_agrees_with_direct_exchange():
     # the two implementations must give the same verdict on random inputs
     from tropideal.config import Budget
-    from tropideal.matroids import (_exchange_bruteforce, _exchange_holds_at,
-                                    _exchange_three_term)
+    from tropideal.matroids import _exchange_three_term
     rng = random.Random(2024)
     checked = violations = 0
     for _ in range(400):
@@ -304,14 +305,14 @@ def test_three_term_scan_agrees_with_direct_exchange():
         if not vals:
             continue
         M = VMatroid(range(n), r, vals)
-        brute = _exchange_bruteforce(M, Budget())
+        brute = exchange_by_quantifier(M)
         fast = _exchange_three_term(M, Budget())
         assert (brute is None) == (fast is None)
         if fast is not None:
             A, B, a = fast
             Am = sum(1 << M.index_of(e) for e in A)
             Bm = sum(1 << M.index_of(e) for e in B)
-            assert not _exchange_holds_at(M._val, Am, Bm, M.index_of(a))
+            assert not exchange_holds_at(M._val, Am, Bm, M.index_of(a))
             violations += 1
         checked += 1
     assert checked > 300 and violations > 100
@@ -325,10 +326,8 @@ def stiefel_valuation(A, B):
 
 def exchange_verdicts_agree(M):
     """The integer three-term scan and the direct quantifier agree on M."""
-    from tropideal.config import Budget
-    from tropideal.matroids import _exchange_bruteforce
     fast = check_valuated_exchange(M)
-    assert (fast is None) == (_exchange_bruteforce(M, Budget()) is None)
+    assert (fast is None) == (exchange_by_quantifier(M) is None)
     if fast is not None:
         A, B, a = fast
         assert a in A - B
@@ -339,11 +338,9 @@ def exchange_verdicts_agree(M):
     return fast is None
 
 
-def test_integer_three_term_scan_matches_bruteforce_on_uniform_support(monkeypatch):
+def test_integer_three_term_scan_matches_bruteforce_on_uniform_support():
     # every r-set is a basis, so the three-term relations are equivalent to
     # exchange; Fraction values make the scan scale by their common denominator
-    import tropideal.matroids as matroids
-    monkeypatch.setattr(matroids, "_BRUTE_PAIR_LIMIT", 0)
     rng = random.Random(4242)
     valid = invalid = 0
     for _ in range(150):
@@ -363,10 +360,8 @@ def test_integer_three_term_scan_matches_bruteforce_on_uniform_support(monkeypat
     assert valid > 50 and invalid > 30
 
 
-def test_three_term_scan_keeps_fraction_ties(monkeypatch):
+def test_three_term_scan_keeps_fraction_ties():
     # p12 + p34 = 1/2 + 1/3 ties p13 + p24 = 5/6 + 0 below p14 + p23 = 1
-    import tropideal.matroids as matroids
-    monkeypatch.setattr(matroids, "_BRUTE_PAIR_LIMIT", 0)
     vals = {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 3), (1, 3): Fraction(5, 6),
             (2, 4): 0, (1, 4): 1, (2, 3): 0}
     assert exchange_verdicts_agree(pair_matroid(vals))
@@ -408,7 +403,7 @@ def assert_witness_fails(M, witness):
     A, B, a = witness
     assert a in A - B
     Am, Bm = (sum(1 << M.index_of(e) for e in X) for X in (A, B))
-    assert not matroids._exchange_holds_at(M._val, Am, Bm, M.index_of(a))
+    assert not exchange_holds_at(M._val, Am, Bm, M.index_of(a))
 
 
 def _stiefel_with_infinities(A, B):
@@ -526,23 +521,17 @@ def off_matroid_supports(draw):
 @settings(max_examples=300, deadline=None)
 @given(off_matroid_supports())
 def test_exchange_check_matches_bruteforce_off_matroid_supports(M):
-    brute = matroids._exchange_bruteforce(M, Budget())
-    # below the brute-force switch the witness is the direct quantifier's
-    assert check_valuated_exchange(M) == brute
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matroids, "_BRUTE_PAIR_LIMIT", 0)
-        fast = check_valuated_exchange(M)
-    assert (fast is None) == (brute is None)
+    fast = check_valuated_exchange(M)
+    assert (fast is None) == (exchange_by_quantifier(M) is None)
     if fast is not None:
         assert_witness_fails(M, fast)
 
 
 @pytest.mark.parametrize("r,sizes", [(4, (12, 12)), (3, (4, 5, 6)), (3, (3, 3))])
-def test_disjoint_boolean_blocks_are_not_a_matroid(monkeypatch, r, sizes):
+def test_disjoint_boolean_blocks_are_not_a_matroid(r, sizes):
     # for r >= 3 an (r-2)-set S meets one block, so every quadruple the scan
     # visits lies inside a block, where all relations hold; only the
     # connectivity check sees that the support is not a matroid
-    monkeypatch.setattr(matroids, "_BRUTE_PAIR_LIMIT", 0)
     n, bases = _blocks(sizes, r, shared=0)
     M = VMatroid(range(n), r, {frozenset(B): 0 for B in bases})
     assert matroids._exchange_three_term(M, Budget()) is None
@@ -551,10 +540,9 @@ def test_disjoint_boolean_blocks_are_not_a_matroid(monkeypatch, r, sizes):
     assert_witness_fails(M, witness)
 
 
-def test_exchange_budget_is_charged_before_any_quadruple(monkeypatch):
+def test_exchange_budget_is_charged_before_any_quadruple():
     # U(3,7) with p(012) = -1: the first quadruple (S={0}; 1,2,3,4) violates,
     # so a scan that visited any quadruple would return instead of raising
-    monkeypatch.setattr(matroids, "_BRUTE_PAIR_LIMIT", 0)
     vals = {frozenset(B): 0 for B in itertools.combinations(range(7), 3)}
     vals[frozenset((0, 1, 2))] = -1
     M = VMatroid(range(7), 3, vals)

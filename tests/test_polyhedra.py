@@ -174,7 +174,7 @@ def poly(pairs, nvars):
 def test_normal_complex_of_line():
     f = poly([((1, 0), 0), ((0, 1), 0), ((0, 0), 0)], 2)
     N = normal_complex(f)
-    cells = N.stratum(())
+    cells = N.cells
     assert len(cells) == 7
     dims = sorted(c.dim() for c in cells)
     assert dims == [0, 1, 1, 1, 2, 2, 2]
@@ -186,14 +186,14 @@ def test_normal_complex_of_line():
 def test_normal_complex_single_monomial():
     f = poly([((2, 1), 5)], 2)
     N = normal_complex(f)
-    cells = N.stratum(())
+    cells = N.cells
     assert len(cells) == 1 and cells[0].dim() == 2 and not cells[0].eqs and not cells[0].ineqs
 
 
 def test_normal_complex_univariate():
     f = poly([((1,), 0), ((0,), 0)], 1)
     N = normal_complex(f)
-    cells = N.stratum(())
+    cells = N.cells
     assert len(cells) == 3
     by_dim = {}
     for c in cells:
@@ -204,7 +204,7 @@ def test_normal_complex_univariate():
 
 def test_normal_complex_of_infinity_polynomial():
     N = normal_complex(TropPoly.infinity(2))
-    cells = N.stratum(())
+    cells = N.cells
     assert len(cells) == 1 and cells[0].label == "inf" and cells[0].dim() == 2
 
 
@@ -214,7 +214,7 @@ def test_normal_complex_requires_stripped_input():
         normal_complex(f, sigma={0})
     stripped = f.strip_sigma({0})
     N = normal_complex(stripped, sigma={0})
-    assert len(N.stratum({0})) == 1
+    assert len(N.cells) == 1 and N.sigma == {0}
 
 
 def test_normal_complex_labels_match_initial_forms():
@@ -226,7 +226,7 @@ def test_normal_complex_labels_match_initial_forms():
             terms[u] = Trop(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
         f = TropPoly(2, terms)
         N = normal_complex(f)
-        for cell in N.stratum(()):
+        for cell in N.cells:
             p = cell.relint_point()
             w = tuple(Trop(x) for x in p)
             assert f.initial_form(w) == cell.label
@@ -236,7 +236,7 @@ def test_normal_complex_covering_property():
     rng = random.Random(37)
     f = poly([((2, 0), 0), ((1, 1), 1), ((0, 2), 0), ((0, 0), 2)], 2)
     N = normal_complex(f)
-    cells = N.stratum(())
+    cells = N.cells
     for _ in range(1000):
         p = (Fraction(rng.randint(-60, 60), rng.randint(1, 7)),
              Fraction(rng.randint(-60, 60), rng.randint(1, 7)))
@@ -252,15 +252,19 @@ def test_normal_complex_covering_property():
 
 def test_disjoint_relative_interiors():
     f = poly([((1, 0), 0), ((0, 1), 0), ((0, 0), 0)], 2)
-    cells = normal_complex(f).stratum(())
+    cells = normal_complex(f).cells
     for i, a in enumerate(cells):
         assert a.dim() is not None
         for b in cells[i + 1:]:
             assert not contains_by_fractions(b, a.relint_point(), relint=True)
             # the strict-intersection system of the pair is infeasible
-            ea, sa = a.relint_system()
-            eb, sb = b.relint_system()
+            (ea, sa), (eb, sb) = solved_core(a), solved_core(b)
             assert fm_solve(2, ea + eb, sa + sb) is None
+
+
+def solved_core(cell):
+    """The core a copy of the cell solves for itself, built without one."""
+    return Cell(cell.ambient, cell.sigma, cell.eqs, cell.ineqs, free=cell.free).core
 
 
 def axis_complex(var, ambient=2):
@@ -272,12 +276,12 @@ def axis_complex(var, ambient=2):
         Cell(ambient, (), [(coeff_pos, 0)], [], label="zero%d" % var),
         Cell(ambient, (), [], [(coeff_neg, 0)], label="pos%d" % var),
     ]
-    return PolyComplex(ambient, {frozenset(): cells})
+    return PolyComplex(ambient, frozenset(), cells)
 
 
 def test_refine_two_lines_gives_nine_cells():
     R = refine([axis_complex(0), axis_complex(1)])
-    cells = R.stratum(())
+    cells = R.cells
     assert len(cells) == 9
     dims = sorted(c.dim() for c in cells)
     assert dims == [0, 1, 1, 1, 1, 2, 2, 2, 2]
@@ -288,47 +292,43 @@ def test_refine_two_lines_gives_nine_cells():
 def test_refine_identity():
     A = axis_complex(0)
     assert refine([A]) is A
-    allspace = PolyComplex(2, {frozenset(): [Cell(2, (), [], [], label="all")]})
+    allspace = PolyComplex(2, frozenset(), [Cell(2, (), [], [], label="all")])
     R = refine([A, allspace])
     assert R.cell_count() == 3
-    assert sorted(c.dim() for c in R.stratum(())) == sorted(c.dim() for c in A.stratum(()))
+    assert sorted(c.dim() for c in R.cells) == sorted(c.dim() for c in A.cells)
 
 
 def refine_by_product(complexes):
     """Reference: solve every tuple of the product of the inputs' cells."""
     first = complexes[0]
-    out = PolyComplex(first.ambient, {}, quotiented=first.quotiented)
-    for sigma in first.strata:
-        lists = [c.strata[sigma] for c in complexes]
-        found = {}
-        for combo in itertools.product(*lists):
-            p = fm_solve(len(combo[0].free), [row for cell in combo for row in cell.eqs],
-                         [row for cell in combo for row in cell.ineqs])
-            if p is None:
-                continue
-            located = tuple(next(i for i, cell in enumerate(lst)
-                                 if contains_by_fractions(cell, p, relint=True))
-                            for lst in lists)
-            if located in found:
-                continue
-            reps = [lists[i][j] for i, j in enumerate(located)]
-            found[located] = Cell(first.ambient, sigma,
-                                  [row for rep in reps for row in rep.eqs],
-                                  [row for rep in reps for row in rep.ineqs],
-                                  label=tuple(rep.label for rep in reps),
-                                  free=combo[0].free)
-        out.strata[sigma] = [found[k] for k in sorted(found)]
-    return out
+    lists = [c.cells for c in complexes]
+    found = {}
+    for combo in itertools.product(*lists):
+        p = fm_solve(len(combo[0].free), [row for cell in combo for row in cell.eqs],
+                     [row for cell in combo for row in cell.ineqs])
+        if p is None:
+            continue
+        located = tuple(next(i for i, cell in enumerate(lst)
+                             if contains_by_fractions(cell, p, relint=True))
+                        for lst in lists)
+        if located in found:
+            continue
+        reps = [lists[i][j] for i, j in enumerate(located)]
+        found[located] = Cell(first.ambient, first.sigma,
+                              [row for rep in reps for row in rep.eqs],
+                              [row for rep in reps for row in rep.ineqs],
+                              label=tuple(rep.label for rep in reps),
+                              free=combo[0].free)
+    return PolyComplex(first.ambient, first.sigma, [found[k] for k in sorted(found)],
+                       first.quotiented)
 
 
 def assert_same_refinement(R, S):
-    assert set(R.strata) == set(S.strata)
-    for sigma in R.strata:
-        got, want = R.strata[sigma], S.strata[sigma]
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert (a.free, a.eqs, a.ineqs, a.label) == (b.free, b.eqs, b.ineqs, b.label)
-            assert a.relint_point() == b.relint_point()
+    assert (R.ambient, R.sigma, R.quotiented) == (S.ambient, S.sigma, S.quotiented)
+    assert len(R.cells) == len(S.cells)
+    for a, b in zip(R.cells, S.cells):
+        assert (a.free, a.eqs, a.ineqs, a.label) == (b.free, b.eqs, b.ineqs, b.label)
+        assert a.relint_point() == b.relint_point()
 
 
 @st.composite
@@ -352,11 +352,11 @@ def test_refine_fold_matches_product_oracle(case):
 
 
 def test_refine_empty_input_stratum():
-    empty = PolyComplex(2, {frozenset(): []})
+    empty = PolyComplex(2, frozenset(), [])
     for complexes in ([axis_complex(0), empty], [empty, axis_complex(1)],
                       [axis_complex(0), empty, axis_complex(1)]):
         R = refine(complexes)
-        assert R.strata == {frozenset(): []}
+        assert R.cells == []
         assert_same_refinement(R, refine_by_product(complexes))
     three = [axis_complex(0), axis_complex(1), axis_complex(0)]
     assert_same_refinement(refine(three), refine_by_product(three))
@@ -375,7 +375,7 @@ def arrangement_complex(lines):
             if s >= 0:
                 rows.append((tuple(-x for x in a), -b))
         cells.append(Cell(2, (), [], rows, label=signs))
-    return PolyComplex(2, {frozenset(): cells})
+    return PolyComplex(2, frozenset(), cells)
 
 
 def test_refine_cells_without_core_match_product_oracle():
@@ -394,16 +394,26 @@ def test_refine_cells_without_core_match_product_oracle():
                       arrangement_complex([line()])])
     for complexes in cases:
         assert_same_refinement(refine(complexes), refine_by_product(complexes))
-    with_empty = [tight_axes[0], PolyComplex(2, {frozenset(): []}), tight_axes[1]]
-    assert refine(with_empty).strata == {frozenset(): []}
+    with_empty = [tight_axes[0], PolyComplex(2, frozenset(), []), tight_axes[1]]
+    assert refine(with_empty).cells == []
 
 
 def test_refine_rejects_a_core_that_escapes_its_rows():
-    allspace = PolyComplex(2, {frozenset(): [Cell(2, (), [], [], label="all")]})
+    allspace = PolyComplex(2, frozenset(), [Cell(2, (), [], [], label="all")])
     # rows say w0 <= 0, the core says w0 > 1
     bad = Cell(2, (), [], [((1, 0), 0)], core=((), [((-1, 0), -1, True)]))
     with pytest.raises(InvariantViolationError, match="escaped"):
-        refine([allspace, PolyComplex(2, {frozenset(): [bad]})])
+        refine([allspace, PolyComplex(2, frozenset(), [bad])])
+
+
+def test_refine_rejects_inputs_over_different_spaces():
+    A = axis_complex(0)
+    for other in (axis_complex(0, ambient=3), PolyComplex(2, frozenset({0}), []),
+                  PolyComplex(2, frozenset(), [], quotiented=True)):
+        with pytest.raises(InputError, match="same ambient space and stratum"):
+            refine([A, other])
+        with pytest.raises(InputError, match="same ambient space and stratum"):
+            refine([other, A])
 
 
 def test_refine_charges_one_unit_per_prefix_and_cell():
@@ -540,7 +550,7 @@ def probe_points(cells, m, rng):
 def test_integer_tie_kernel_matches_fraction_oracle(case, rng):
     f, sigma = case
     m = f.num_vars - len(sigma)
-    got = normal_complex(f, sigma).strata[frozenset(sigma)]
+    got = normal_complex(f, sigma).cells
     want = normal_complex_by_term_probes(f, sigma)
     assert [(c.label, c.eqs, c.ineqs, c.relint_point()) for c in got] == \
         [(c.label, c.eqs, c.ineqs, c.relint_point()) for c in want]
@@ -595,7 +605,7 @@ def dense_poly_in_stratum(draw):
 @given(st.one_of(dense_poly_in_stratum(), poly_in_stratum()))
 def test_vertex_walk_matches_term_probe_walk(case):
     f, sigma = case
-    got = normal_complex(f, sigma).strata[frozenset(sigma)]
+    got = normal_complex(f, sigma).cells
     want = normal_complex_by_term_probes(f, sigma)
     assert [(c.label, c.eqs, c.ineqs, c.relint_point()) for c in got] == \
         [(c.label, c.eqs, c.ineqs, c.relint_point()) for c in want]
@@ -605,10 +615,10 @@ def test_vertex_walk_matches_term_probe_walk(case):
 @given(st.one_of(dense_poly_in_stratum(), poly_in_stratum()))
 def test_core_rows_solve_like_relint_systems(case):
     f, sigma = case
-    cells = normal_complex(f, sigma).strata[frozenset(sigma)]
+    cells = normal_complex(f, sigma).cells
     m = f.num_vars - len(sigma)
     for a, b in itertools.combinations_with_replacement(cells, 2):
-        (ea, sa), (eb, sb) = a.relint_system(), b.relint_system()
+        (ea, sa), (eb, sb) = solved_core(a), solved_core(b)
         assert fm_solve(m, [*a.core[0], *b.core[0]], [*a.core[1], *b.core[1]]) == \
             fm_solve(m, ea + eb, sa + sb)
 
@@ -652,16 +662,16 @@ def test_quotient_lineality():
     f = poly([((1, 0), 0), ((0, 1), 0)], 2)
     N = normal_complex(f)
     Q = quotient_lineality(N)
-    cells = Q.stratum(())
+    cells = Q.cells
     assert len(cells) == 3
     assert sorted(c.dim() for c in cells) == [0, 1, 1]
-    allspace = PolyComplex(2, {frozenset(): [Cell(2, (), [], [])]})
+    allspace = PolyComplex(2, frozenset(), [Cell(2, (), [], [])])
     Q2 = quotient_lineality(allspace)
-    assert Q2.stratum(())[0].dim() == 1
+    assert Q2.cells[0].dim() == 1
 
 
 def test_quotient_rejects_non_invariant():
-    bad = PolyComplex(2, {frozenset(): [Cell(2, (), [], [((1, 0), 0)])]})
+    bad = PolyComplex(2, frozenset(), [Cell(2, (), [], [((1, 0), 0)])])
     with pytest.raises(InvariantViolationError):
         quotient_lineality(bad)
 
