@@ -16,6 +16,7 @@ import os
 import sys
 
 from . import jsonio
+from .config import Budget
 from .errors import InputError, SizeGuardError, TropidealError
 from .groebner import (groebner_complex, nullstellensatz, tropical_basis,
                        variety)
@@ -76,7 +77,7 @@ def _complex_text(obj) -> str:
 
 def _check_matroid(args):
     M = jsonio.vmatroid_from_json(_read_json(args.matroid))
-    witness = check_valuated_exchange(M, cap=args.cap)
+    witness = check_valuated_exchange(M, Budget(args.cap))
     if witness is None:
         return {"ok": True}
     A, B, a = witness
@@ -86,26 +87,26 @@ def _check_matroid(args):
 
 def _circuits(args):
     M = jsonio.vmatroid_from_json(_read_json(args.matroid))
-    out = [[str(c) for c in H] for H in circuits(M, cap=args.cap)]
+    out = [[str(c) for c in H] for H in circuits(M, Budget(args.cap))]
     return {"ground": [str(e) for e in M.ground], "circuits": out}
 
 
 def _tropicalize(args):
     inp = jsonio.classical_input_from_json(_read_json(args.input))
-    return jsonio.ideal_to_json(tropicalize(inp, args.degree, cap=args.cap))
+    return jsonio.ideal_to_json(tropicalize(inp, args.degree, Budget(args.cap)))
 
 
 def _point_ideal(args):
     point = jsonio.weight_from_json(_inline_json(args.point))
-    return jsonio.ideal_to_json(point_ideal(point, args.degree, cap=args.cap))
+    return jsonio.ideal_to_json(point_ideal(point, args.degree, Budget(args.cap)))
 
 
 def _nonrealizable(args):
-    return jsonio.ideal_to_json(nonrealizable_ideal(args.n, args.degree, cap=args.cap))
+    return jsonio.ideal_to_json(nonrealizable_ideal(args.n, args.degree, Budget(args.cap)))
 
 
 def _compatibility(args):
-    witness = check_compatibility(_load_ideal(args), cap=args.cap)
+    witness = check_compatibility(_load_ideal(args), Budget(args.cap))
     if witness is None:
         return {"ok": True}
     return {"ok": False, "witness": {
@@ -121,7 +122,7 @@ def _hilbert(args):
 def _contains(args):
     I = _load_ideal(args)
     f = jsonio.poly_from_json(_inline_json(args.poly))
-    return {"contains": contains(I, f, cap=args.cap)}
+    return {"contains": contains(I, f, Budget(args.cap))}
 
 
 def _initial(args):
@@ -131,27 +132,27 @@ def _initial(args):
 
 
 def _groebner_complex(args):
-    G = groebner_complex(_load_ideal(args), cap=args.cap)
+    G = groebner_complex(_load_ideal(args), Budget(args.cap))
     return jsonio.groebner_complex_to_json(G, verbose=args.verbose)
 
 
 def _variety(args):
-    V = variety(groebner_complex(_load_ideal(args), cap=args.cap), args.presentation)
+    V = variety(groebner_complex(_load_ideal(args), Budget(args.cap)), args.presentation)
     return jsonio.variety_to_json(V, verbose=args.verbose)
 
 
 def _tropical_basis(args):
-    polys = tropical_basis(groebner_complex(_load_ideal(args), cap=args.cap))
+    polys = tropical_basis(groebner_complex(_load_ideal(args), Budget(args.cap)))
     return {"basis": [jsonio.poly_to_json(f) for f in polys]}
 
 
 def _nullstellensatz(args):
-    return jsonio.certificate_to_json(nullstellensatz(_load_ideal(args), cap=args.cap))
+    return jsonio.certificate_to_json(nullstellensatz(_load_ideal(args), Budget(args.cap)))
 
 
 def _factor_univariate(args):
     f = jsonio.poly_from_json(_inline_json(args.poly))
-    least = least_coefficients(f, cap=args.cap)
+    least = least_coefficients(f, Budget(args.cap))
     roots = tropical_roots(f)
     return {"roots": [[str(Trop(r)), m] for r, m in roots],
             "x_power": f.min_support_degree(),
@@ -162,7 +163,7 @@ def _factor_univariate(args):
 def _compare(args):
     I = _load_ideal(args)
     J = jsonio.ideal_from_json(_read_json(args.other))
-    return dataclasses.asdict(compare(I, J, cap=args.cap))
+    return dataclasses.asdict(compare(I, J, Budget(args.cap)))
 
 
 # How each flag parses; a flag not listed is a required string.

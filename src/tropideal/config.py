@@ -1,9 +1,10 @@
 """Run configuration: the enumeration cap.
 
-Enumerating operations take an optional `cap` argument and charge their
-work to a `Budget`; a cap of None means `DEFAULT_CAP`.  Nothing is read
-from the environment, so whether a call is refused depends on its
-arguments alone.
+Enumerating operations take an optional `budget` argument and charge their
+work to it; nested calls hand the same budget on, so one cap bounds a
+whole run.  A budget of None is a fresh `Budget()` with `DEFAULT_CAP`.
+Nothing is read from the environment, so whether a call is refused
+depends on its arguments alone.
 """
 
 from __future__ import annotations
@@ -28,6 +29,6 @@ class Budget:
         self.remaining -= amount
         if self.remaining < 0:
             raise SizeGuardError(
-                "%s needs %d more subsets; cap is %d (pass --cap or cap= to raise it)"
-                % (what, -self.remaining, self.cap)
+                "%s needs %d more subsets; cap is %d (pass --cap or budget=Budget(n) "
+                "to raise it)" % (what, -self.remaining, self.cap)
             )

@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError, InvariantViolationError, SizeGuardError
+from .config import Budget
+from .errors import InputError, InvariantViolationError
 from .ideals import TruncIdeal, _basis_table, _sigma_mask
 from .matroids import (_bits, _fundamental_circuit_idx, _loops_mask,
                        lex_min_basis_of_subset)
@@ -76,7 +77,7 @@ class GroebnerComplex(_Strata):
     strata: dict  # frozenset sigma -> list[GroebnerCell]
 
 
-def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
+def groebner_complex(I: TruncIdeal, budget: Budget | None = None) -> GroebnerComplex:
     """Stratified cell decomposition of weight space at truncation level.
 
     Per stratum this is the common refinement of the normal complexes of
@@ -87,27 +88,17 @@ def groebner_complex(I: TruncIdeal, cap: int | None = None) -> GroebnerComplex:
     only reported.  Cells with equal fingerprints are grouped, never merged.
     """
     nv = I.num_vars
+    budget = Budget() if budget is None else budget
     strata: dict = {}
     for size in range(nv + 1):
         for sig in itertools.combinations(range(nv), size):
             sigma = frozenset(sig)
             polys, tables = zip(*(_basis_table(M, nv, sigma) for M in I.layers))
-            complexes = []
-            for d, f in enumerate(polys):
-                try:
-                    complexes.append(normal_complex(f, sigma, cap=cap))
-                except SizeGuardError as exc:
-                    raise SizeGuardError("degree %d, stratum %s: %s"
-                                         % (d, sorted(sigma), exc))
-            try:
-                refined = refine(complexes, cap=cap)
-            except SizeGuardError as exc:
-                raise SizeGuardError("stratum %s: %s" % (sorted(sigma), exc))
+            refined = refine([normal_complex(f, sigma, budget) for f in polys], budget)
             out = []
             for cell in refined.cells:
-                labels = cell.label if len(tables) > 1 else (cell.label,)  # refine of one complex
                 fingerprint = tuple(frozenset().union(*(table[e][1] for e in label))
-                                    for table, label in zip(tables, labels))
+                                    for table, label in zip(tables, cell.label))
                 has_loop = any(_loops_mask(bases, len(M.ground))
                                for bases, M in zip(fingerprint, I.layers))
                 coords = dict(zip(cell.free, cell.relint_point()))
@@ -231,7 +222,7 @@ class Certificate:
     truncation: int = 0
 
 
-def nullstellensatz(I: TruncIdeal, cap: int | None = None) -> Certificate:
+def nullstellensatz(I: TruncIdeal, budget: Budget | None = None) -> Certificate:
     """Unit certificate, nonempty-variety witness, or honest inconclusive.
 
     If some degree at or below the truncation bound has every monomial in
@@ -244,7 +235,7 @@ def nullstellensatz(I: TruncIdeal, cap: int | None = None) -> Certificate:
     for d, M in enumerate(I.layers):
         if M.rank == 0:  # every monomial is a loop
             return Certificate("unit", degree=d, truncation=I.degree_bound)
-    V = variety(groebner_complex(I, cap=cap), "projective")
+    V = variety(groebner_complex(I, budget), "projective")
     hits = V.in_variety_cells()
     if hits:
         sigma, gc = hits[0]

@@ -290,7 +290,7 @@ def _layer_from_row_space(ground: Sequence[tuple], pivots: list[int],
     return VMatroid(ground, corank, val)
 
 
-def tropicalize(inp: ClassicalInput, D: int, cap: int | None = None) -> TruncIdeal:
+def tropicalize(inp: ClassicalInput, D: int, budget: Budget | None = None) -> TruncIdeal:
     """Tropicalization of a classical homogeneous ideal, truncated at degree D.
 
     For each degree d the Macaulay matrix of all monomial multiples of the
@@ -302,7 +302,7 @@ def tropicalize(inp: ClassicalInput, D: int, cap: int | None = None) -> TruncIde
     if D < 0:
         raise InputError("truncation degree must be nonnegative")
     nv = inp.num_vars
-    budget = Budget(cap)
+    budget = Budget() if budget is None else budget
     layers = []
     for d in range(D + 1):
         ground = tuple(mon.monomials_of_degree(nv, d))
@@ -327,7 +327,7 @@ def tropicalize(inp: ClassicalInput, D: int, cap: int | None = None) -> TruncIde
 # Direct constructions -------------------------------------------------------------
 
 
-def point_ideal(a: Sequence[Trop], D: int, cap: int | None = None) -> TruncIdeal:
+def point_ideal(a: Sequence[Trop], D: int, budget: Budget | None = None) -> TruncIdeal:
     """The homogeneous ideal of the point a: binomial circuits in every degree.
 
     The degree-d layer has rank one; the valuation of the singleton {x^u}
@@ -340,7 +340,7 @@ def point_ideal(a: Sequence[Trop], D: int, cap: int | None = None) -> TruncIdeal
         raise InputError("the all-infinity point is not a point of projective space")
     if D < 0:
         raise InputError("truncation degree must be nonnegative")
-    budget = Budget(cap)
+    budget = Budget() if budget is None else budget
     layers = []
     for d in range(D + 1):
         budget.charge(math.comb(len(a) + d - 1, d), "point ideal layer %d" % d)
@@ -352,13 +352,13 @@ def point_ideal(a: Sequence[Trop], D: int, cap: int | None = None) -> TruncIdeal
                 val[1 << i] = v.value
         layers.append(VMatroid(ground, 1, val))
     I = TruncIdeal(len(a), layers, mode="rational")
-    witness = check_compatibility(I, cap=cap)
+    witness = check_compatibility(I, budget)
     if witness is not None:
         raise InvariantViolationError("point ideal failed compatibility: %r" % (witness,))
     return I
 
 
-def nonrealizable_ideal(n: int, D: int, cap: int | None = None) -> TruncIdeal:
+def nonrealizable_ideal(n: int, D: int, budget: Budget | None = None) -> TruncIdeal:
     """A tower whose degree-d layer has rank d+1 and 0/infinity values.
 
     A (d+1)-subset B of the degree-d monomials gets value 0 exactly when,
@@ -369,7 +369,7 @@ def nonrealizable_ideal(n: int, D: int, cap: int | None = None) -> TruncIdeal:
         raise InputError("need n >= 2")
     if D < 0:
         raise InputError("truncation degree must be nonnegative")
-    budget = Budget(cap)
+    budget = Budget() if budget is None else budget
     nv = n + 1
     layers = []
     for d in range(D + 1):
@@ -428,7 +428,8 @@ def _vector_classes(val: dict[int, int], n: int, k: int, inside: bool) -> list:
     return list(reps.values())
 
 
-def check_compatibility(I: TruncIdeal, cap: int | None = None) -> Optional[CompatibilityWitness]:
+def check_compatibility(I: TruncIdeal,
+                        budget: Budget | None = None) -> Optional[CompatibilityWitness]:
     """None when consecutive layers are compatible, else a witness.
 
     The criterion: for every degree d < D, variable x_i, (r_d+1)-subset U of
@@ -443,7 +444,7 @@ def check_compatibility(I: TruncIdeal, cap: int | None = None) -> Optional[Compa
     of each class.  The witness is still the first failing (x_i, U, V) of
     the full scan in lexicographic order.
     """
-    budget = Budget(cap)
+    budget = Budget() if budget is None else budget
     den = math.lcm(*(M.den for M in I.layers))  # every layer's ints over den
     for d in range(I.degree_bound):
         Md, Mn = I.layers[d], I.layers[d + 1]
@@ -486,7 +487,7 @@ def check_compatibility(I: TruncIdeal, cap: int | None = None) -> Optional[Compa
 # Membership, initial ideals, comparison -------------------------------------------
 
 
-def contains(I: TruncIdeal, f: TropPoly, cap: int | None = None) -> bool:
+def contains(I: TruncIdeal, f: TropPoly, budget: Budget | None = None) -> bool:
     """Membership of a homogeneous polynomial in the truncated ideal."""
     if f.num_vars != I.num_vars:
         raise InputError("polynomial has %d variables, ideal has %d" % (f.num_vars, I.num_vars))
@@ -497,7 +498,7 @@ def contains(I: TruncIdeal, f: TropPoly, cap: int | None = None) -> bool:
     d = f.degree()
     M = I.layer(d)
     vec = tuple(f.coeff(u) for u in M.ground)
-    return is_vector(M, vec, cap=cap)
+    return is_vector(M, vec, budget)
 
 
 def _sigma_mask(ground: Sequence[tuple], sigma) -> int:
@@ -581,7 +582,7 @@ class CompareReport:
     first_difference: Optional[int]
 
 
-def compare(I: TruncIdeal, J: TruncIdeal, cap: int | None = None) -> CompareReport:
+def compare(I: TruncIdeal, J: TruncIdeal, budget: Budget | None = None) -> CompareReport:
     """Layerwise comparison of two truncations of the same shape.
 
     Inclusion is tested by circuit containment (circuits generate each
@@ -593,12 +594,13 @@ def compare(I: TruncIdeal, J: TruncIdeal, cap: int | None = None) -> CompareRepo
     if I.mode != J.mode:
         raise InputError("ideals have different coefficient modes")
     D = I.degree_bound
+    budget = Budget() if budget is None else budget
 
     def included(A: TruncIdeal, B: TruncIdeal) -> bool:
         for d in range(D + 1):
             MB = B.layers[d]
-            for H in circuits(A.layers[d], cap=cap):
-                if not is_vector(MB, H, cap=cap):
+            for H in circuits(A.layers[d], budget):
+                if not is_vector(MB, H, budget):
                     return False
         return True
 

@@ -275,7 +275,7 @@ def _disconnected_witness(M: VMatroid):
             return _witness(M, A, B, abit.bit_length() - 1)
 
 
-def check_valuated_exchange(M: VMatroid, cap: int | None = None):
+def check_valuated_exchange(M: VMatroid, budget: Budget | None = None):
     """None when the valuated basis exchange axiom holds, else a witness.
 
     A witness is (A, B, a): finite sets A, B and a in A \\ B such that no
@@ -293,7 +293,8 @@ def check_valuated_exchange(M: VMatroid, cap: int | None = None):
       local exchange criterion for a valuated matroid (Murota, Matrices and
       Matroids for Systems Analysis; Dress-Wenzel, Valuated matroids, 1992).
     """
-    return _exchange_three_term(M, Budget(cap)) or _disconnected_witness(M)
+    budget = Budget() if budget is None else budget
+    return _exchange_three_term(M, budget) or _disconnected_witness(M)
 
 
 def fundamental_circuit(M: VMatroid, B, e) -> VVector:
@@ -321,14 +322,14 @@ def _fundamental_circuit_idx(M: VMatroid, mask: int, ei: int) -> VVector:
     return tuple(INF if v is None else Trop(Fraction(v - low, M.den)) for v in coords)
 
 
-def circuits(M: VMatroid, cap: int | None = None) -> list[VVector]:
+def circuits(M: VMatroid, budget: Budget | None = None) -> list[VVector]:
     """All valuated circuits, one per support, canonicalized and sorted.
 
     Fundamental circuits over all (basis, external element) pairs cover
     every circuit; circuits with equal support are tropical multiples of
     each other, so support dedup is exact.
     """
-    budget = Budget(cap)
+    budget = Budget() if budget is None else budget
     n = len(M.ground)
     masks = M.basis_masks()
     budget.charge(len(masks) * max(1, n - M.rank), "circuit enumeration")
@@ -355,7 +356,7 @@ def dual(M: VMatroid) -> VMatroid:
     return VMatroid(M.ground, n - M.rank, {full ^ m: v for m, v in M._val.items()}, M.den)
 
 
-def is_vector(M: VMatroid, v: Sequence[Trop], cap: int | None = None) -> bool:
+def is_vector(M: VMatroid, v: Sequence[Trop], budget: Budget | None = None) -> bool:
     """Normative membership test for the tropical span of the circuits.
 
     v belongs iff for every (corank+1)-subset S the minimum over e in S of
@@ -372,7 +373,7 @@ def is_vector(M: VMatroid, v: Sequence[Trop], cap: int | None = None) -> bool:
     k = n - M.rank + 1
     if k > n:  # rank 0: every element is a loop, everything is a vector
         return True
-    budget = Budget(cap)
+    budget = Budget() if budget is None else budget
     budget.charge(math.comb(n, k), "vector membership")
     val = M._val
     full = (1 << n) - 1
@@ -504,25 +505,24 @@ def circuit_elimination_witness(all_circuits: Sequence[VVector], G: VVector, H: 
 
 
 def vector_elimination_witness(M: VMatroid, G: Sequence[Trop], H: Sequence[Trop],
-                               e: int, circuit_list: Sequence[VVector] | None = None,
-                               cap: int | None = None) -> Optional[VVector]:
+                               e: int, circuit_list: Sequence[VVector]) -> Optional[VVector]:
     """Construct the eliminated vector for G, H at coordinate e, or None.
 
     Any eliminated vector is a tropical combination of circuits, each piece
     lying above G + H and infinite at e; one piece must attain the value of
-    G + H at each coordinate where G and H differ.  Searching circuits per
-    coordinate and taking the minimum is therefore a complete procedure.
+    G + H at each coordinate where G and H differ.  Searching circuit_list,
+    the circuits of M, per coordinate and taking the minimum is therefore a
+    complete procedure.
     """
     n = len(M.ground)
     GH = tuple(G[i] + H[i] for i in range(n))
     diff = [i for i in range(n) if G[i] != H[i]]
-    circs = circuits(M, cap=cap) if circuit_list is None else circuit_list
     pieces: list[VVector] = []
     for i in diff:
         target = GH[i]
         assert not target.is_inf  # differing coordinates cannot both be infinite
         found = None
-        for C in circs:
+        for C in circuit_list:
             if not C[e].is_inf or C[i].is_inf:
                 continue
             lam = Trop(target.value - C[i].value)

@@ -329,7 +329,7 @@ def _tie_at(terms, scale: int, point):
     return frozenset(arg)
 
 
-def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex:
+def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyComplex:
     """Cells of constant initial form of f inside the given stratum.
 
     Cells are labeled by their tie sets (the monomials attaining the
@@ -367,7 +367,8 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
     if stripped != f:
         raise InputError("normal_complex expects a polynomial with no terms in the stratum's "
                          "infinite variables; apply strip_sigma first")
-    budget = Budget(cap)
+    budget = Budget() if budget is None else budget
+    what = "normal complex, stratum %s" % (sorted(sigma),)
     if f.is_inf:
         return PolyComplex(ambient, sigma, [Cell(ambient, sigma, [], [], label="inf")])
     # no term uses sigma, so u's lex order is that of its free coordinates
@@ -383,7 +384,7 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
     for i in range(len(terms)):
         S: set[int] = set()
         while True:
-            budget.charge(1, "normal complex seeds")
+            budget.charge(1, what)
             _, ineqs = _tie_system(terms, scale, {i}, rows=S)
             p = fm_solve(m, [], [(c, r, True) for c, r in ineqs])
             if p is None:
@@ -411,7 +412,7 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
         for v in vertices:
             if v in T:
                 continue
-            budget.charge(1, "normal complex refinement")
+            budget.charge(1, what)
             eqs, ineqs = _tie_system(terms, scale, T | {v}, rows=vertices)
             p = fm_solve(m, eqs, [(c, r, False) for c, r in ineqs])
             if p is not None:
@@ -422,7 +423,7 @@ def normal_complex(f: TropPoly, sigma=(), cap: int | None = None) -> PolyComplex
 # Refinement --------------------------------------------------------------------------
 
 
-def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComplex:
+def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> PolyComplex:
     """Common refinement: the nonempty intersections of one cell per input complex.
 
     A pairwise left fold, keyed by the flat tuple of input cells whose
@@ -430,24 +431,23 @@ def refine(complexes: Sequence[PolyComplex], cap: int | None = None) -> PolyComp
     A & B (Rockafellar, Convex Analysis, Thm 6.5), a tuple meets only if its
     prefixes do, and one strict solve on the concatenated cores decides each
     (prefix, cell) pair.  Cells are listed by key, with rows concatenated and
-    labels tupled in input order.
+    labels tupled in input order, 1-tuples for a single complex.
     """
     if not complexes:
         raise InputError("refine needs at least one complex")
     first = complexes[0]
-    if len(complexes) == 1:
-        return first
     shape = (first.ambient, first.sigma, first.quotiented)
     if any((c.ambient, c.sigma, c.quotiented) != shape for c in complexes[1:]):
         raise InputError("refine needs complexes over the same ambient space and stratum")
-    budget = Budget(cap)
+    budget = Budget() if budget is None else budget
+    what = "refinement pairs, stratum %s" % (sorted(first.sigma),)
     # key -> (input cells, their cores' equalities and strict rows), in key order
     partial = {(j,): ([cell], *cell.core) for j, cell in enumerate(first.cells)}
     for other in complexes[1:]:
         found: dict[tuple, tuple] = {}
         for key, (reps, eqs, strict) in partial.items():
             for j, cell in enumerate(other.cells):
-                budget.charge(1, "refinement pairs")
+                budget.charge(1, what)
                 system = ([*eqs, *cell.core[0]], [*strict, *cell.core[1]])
                 p = fm_solve(len(cell.free), *system)
                 if p is None:

@@ -224,17 +224,18 @@ def _lower_hull(b: dict[int, Trop]) -> list[tuple[int, Fraction]]:
     return hull
 
 
-def least_coefficients(f: TropPoly, cap: int | None = None) -> TropPoly:
+def least_coefficients(f: TropPoly, budget: Budget | None = None) -> TropPoly:
     """The smallest-coefficient polynomial defining the same function.
 
     c_j is the value at j of the lower hull of the points (j, b_j), which
     is the minimum of b_j and all chord interpolations
     (b_i*(k-j) + b_k*(j-i)) / (k-i) over i < j < k with finite b_i, b_k;
-    the extreme coefficients are unchanged.  The cap is charged
+    the extreme coefficients are unchanged.  The budget is charged
     (top + 1) * terms**2 up front, the (j, i, k) steps of that chord scan.
     """
     b = _univariate_coeffs(f)
-    Budget(cap).charge((max(b) + 1) * len(b) ** 2, "least coefficients")
+    budget = Budget() if budget is None else budget
+    budget.charge((max(b) + 1) * len(b) ** 2, "least coefficients")
     hull = _lower_hull(b)
     low, y_low = hull[0]
     out = {(low,): Trop(y_low)}

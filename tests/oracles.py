@@ -9,15 +9,25 @@ by brute force, so the lower hull in tropideal.polynomials can be; and they
 build each stratum from the public contract and initial_matroid on ground
 labels, so the basis table that reads the sigma-face off the layer can be;
 and they decide valuated exchange by its quantifier over all pairs of
-bases, so the three-term scan and connectivity walk can be.
+bases, so the three-term scan and connectivity walk can be.  `charged`
+runs one call alone on a fresh budget, so a run's nested calls can be
+summed against the single budget the run hands them.
 """
 
 from fractions import Fraction
 
+from tropideal.config import Budget
 from tropideal.matroids import VMatroid, contract, initial_matroid
 from tropideal.monomials import uses_sigma
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop, dot, weight_sigma
+
+
+def charged(call, *args):
+    """call(*args, budget) on a fresh default budget: (result, subsets charged)."""
+    budget = Budget()
+    result = call(*args, budget)
+    return result, budget.cap - budget.remaining
 
 
 def weight_to_cell_coords(cell, w, quotiented):

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tropideal.config import Budget
+from tropideal.errors import SizeGuardError
 from tropideal.groebner import (groebner_complex, groebner_poly,
                                 nullstellensatz, tropical_basis, variety,
                                 variety_supports_equal)
 from tropideal.ideals import (ClassicalInput, QPoly, Valuation, initial_ideal,
                               nonrealizable_ideal, point_ideal, tropicalize)
 from tropideal.matroids import circuits
-from tropideal.polyhedra import fm_solve
+from tropideal.polyhedra import fm_solve, normal_complex, refine
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
-from oracles import (contains_by_fractions, initial_layers_by_label_sets,
+from oracles import (charged, contains_by_fractions, initial_layers_by_label_sets,
                      stratum_poly_by_contraction, weight_to_cell_coords)
 
 
@@ -84,6 +86,26 @@ def test_groebner_complex_point_ideal_sign_cells():
     assert dims == [1, 2, 2]
     in_v = [c for c in cells if c.in_variety]
     assert len(in_v) == 1 and in_v[0].cell.dim() == 1
+
+
+def test_groebner_complex_charges_its_nested_calls_to_one_budget():
+    I = point_ideal((Trop(0), Trop(3)), 2)
+    total = 0
+    for size in range(3):
+        for sigma in map(frozenset, itertools.combinations(range(2), size)):
+            complexes = []
+            for d in range(3):
+                C, n = charged(normal_complex, groebner_poly(I, d, sigma), sigma)
+                complexes.append(C)
+                total += n
+            total += charged(refine, complexes)[1]
+    assert total == 41
+    budget = Budget()
+    groebner_complex(I, budget)
+    assert budget.remaining == budget.cap - total
+    groebner_complex(I, Budget(total))
+    with pytest.raises(SizeGuardError, match=r"stratum \[0, 1\]"):
+        groebner_complex(I, Budget(total - 1))
 
 
 def test_groebner_complex_unit_ideal():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from tropideal.monomials import monomials_of_degree
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop, dot
 
-from oracles import initial_layers_by_label_sets
+from oracles import charged, initial_layers_by_label_sets
 
 
 # Test-local oracles ---------------------------------------------------------------
@@ -216,8 +217,21 @@ def test_point_ideal_charges_each_layer_before_building(monkeypatch):
     monkeypatch.setattr(mon, "monomials_of_degree",
                         lambda nvars, d: built.append(d) or listing(nvars, d))
     with pytest.raises(SizeGuardError, match="point ideal layer 3"):
-        point_ideal((Trop(0), Trop(1), Trop(2)), 10_000, cap=10)
+        point_ideal((Trop(0), Trop(1), Trop(2)), 10_000, budget=Budget(10))
     assert built == [0, 1, 2]
+
+
+def test_point_ideal_charges_its_compatibility_check_to_one_budget():
+    a, D = (Trop(0), Trop(1), Trop(3)), 3
+    I = point_ideal(a, D)
+    layers = sum(math.comb(len(a) + d - 1, d) for d in range(D + 1))
+    total = layers + charged(check_compatibility, I)[1]
+    budget = Budget()
+    assert point_ideal(a, D, budget) == I
+    assert budget.remaining == budget.cap - total
+    point_ideal(a, D, Budget(total))
+    with pytest.raises(SizeGuardError, match="compatibility degree 2"):
+        point_ideal(a, D, Budget(total - 1))
 
 
 def test_point_ideal_matches_padic_tropicalization():
@@ -501,10 +515,10 @@ def test_compatibility_budget_charges_classes_not_pairs(monkeypatch):
     # triples; the class scan charges the U- and V-sets plus the class pairs
     import tropideal.ideals as ideals
     J = nonrealizable_ideal(2, 4)
-    assert check_compatibility(J, cap=200_000) is None
+    assert check_compatibility(J, budget=Budget(200_000)) is None
     # 87 U classes x 216 V classes x 3 variables at degree 3
     with pytest.raises(SizeGuardError, match="compatibility degree 3"):
-        check_compatibility(J, cap=50_000)
+        check_compatibility(J, budget=Budget(50_000))
     # degree 3 has C(10, 5) U-sets and C(15, 4) V-sets; the charge for them
     # must refuse before any of them is enumerated
     sizes = []
@@ -513,7 +527,7 @@ def test_compatibility_budget_charges_classes_not_pairs(monkeypatch):
                         lambda val, n, k, inside: sizes.append(k) or
                         enumerate_classes(val, n, k, inside))
     with pytest.raises(SizeGuardError, match="compatibility degree 3"):
-        check_compatibility(J, cap=252 + 1365 - 1)
+        check_compatibility(J, budget=Budget(252 + 1365 - 1))
     assert sizes == [3, 2, 4, 3]  # the U and V sizes of degrees 1 and 2 only
 
 
@@ -562,6 +576,31 @@ def test_same_variety_membership_discrepancy():
     assert report.equal_through_degree == 3
     assert report.first_difference == 4
     assert report.hilbert_left == report.hilbert_right
+
+
+def test_compare_charges_its_nested_calls_to_one_budget():
+    g, gp = cubic_products()
+    I, Ip = (tropicalize(ClassicalInput((h,), Valuation("trivial")), 4) for h in (g, gp))
+    total = 0
+    for A, B in ((I, Ip), (Ip, I)):  # each inclusion stops at its first non-vector
+        inside = True
+        for MA, MB in zip(A.layers, B.layers):
+            Hs, n = charged(circuits, MA)
+            total += n
+            for H in Hs:
+                inside, n = charged(is_vector, MB, H)
+                total += n
+                if not inside:
+                    break
+            if not inside:
+                break
+    assert total == 17_513
+    budget = Budget()
+    assert compare(I, Ip, budget).relation == "incomparable"
+    assert budget.remaining == budget.cap - total
+    compare(I, Ip, Budget(total))
+    with pytest.raises(SizeGuardError):
+        compare(I, Ip, Budget(total - 1))
 
 
 def test_contains_rejects_inhomogeneous():

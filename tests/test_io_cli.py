@@ -518,6 +518,18 @@ def test_cli_factor_univariate_charges_the_cap(capsys):
     assert cli.main(["factor-univariate", *_two_term_poly(10 ** 3)]) == 0
 
 
+def test_cli_cap_bounds_the_whole_groebner_run(tmp_path, capsys):
+    # 12 normal complexes and 4 refinements over the 4 strata charge 41 subsets
+    # in all, the last refinement's pair among them; no single call charges over 12
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(jsonio.ideal_to_json(point_ideal((Trop(0), Trop(3)), 2))))
+    argv = ["groebner-complex", "--ideal", str(point), "--cap"]
+    assert cli.main(argv + ["40"]) == 3
+    assert capsys.readouterr().err.startswith("size guard: ")
+    assert cli.main(argv + ["41"]) == 0
+    assert cli.main(argv + ["0"]) == 2
+
+
 @pytest.mark.parametrize("sub", ["groebner-complex", "variety", "tropical-basis",
                                  "nullstellensatz"])
 def test_cli_groebner_subcommands_charge_the_cap(capsys, sub):

@@ -548,11 +548,11 @@ def test_exchange_budget_is_charged_before_any_quadruple():
     M = VMatroid(range(7), 3, vals)
     pairs = 35 * 3  # bases times C(r, 2), charged before `used` is built
     quads = 7 * math.comb(6, 4)  # sum over S of C(|used[S]|, 4)
-    assert check_valuated_exchange(M, cap=pairs + quads) is not None
+    assert check_valuated_exchange(M, budget=Budget(pairs + quads)) is not None
     with pytest.raises(SizeGuardError, match="valuated exchange check needs 1 more"):
-        check_valuated_exchange(M, cap=pairs + quads - 1)
+        check_valuated_exchange(M, budget=Budget(pairs + quads - 1))
     with pytest.raises(SizeGuardError, match="valuated exchange check needs 1 more"):
-        check_valuated_exchange(M, cap=pairs - 1)
+        check_valuated_exchange(M, budget=Budget(pairs - 1))
 
 
 def test_vector_elimination_on_circuit_pairs():

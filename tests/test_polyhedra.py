@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropideal import polyhedra
+from tropideal.config import Budget
 from tropideal.errors import InputError, InvariantViolationError, SizeGuardError
 from tropideal.polyhedra import (Cell, PolyComplex, canonical_row, fm_solve,
                                  normal_complex, quotient_lineality, refine)
@@ -291,7 +292,9 @@ def test_refine_two_lines_gives_nine_cells():
 
 def test_refine_identity():
     A = axis_complex(0)
-    assert refine([A]) is A
+    R = refine([A])
+    assert [(c.eqs, c.ineqs, c.label) for c in R.cells] == [
+        (c.eqs, c.ineqs, (c.label,)) for c in A.cells]
     allspace = PolyComplex(2, frozenset(), [Cell(2, (), [], [], label="all")])
     R = refine([A, allspace])
     assert R.cell_count() == 3
@@ -423,9 +426,9 @@ def test_refine_charges_one_unit_per_prefix_and_cell():
                  arrangement_complex([((1, 1), 1)])]
     pairs = sum(refine(complexes[:k]).cell_count() * complexes[k].cell_count()
                 for k in range(1, len(complexes)))
-    assert refine(complexes, cap=pairs).cell_count() == refine(complexes).cell_count()
+    assert refine(complexes, budget=Budget(pairs)).cell_count() == refine(complexes).cell_count()
     with pytest.raises(SizeGuardError, match="refinement pairs"):
-        refine(complexes, cap=pairs - 1)
+        refine(complexes, budget=Budget(pairs - 1))
 
 
 # The Fraction tie-set kernel, kept as the oracle of the integer one ---------------
@@ -635,11 +638,11 @@ def test_normal_complex_charges_before_each_solve(monkeypatch):
     monkeypatch.setattr(polyhedra, "fm_solve", counting)
     cells = normal_complex(f).cell_count()
     n = len(solves)
-    assert normal_complex(f, cap=n).cell_count() == cells
+    assert normal_complex(f, budget=Budget(n)).cell_count() == cells
     for cap in (1, n - 1):
         solves.clear()
         with pytest.raises(SizeGuardError, match="normal complex"):
-            normal_complex(f, cap=cap)
+            normal_complex(f, budget=Budget(cap))
         assert len(solves) == cap
 
 
