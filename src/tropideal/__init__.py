@@ -7,14 +7,10 @@ construction and every operation is a pure function, safe for concurrent
 use on shared data.
 """
 
-from .semiring import INF, Trop, dot, tsum, weight_sigma
-from .polynomials import (TropPoly, least_coefficients, poly_from_roots,
-                          tropical_roots)
-from .matroids import (VMatroid, check_valuated_exchange, circuits,
-                       coloop_extension, contract, dual, fundamental_circuit,
-                       initial_matroid, is_vector)
+from .semiring import INF, Trop, dot, weight_sigma
+from .polynomials import TropPoly, least_coefficients, tropical_roots
+from .matroids import VMatroid, check_valuated_exchange, circuits, is_vector
 from .ideals import (ClassicalInput, QPoly, TruncIdeal, Valuation,
-                     affine_point_ideal, affine_unit_ideal, boolean_image,
                      check_compatibility, compare, contains, initial_ideal,
                      nonrealizable_ideal, point_ideal, tropicalize)
 from .polyhedra import (Cell, PolyComplex, normal_complex, quotient_lineality,
@@ -24,19 +20,16 @@ from .groebner import (Certificate, GroebnerComplex, VarietySubcomplex,
                        tropical_basis, variety, variety_supports_equal)
 from .errors import (DegenerateInputError, DimensionError, InputError,
                      InvalidMatroidError, InvariantViolationError,
-                     LabelCollisionError, OutOfRangeError, ParseError,
-                     PreconditionError, SizeGuardError, TropidealError)
+                     OutOfRangeError, ParseError, PreconditionError,
+                     SizeGuardError, TropidealError)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "INF", "Trop", "dot", "tsum", "weight_sigma",
-    "TropPoly", "least_coefficients", "tropical_roots", "poly_from_roots",
-    "VMatroid", "check_valuated_exchange", "circuits",
-    "coloop_extension", "contract", "dual", "fundamental_circuit",
-    "initial_matroid", "is_vector",
+    "INF", "Trop", "dot", "weight_sigma",
+    "TropPoly", "least_coefficients", "tropical_roots",
+    "VMatroid", "check_valuated_exchange", "circuits", "is_vector",
     "ClassicalInput", "QPoly", "TruncIdeal", "Valuation",
-    "affine_point_ideal", "affine_unit_ideal", "boolean_image",
     "check_compatibility", "compare", "contains",
     "initial_ideal", "nonrealizable_ideal", "point_ideal", "tropicalize",
     "Cell", "PolyComplex", "normal_complex", "quotient_lineality", "refine",
@@ -44,8 +37,7 @@ __all__ = [
     "groebner_poly", "nullstellensatz", "tropical_basis", "variety",
     "variety_supports_equal",
     "DegenerateInputError", "DimensionError", "InputError",
-    "InvalidMatroidError", "InvariantViolationError", "LabelCollisionError",
-    "OutOfRangeError", "ParseError", "PreconditionError", "SizeGuardError",
-    "TropidealError",
+    "InvalidMatroidError", "InvariantViolationError", "OutOfRangeError",
+    "ParseError", "PreconditionError", "SizeGuardError", "TropidealError",
     "__version__",
 ]

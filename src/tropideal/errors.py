@@ -29,10 +29,6 @@ class PreconditionError(InputError):
     """A documented precondition was violated (e.g. B is not a basis)."""
 
 
-class LabelCollisionError(InputError):
-    """Coloop extension with labels already present in the ground set."""
-
-
 class OutOfRangeError(InputError):
     """Degree argument beyond the truncation bound."""
 

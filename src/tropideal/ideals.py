@@ -567,12 +567,6 @@ def initial_ideal(I: TruncIdeal, w: Sequence[Trop]) -> TruncIdeal:
     return TruncIdeal(I.num_vars, layers, mode="boolean")
 
 
-def boolean_image(I: TruncIdeal) -> TruncIdeal:
-    """Forget coefficients: finite values become 0, layerwise."""
-    layers = [M.underlying() for M in I.layers]
-    return TruncIdeal(I.num_vars, layers, mode="boolean")
-
-
 @dataclass(frozen=True)
 class CompareReport:
     relation: str  # equal | subset | superset | incomparable
@@ -624,53 +618,3 @@ def compare(I: TruncIdeal, J: TruncIdeal, budget: Budget | None = None) -> Compa
     else:
         relation = "incomparable"
     return CompareReport(relation, hv_i, hv_j, equal_through, first_diff)
-
-
-# Affine truncations ---------------------------------------------------------------
-#
-# An affine truncation is built as its homogenization f -> x_0^(d - deg f) f in
-# n+1 variables.  u -> (d - |u|, u) maps the degree-<=d monomials in n variables
-# onto the degree-d ones in n+1 in canonical order (a lower |u| is a larger x_0
-# exponent, and ties order u lex descending on both sides), index for index.
-
-
-def affine_point_ideal(a: Sequence[Trop], D: int) -> TruncIdeal:
-    """All polynomials of degree <= d vanishing tropically at the point a."""
-    return point_ideal((Trop(0), *a), D)
-
-
-def affine_unit_ideal(num_vars: int, D: int) -> TruncIdeal:
-    """The unit ideal: every layer has rank 0."""
-    nv = num_vars + 1
-    return TruncIdeal(nv, [VMatroid(mon.monomials_of_degree(nv, d), 0, {0: 0})
-                           for d in range(D + 1)])
-
-
-def single_circuit_matroid(ground: Sequence, vector) -> VMatroid:
-    """The matroid whose only circuit is the given vector on its support.
-
-    Elements outside the support are coloops; the bases are the complements
-    of single support elements, valued by the vector coordinate there.
-    """
-    ground = tuple(ground)
-    coords = [vector[i] if isinstance(vector[i], Trop) else Trop(vector[i]) for i in range(len(ground))]
-    if all(c.is_inf for c in coords):
-        raise InputError("the vector must have nonempty support")
-    full = (1 << len(ground)) - 1
-    val = {full ^ (1 << i): c.value for i, c in enumerate(coords) if not c.is_inf}
-    return VMatroid(ground, len(ground) - 1, val)
-
-
-def affine_principal_truncation(f: TropPoly) -> TruncIdeal:
-    """Affine truncation at D = deg f whose top layer is the single circuit f."""
-    if f.is_inf:
-        raise InputError("need a nonempty polynomial")
-    F = f.homogenize()
-    nv, D = F.num_vars, F.degree()
-    layers = []
-    for d in range(D):
-        ground = mon.monomials_of_degree(nv, d)
-        layers.append(VMatroid(ground, len(ground), {(1 << len(ground)) - 1: 0}))
-    ground = mon.monomials_of_degree(nv, D)
-    layers.append(single_circuit_matroid(ground, [F.coeff(u) for u in ground]))
-    return TruncIdeal(nv, layers)

@@ -227,14 +227,9 @@ def _row_to_json(row) -> list:
     return [str(c) for c in coeffs] + [str(rhs)]
 
 
-def _label_to_json(label):
-    if label is None or isinstance(label, str):
-        return label
-    if isinstance(label, frozenset):
-        return sorted(mon.label(u) for u in label)
-    if isinstance(label, tuple):
-        return [_label_to_json(x) for x in label]
-    return repr(label)
+def _label_to_json(label) -> list:
+    """A refined cell's label, one tie set of exponents per input complex."""
+    return [sorted(mon.label(u) for u in T) for T in label]
 
 
 def cell_to_json(cell: Cell) -> dict:

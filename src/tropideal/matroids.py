@@ -20,7 +20,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 from .config import Budget
 from .errors import (DimensionError, InputError, InvalidMatroidError,
-                     LabelCollisionError, PreconditionError)
+                     PreconditionError)
 from .semiring import INF, Trop
 
 VVector = tuple  # tuple[Trop, ...] aligned with the ground order
@@ -59,26 +59,24 @@ class VMatroid:
     The valuation is defined up to a global tropical scalar.  It is stored
     as ints _val over one denominator den > 0, p(B) = _val[B] / den, in the
     canonical form: the minimum value is 0 and gcd(den, *_val) is 1.  Values
-    may be given as ints, Fractions, Trops or rational strings, all over
-    den; the pair form lists each set once, with INF entries skipped.
+    may be given as ints, Fractions, Trops or rational strings; the pair
+    form lists each set once, with INF entries skipped.
     """
 
     __slots__ = ("ground", "rank", "_index", "_val", "den")
 
-    def __init__(self, ground: Sequence[Hashable], rank: int, valuation, den: int = 1):
+    def __init__(self, ground: Sequence[Hashable], rank: int, valuation):
         self.ground = tuple(ground)
         self._index = {e: i for i, e in enumerate(self.ground)}
         if len(self._index) != len(self.ground):
             raise InputError("duplicate ground labels")
         if rank < 0 or rank > len(self.ground):
             raise InvalidMatroidError("rank %d out of range for %d elements" % (rank, len(self.ground)))
-        if type(den) is not int or den < 1:
-            raise InputError("a valuation denominator is a positive int, got %r" % (den,))
         self.rank = rank
         items = valuation.items() if hasattr(valuation, "items") else valuation
         val: dict[int, int | Fraction] = {}
         infinite = set()
-        scale = 1  # the lcm of the Fraction values' denominators
+        den = 1  # the lcm of the Fraction values' denominators
         for key, value in items:
             mask = key if type(key) is int else _as_mask(self, key)
             if mask.bit_count() != rank:
@@ -97,14 +95,13 @@ class VMatroid:
                 if value.denominator == 1:
                     value = value.numerator
                 else:
-                    scale = math.lcm(scale, value.denominator)
+                    den = math.lcm(den, value.denominator)
             val[mask] = value
         if not val:
             raise InvalidMatroidError("no subset has a finite value")
-        if scale > 1:  # every value over den * scale, in place
+        if den > 1:  # every value over den, in place
             for m, v in val.items():
-                val[m] = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
-            den *= scale
+                val[m] = v * den if type(v) is int else v.numerator * (den // v.denominator)
         low = min(val.values())
         g = den
         for v in val.values():
@@ -297,17 +294,6 @@ def check_valuated_exchange(M: VMatroid, budget: Budget | None = None):
     return _exchange_three_term(M, budget) or _disconnected_witness(M)
 
 
-def fundamental_circuit(M: VMatroid, B, e) -> VVector:
-    """The valuated fundamental circuit of the element e over the basis B.
-
-    Coordinate e' carries p(B + e - e') - p(B); sets of the wrong size have
-    infinite value, so the support sits inside B + e.  The result is
-    canonicalized to minimum coordinate 0.  B may be a label set or a
-    bitmask; e is always a ground label.
-    """
-    return _fundamental_circuit_idx(M, _as_mask(M, B), M._index[e])
-
-
 def _fundamental_circuit_idx(M: VMatroid, mask: int, ei: int) -> VVector:
     """Coordinate i is p(B + e - i) less the least such value; p(B) sits at e."""
     if mask not in M._val:
@@ -347,13 +333,6 @@ def circuits(M: VMatroid, budget: Budget | None = None) -> list[VVector]:
             if smask not in seen:
                 seen[smask] = _fundamental_circuit_idx(M, B, e)
     return [seen[m] for m in sorted(seen)]
-
-
-def dual(M: VMatroid) -> VMatroid:
-    """Rank |E| - r with valuation of a set read off its complement."""
-    n = len(M.ground)
-    full = (1 << n) - 1
-    return VMatroid(M.ground, n - M.rank, {full ^ m: v for m, v in M._val.items()}, M.den)
 
 
 def is_vector(M: VMatroid, v: Sequence[Trop], budget: Budget | None = None) -> bool:
@@ -397,30 +376,6 @@ def is_vector(M: VMatroid, v: Sequence[Trop], budget: Budget | None = None) -> b
     return True
 
 
-def initial_matroid(M: VMatroid, w: Sequence[Fraction]) -> VMatroid:
-    """The Boolean matroid of the bases minimizing p(B) - sum of w over B,
-    for a finite weight w on the ground.
-
-    With w = P / q, den q times that difference is the int p q - den sum of
-    P over B.
-    """
-    n = len(M.ground)
-    if len(w) != n:
-        raise DimensionError("weight has %d coordinates, ground has %d" % (len(w), n))
-    weights = [Fraction(x) for x in w]
-    q = math.lcm(*(x.denominator for x in weights))
-    DP = [M.den * x.numerator * (q // x.denominator) for x in weights]
-    best: Optional[int] = None
-    arg: list[int] = []
-    for mask, p in M._val.items():
-        t = p * q - sum(DP[i] for i in _bits(mask))
-        if best is None or t < best:
-            best, arg = t, [mask]
-        elif t == best:
-            arg.append(mask)
-    return VMatroid.from_bases(M.ground, arg)
-
-
 def lex_min_basis_of_subset(M: VMatroid, subset) -> int:
     """The lexicographically smallest basis of the restriction to subset S.
 
@@ -442,97 +397,3 @@ def lex_min_basis_of_subset(M: VMatroid, subset) -> int:
         elif k == size and X & (X ^ best) & -(X ^ best):
             best = X
     return best
-
-
-def contract(M: VMatroid, A) -> VMatroid:
-    """Contraction by A, using the lexicographically smallest basis of A.
-
-    The choice only shifts the valuation by a global scalar, which the
-    canonical normalization removes.
-    """
-    amask = _as_mask(M, A)
-    if amask == 0:
-        return M
-    BA = lex_min_basis_of_subset(M, amask)
-    keep = [i for i in range(len(M.ground)) if not (amask >> i) & 1]
-    ground = tuple(M.ground[i] for i in keep)
-    newrank = M.rank - BA.bit_count()
-    val: dict[int, int] = {}
-    for mask, p in M._val.items():
-        if mask & BA != BA or mask & amask != BA:
-            continue
-        rest = mask ^ BA
-        val[_mask_of(j for j, i in enumerate(keep) if (rest >> i) & 1)] = p
-    if not val:
-        raise InvalidMatroidError("contraction produced no basis; B_A was not extendable")
-    return VMatroid(ground, newrank, val, M.den)
-
-
-def coloop_extension(M: VMatroid, F: Sequence[Hashable]) -> VMatroid:
-    """Attach the labels in F as coloops (every basis absorbs all of F)."""
-    F = tuple(F)
-    overlap = set(F) & set(M.ground)
-    if overlap:
-        raise LabelCollisionError("labels already present: %r" % (sorted(map(str, overlap)),))
-    if len(set(F)) != len(F):
-        raise LabelCollisionError("duplicate labels in the extension")
-    ground = tuple(M.ground) + F
-    add = _mask_of(range(len(M.ground), len(ground)))
-    return VMatroid(ground, M.rank + len(F), {m | add: v for m, v in M._val.items()}, M.den)
-
-
-# Elimination witnesses (used by verification suites and compatibility checks) ----
-
-
-def circuit_elimination_witness(all_circuits: Sequence[VVector], G: VVector, H: VVector,
-                                e: int, eprime: int) -> Optional[VVector]:
-    """A circuit F with F_e infinite, F_e' = G_e', and F >= G + H, if present.
-
-    Candidates are tropical rescalings of the canonical circuit list, since
-    circuits come in full scalar orbits.
-    """
-    target = G[eprime]
-    if target.is_inf:
-        return None
-    for C in all_circuits:
-        if not C[e].is_inf or C[eprime].is_inf:
-            continue
-        lam = Trop(target.value - C[eprime].value)
-        F = tuple(lam * c for c in C)
-        if all(F[i] >= G[i] + H[i] for i in range(len(F))):
-            return F
-    return None
-
-
-def vector_elimination_witness(M: VMatroid, G: Sequence[Trop], H: Sequence[Trop],
-                               e: int, circuit_list: Sequence[VVector]) -> Optional[VVector]:
-    """Construct the eliminated vector for G, H at coordinate e, or None.
-
-    Any eliminated vector is a tropical combination of circuits, each piece
-    lying above G + H and infinite at e; one piece must attain the value of
-    G + H at each coordinate where G and H differ.  Searching circuit_list,
-    the circuits of M, per coordinate and taking the minimum is therefore a
-    complete procedure.
-    """
-    n = len(M.ground)
-    GH = tuple(G[i] + H[i] for i in range(n))
-    diff = [i for i in range(n) if G[i] != H[i]]
-    pieces: list[VVector] = []
-    for i in diff:
-        target = GH[i]
-        assert not target.is_inf  # differing coordinates cannot both be infinite
-        found = None
-        for C in circuit_list:
-            if not C[e].is_inf or C[i].is_inf:
-                continue
-            lam = Trop(target.value - C[i].value)
-            scaled = tuple(lam * c for c in C)
-            if all(scaled[j] >= GH[j] for j in range(n)):
-                found = scaled
-                break
-        if found is None:
-            return None
-        pieces.append(found)
-    if not pieces:
-        return tuple(INF for _ in range(n))
-    return tuple(min(p[j] for p in pieces) for j in range(n))

@@ -242,11 +242,6 @@ class Cell:
         self._solve()
         return self._dim
 
-    def contains_closed(self, point: Sequence[Fraction]) -> bool:
-        if len(point) != len(self.free):
-            raise InputError("point has wrong dimension")
-        return self._holds_at(*_scaled(point))
-
     def _holds_at(self, P: Sequence[int], q: int) -> bool:
         """Whether the point P / q (q > 0) lies in the closed cell."""
         for c, r in self.eqs:

@@ -170,20 +170,6 @@ class TropPoly:
 
     # Structural operations ----------------------------------------------------
 
-    def homogenize(self) -> "TropPoly":
-        """Add a new first variable filling every term up to the top degree."""
-        if self.is_inf:
-            raise DegenerateInputError("cannot homogenize the infinity polynomial")
-        d = self.degree()
-        data = {(d - sum(u),) + u: a for u, a in self._terms.items()}
-        return TropPoly(self.num_vars + 1, data)
-
-    def dehomogenize(self) -> "TropPoly":
-        """Substitute 0 for the first variable (left inverse of homogenize)."""
-        if self.num_vars < 2:
-            raise InputError("need at least two variables to dehomogenize")
-        return TropPoly(self.num_vars - 1, [(u[1:], a) for u, a in self._terms.items()])
-
     def strip_sigma(self, sigma) -> "TropPoly":
         """Drop every term divisible by a variable with index in sigma."""
         sigma = frozenset(sigma)
@@ -227,15 +213,16 @@ def _lower_hull(b: dict[int, Trop]) -> list[tuple[int, Fraction]]:
 def least_coefficients(f: TropPoly, budget: Budget | None = None) -> TropPoly:
     """The smallest-coefficient polynomial defining the same function.
 
-    c_j is the value at j of the lower hull of the points (j, b_j), which
-    is the minimum of b_j and all chord interpolations
-    (b_i*(k-j) + b_k*(j-i)) / (k-i) over i < j < k with finite b_i, b_k;
-    the extreme coefficients are unchanged.  The budget is charged
-    (top + 1) * terms**2 up front, the (j, i, k) steps of that chord scan.
+    c_j is the value at j of the lower hull of the points (j, b_j), read
+    off one hull scan: each edge between hull vertices i < k writes the
+    coefficients at i + 1 .. k by linear interpolation, and the lowest
+    exponent keeps its own.  The budget is charged up front the number of
+    coefficients written, max(b) - min(b) + 1, which also bounds the hull
+    scan, since the terms are at most that many.
     """
     b = _univariate_coeffs(f)
     budget = Budget() if budget is None else budget
-    budget.charge((max(b) + 1) * len(b) ** 2, "least coefficients")
+    budget.charge(max(b) - min(b) + 1, "least coefficients")
     hull = _lower_hull(b)
     low, y_low = hull[0]
     out = {(low,): Trop(y_low)}
@@ -257,13 +244,3 @@ def tropical_roots(f: TropPoly) -> list[tuple[Fraction, int]]:
     """
     hull = _lower_hull(_univariate_coeffs(f))
     return sorted((-(yk - yi) / (k - i), k - i) for (i, yi), (k, yk) in zip(hull, hull[1:]))
-
-
-def poly_from_roots(leading: Trop, roots, x_power: int = 0) -> TropPoly:
-    """Expand leading * prod (x + a_i)^{m_i} * x^{x_power}."""
-    out = TropPoly(1, {(x_power,): leading})
-    for a, m in roots:
-        factor = TropPoly(1, {(1,): Trop(0), (0,): Trop(a)})
-        for _ in range(m):
-            out = out * factor
-    return out

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionError, ParseError
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 class Trop:
@@ -85,14 +85,15 @@ class Trop:
 def parse_ratio(text) -> tuple[int, int]:
     """The ints (p, q), q > 0 and not reduced, of a 'p' or 'p/q' string or a JSON int.
 
-    The one rational grammar of the package: an optional '-', decimal
-    digits, then optionally '/' and a denominator without a leading zero.
+    The one rational grammar of the package, matched against the whole
+    string: an optional '-', ASCII digits 0-9, then optionally '/' and a
+    denominator without a leading zero.
     """
     if type(text) is int:
         return text, 1
     if not isinstance(text, str):
         raise ParseError("expected rational string or 'inf', got %r" % (text,))
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ParseError("not a 'p/q' rational: %r" % (text,))
     num, _, den = text.partition("/")
     try:
@@ -102,14 +103,6 @@ def parse_ratio(text) -> tuple[int, int]:
 
 
 INF = Trop(None)
-
-
-def tsum(values: Iterable[Trop]) -> Trop:
-    """Tropical sum (min) of an iterable; empty sum is infinity."""
-    best = INF
-    for v in values:
-        best = best + v
-    return best
 
 
 def dot(w: Sequence[Trop], u: Sequence[int]) -> Trop:

@@ -1,23 +1,29 @@
 """Reference helpers shared by the test modules: point charts, membership,
-the direct exchange quantifier, the univariate chord scan, term merging,
-and stratum polynomials and initial towers by contraction.
+the direct exchange quantifier, the univariate chord scan and root
+expansion, term merging, contraction, initial matroids, elimination
+witnesses, and stratum polynomials and initial towers by contraction.
 
 These are oracles, not library API: they read a cell's rows with plain
 Fractions, so the integer kernels in tropideal.polyhedra can be checked
 against them; they take the least coefficients of a univariate polynomial
 by brute force, so the lower hull in tropideal.polynomials can be; and they
-build each stratum from the public contract and initial_matroid on ground
-labels, so the basis table that reads the sigma-face off the layer can be;
-and they decide valuated exchange by its quantifier over all pairs of
-bases, so the three-term scan and connectivity walk can be.  `charged`
+build each stratum from `contract` and `initial_matroid_by_fractions` on
+ground labels, so the basis table that reads the sigma-face off the layer
+can be; and they decide valuated exchange by its quantifier over all pairs
+of bases, so the three-term scan and connectivity walk can be.  `charged`
 runs one call alone on a fresh budget, so a run's nested calls can be
 summed against the single budget the run hands them.
 """
 
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from tropideal.config import Budget
-from tropideal.matroids import VMatroid, contract, initial_matroid
+from tropideal.errors import InvalidMatroidError
+from tropideal.ideals import TruncIdeal
+from tropideal.matroids import (VMatroid, VVector, _as_mask, _bits,
+                                _fundamental_circuit_idx, _mask_of,
+                                lex_min_basis_of_subset)
 from tropideal.monomials import uses_sigma
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop, dot, weight_sigma
@@ -160,7 +166,126 @@ def initial_layers_by_label_sets(I, w):
     for M in I.layers:
         sigma_mons = [u for u in M.ground if uses_sigma(u, sigma)]
         C = contract(M, sigma_mons)
-        N = initial_matroid(C, [dot(w, u).value for u in C.ground])
+        N = initial_matroid_by_fractions(C, [dot(w, u).value for u in C.ground])
         bases = [set(B) | set(sigma_mons) for B in N.bases_as_sets()]
         layers.append(VMatroid.from_bases(M.ground, bases))
     return layers
+
+
+def poly_from_roots(leading: Trop, roots, x_power: int = 0) -> TropPoly:
+    """Expand leading * prod (x + a_i)^{m_i} * x^{x_power}."""
+    out = TropPoly(1, {(x_power,): leading})
+    for a, m in roots:
+        factor = TropPoly(1, {(1,): Trop(0), (0,): Trop(a)})
+        for _ in range(m):
+            out = out * factor
+    return out
+
+
+def boolean_image(I: TruncIdeal) -> TruncIdeal:
+    """Forget coefficients: finite values become 0, layerwise."""
+    layers = [M.underlying() for M in I.layers]
+    return TruncIdeal(I.num_vars, layers, mode="boolean")
+
+
+def fundamental_circuit(M: VMatroid, B, e) -> VVector:
+    """The valuated fundamental circuit of the element e over the basis B.
+
+    Coordinate e' carries p(B + e - e') - p(B); sets of the wrong size have
+    infinite value, so the support sits inside B + e.  The result is
+    canonicalized to minimum coordinate 0.  B may be a label set or a
+    bitmask; e is always a ground label.
+    """
+    return _fundamental_circuit_idx(M, _as_mask(M, B), M._index[e])
+
+
+def initial_matroid_by_fractions(M, w):
+    """The Boolean matroid of the bases minimizing the Fraction p(B) - sum
+    of w over B, for a finite weight w on the ground."""
+    weights = [Fraction(x) for x in w]
+    best, arg = None, []
+    for mask, p in M.valuation_items():
+        t = p - sum(weights[i] for i in _bits(mask))
+        if best is None or t < best:
+            best, arg = t, [mask]
+        elif t == best:
+            arg.append(mask)
+    return VMatroid.from_bases(M.ground, arg)
+
+
+def contract(M: VMatroid, A) -> VMatroid:
+    """Contraction by A, using the lexicographically smallest basis of A.
+
+    The choice only shifts the valuation by a global scalar, which the
+    canonical normalization removes.
+    """
+    amask = _as_mask(M, A)
+    if amask == 0:
+        return M
+    BA = lex_min_basis_of_subset(M, amask)
+    keep = [i for i in range(len(M.ground)) if not (amask >> i) & 1]
+    ground = tuple(M.ground[i] for i in keep)
+    newrank = M.rank - BA.bit_count()
+    val: dict[int, int] = {}
+    for mask, p in M._val.items():
+        if mask & BA != BA or mask & amask != BA:
+            continue
+        rest = mask ^ BA
+        val[_mask_of(j for j, i in enumerate(keep) if (rest >> i) & 1)] = p
+    if not val:
+        raise InvalidMatroidError("contraction produced no basis; B_A was not extendable")
+    return VMatroid(ground, newrank, {m: Fraction(p, M.den) for m, p in val.items()})
+
+
+def circuit_elimination_witness(all_circuits: Sequence[VVector], G: VVector, H: VVector,
+                                e: int, eprime: int) -> Optional[VVector]:
+    """A circuit F with F_e infinite, F_e' = G_e', and F >= G + H, if present.
+
+    Candidates are tropical rescalings of the canonical circuit list, since
+    circuits come in full scalar orbits.
+    """
+    target = G[eprime]
+    if target.is_inf:
+        return None
+    for C in all_circuits:
+        if not C[e].is_inf or C[eprime].is_inf:
+            continue
+        lam = Trop(target.value - C[eprime].value)
+        F = tuple(lam * c for c in C)
+        if all(F[i] >= G[i] + H[i] for i in range(len(F))):
+            return F
+    return None
+
+
+def vector_elimination_witness(M: VMatroid, G: Sequence[Trop], H: Sequence[Trop],
+                               e: int, circuit_list: Sequence[VVector]) -> Optional[VVector]:
+    """Construct the eliminated vector for G, H at coordinate e, or None.
+
+    Any eliminated vector is a tropical combination of circuits, each piece
+    lying above G + H and infinite at e; one piece must attain the value of
+    G + H at each coordinate where G and H differ.  Searching circuit_list,
+    the circuits of M, per coordinate and taking the minimum is therefore a
+    complete procedure.
+    """
+    n = len(M.ground)
+    GH = tuple(G[i] + H[i] for i in range(n))
+    diff = [i for i in range(n) if G[i] != H[i]]
+    pieces: list[VVector] = []
+    for i in diff:
+        target = GH[i]
+        assert not target.is_inf  # differing coordinates cannot both be infinite
+        found = None
+        for C in circuit_list:
+            if not C[e].is_inf or C[i].is_inf:
+                continue
+            lam = Trop(target.value - C[i].value)
+            scaled = tuple(lam * c for c in C)
+            if all(scaled[j] >= GH[j] for j in range(n)):
+                found = scaled
+                break
+        if found is None:
+            return None
+        pieces.append(found)
+    if not pieces:
+        return tuple(INF for _ in range(n))
+    return tuple(min(p[j] for p in pieces) for j in range(n))

@@ -18,15 +18,13 @@ from tropideal.ideals import (ClassicalInput, QPoly, TruncIdeal, Valuation,
                               check_compatibility, compare, contains,
                               initial_ideal, nonrealizable_ideal, point_ideal,
                               tropicalize)
-from tropideal.matroids import (VMatroid, check_valuated_exchange,
-                                circuit_elimination_witness, circuits,
-                                is_vector, vector_elimination_witness)
+from tropideal.matroids import VMatroid, check_valuated_exchange, circuits, is_vector
 from tropideal.monomials import monomials_of_degree
-from tropideal.polynomials import (TropPoly, least_coefficients,
-                                   poly_from_roots, tropical_roots)
+from tropideal.polynomials import TropPoly, least_coefficients, tropical_roots
 from tropideal.semiring import INF, Trop
 
-from oracles import weight_to_cell_coords
+from oracles import (circuit_elimination_witness, contains_by_fractions, poly_from_roots,
+                     vector_elimination_witness, weight_to_cell_coords)
 
 
 def report(k, text):
@@ -124,15 +122,16 @@ def test_criterion_02_variety_is_tropical_line(tower4, tower4_complex):
     origin = (Trop(0), Trop(0), Trop(0))
     vertex = next(gc for gc in torus if gc.cell.dim() == 0)
     vcoord = weight_to_cell_coords(vertex.cell, origin, True)
-    assert vertex.cell.contains_closed(vcoord)
+    assert contains_by_fractions(vertex.cell, vcoord, relint=False)
     rays = [gc for gc in torus if gc.cell.dim() == 1]
     for gc in rays:
         # the rays meet at the vertex
-        assert gc.cell.contains_closed(vcoord)
+        assert contains_by_fractions(gc.cell, vcoord, relint=False)
     for i in range(3):
         w = tuple(Trop(7 if j == i else 0) for j in range(3))
         assert sum(1 for gc in rays
-                   if gc.cell.contains_closed(weight_to_cell_coords(gc.cell, w, True))) == 1
+                   if contains_by_fractions(gc.cell, weight_to_cell_coords(gc.cell, w, True),
+                                            relint=False)) == 1
     for i in range(3):
         assert [gc.cell.dim() for gc in by_sigma[frozenset({i})]] == [0]
     for pair in itertools.combinations(range(3), 2):
@@ -331,7 +330,8 @@ def test_criterion_09_nullstellensatz():
         cert = nullstellensatz(I)
         assert cert.kind == "nonempty"
         coords = weight_to_cell_coords(cert.witness_cell.cell, a, quotiented=True)
-        assert coords is not None and cert.witness_cell.cell.contains_closed(coords)
+        assert coords is not None and contains_by_fractions(cert.witness_cell.cell, coords,
+                                                            relint=False)
 
     ideals.append(line_ideal(2))
     for I in ideals:

@@ -257,7 +257,7 @@ def test_variety_of_point_ideal_is_single_projective_point():
     assert sigma == frozenset()
     assert gc.cell.dim() == 0
     coords = weight_to_cell_coords(gc.cell, (Trop(0), Trop(0), Trop(0)), quotiented=True)
-    assert coords is not None and gc.cell.contains_closed(coords)
+    assert coords is not None and contains_by_fractions(gc.cell, coords, relint=False)
 
 
 def test_variety_of_unit_ideal_is_empty():
@@ -276,12 +276,13 @@ def test_variety_of_divisibility_tower_is_tropical_line():
     assert sorted(gc.cell.dim() for gc in torus) == [0, 1, 1, 1]
     vertex = [gc for gc in torus if gc.cell.dim() == 0][0]
     origin = (Trop(0), Trop(0), Trop(0))
-    assert vertex.cell.contains_closed(weight_to_cell_coords(vertex.cell, origin, True))
+    assert contains_by_fractions(vertex.cell, weight_to_cell_coords(vertex.cell, origin, True),
+                                 relint=False)
     # each ray contains the weight with a single raised coordinate
     for i in range(3):
         w = tuple(Trop(5 if j == i else 0) for j in range(3))
-        hit = [gc for gc in torus if gc.cell.dim() == 1 and gc.cell.contains_closed(
-            weight_to_cell_coords(gc.cell, w, True))]
+        hit = [gc for gc in torus if gc.cell.dim() == 1 and contains_by_fractions(
+            gc.cell, weight_to_cell_coords(gc.cell, w, True), relint=False)]
         assert len(hit) == 1
     # boundary strata: a single point each at the coordinate vertices of the plane
     for i in range(3):
@@ -308,7 +309,7 @@ def test_variety_monotone_in_truncation():
     for sigma, gc in V3.in_variety_cells():
         p = gc.cell.relint_point()
         hit = [g for g in V2.strata[sigma]
-               if g.in_variety and g.cell.contains_closed(p)]
+               if g.in_variety and contains_by_fractions(g.cell, p, relint=False)]
         assert hit
 
 
@@ -338,7 +339,7 @@ def test_variety_crosscheck_by_circuit_sampling():
             if not gc.in_variety or s != sigma:
                 continue
             coords = weight_to_cell_coords(gc.cell, w, quotiented=False)
-            if coords is not None and gc.cell.contains_closed(coords):
+            if coords is not None and contains_by_fractions(gc.cell, coords, relint=False):
                 in_cell = True
                 break
         assert vanishes == in_cell, (w, vanishes, in_cell)
@@ -356,7 +357,8 @@ def test_boundary_condition_on_sampled_limits():
                 holders = []
                 for other in G.strata[frozenset(sigma)]:
                     coords = weight_to_cell_coords(other.cell, limit, quotiented=False)
-                    if coords is not None and other.cell.contains_closed(coords):
+                    if coords is not None and contains_by_fractions(other.cell, coords,
+                                                                    relint=False):
                         holders.append(other)
                 assert holders
                 in_relint = [o for o in holders if contains_by_fractions(
@@ -398,7 +400,8 @@ def test_tropical_basis_cuts_out_variety_on_samples():
         on_all = all(f.min_twice(w) for f in basis)
         in_cell = any(
             gc.in_variety and s == sigma and
-            gc.cell.contains_closed(weight_to_cell_coords(gc.cell, w, False))
+            contains_by_fractions(gc.cell, weight_to_cell_coords(gc.cell, w, False),
+                                  relint=False)
             for s, gc in V.all_cells()
             if weight_to_cell_coords(gc.cell, w, False) is not None)
         assert on_all == in_cell
@@ -426,7 +429,7 @@ def test_nullstellensatz_point_witness():
     assert cert.witness_sigma == frozenset()
     coords = weight_to_cell_coords(cert.witness_cell.cell,
                                    (Trop(0), Trop(0), Trop(0)), quotiented=True)
-    assert cert.witness_cell.cell.contains_closed(coords)
+    assert contains_by_fractions(cert.witness_cell.cell, coords, relint=False)
 
 
 def test_nullstellensatz_hyperplane_witness():
@@ -437,9 +440,9 @@ def test_nullstellensatz_hyperplane_witness():
     cell = cert.witness_cell.cell
     # the witness cell is the diagonal w0 = w1
     coords = weight_to_cell_coords(cell, (Trop(7), Trop(7)), quotiented=True)
-    assert cell.contains_closed(coords)
+    assert contains_by_fractions(cell, coords, relint=False)
     coords = weight_to_cell_coords(cell, (Trop(1), Trop(0)), quotiented=True)
-    assert not cell.contains_closed(coords)
+    assert not contains_by_fractions(cell, coords, relint=False)
 
 
 def test_nullstellensatz_inconclusive_then_unit():

@@ -12,19 +12,17 @@ from tropideal import monomials as mon
 from tropideal.config import Budget
 from tropideal.errors import InputError, OutOfRangeError, SizeGuardError
 from tropideal.ideals import (ClassicalInput, CompatibilityWitness, QPoly,
-                              TruncIdeal, Valuation, affine_point_ideal,
-                              affine_principal_truncation, affine_unit_ideal,
-                              boolean_image, check_compatibility, compare,
-                              contains, initial_ideal, nonrealizable_ideal,
-                              point_ideal, single_circuit_matroid, tropicalize)
+                              TruncIdeal, Valuation, check_compatibility,
+                              compare, contains, initial_ideal,
+                              nonrealizable_ideal, point_ideal, tropicalize)
 from tropideal.ideals import _layer_from_row_space
 from tropideal.linalg import echelon
 from tropideal.matroids import VMatroid, check_valuated_exchange, circuits, is_vector
 from tropideal.monomials import monomials_of_degree
 from tropideal.polynomials import TropPoly
-from tropideal.semiring import INF, Trop, dot
+from tropideal.semiring import INF, Trop
 
-from oracles import charged, initial_layers_by_label_sets
+from oracles import boolean_image, charged, initial_layers_by_label_sets
 
 
 # Test-local oracles ---------------------------------------------------------------
@@ -452,8 +450,9 @@ def test_compatibility_failure_detected():
     m0 = VMatroid(monomials_of_degree(2, 0), 1, {frozenset({(0, 0)}): 0})
     m1 = VMatroid(monomials_of_degree(2, 1), 1,
                   {frozenset({(1, 0)}): 0, frozenset({(0, 1)}): 0})
-    vec = (Trop(0), Trop(0), INF)  # x^2 + x*y only
-    m2 = single_circuit_matroid(monomials_of_degree(2, 2), vec)
+    # its one circuit x^2 + x*y: the bases are the complements of x^2 and x*y
+    m2 = VMatroid(monomials_of_degree(2, 2), 2,
+                  {frozenset({(1, 1), (0, 2)}): 0, frozenset({(2, 0), (0, 2)}): 0})
     broken = TruncIdeal(2, [m0, m1, m2])
     witness = check_compatibility(broken)
     assert witness is not None and witness.degree == 1
@@ -800,46 +799,6 @@ def test_compare_shape_mismatch():
     J = point_ideal((Trop(0), Trop(0)), 1)
     with pytest.raises(InputError):
         compare(I, J)
-
-
-# affine truncations, built as their homogenization -----------------------------------
-
-
-def test_homogenize_affine_point():
-    # the affine layer on the monomials of degree <= d, relabelled by
-    # u -> (d - |u|, u), is the homogenized layer index for index
-    a = (Trop(1), INF)
-    H = affine_point_ideal(a, 3)
-    assert H.num_vars == 3
-    for d in range(4):
-        affine = [u for e in range(d + 1) for u in monomials_of_degree(2, e)]
-        assert H.layers[d].ground == tuple((d - sum(u),) + u for u in affine)
-        assert H.layers[d].rank == 1
-        for i, u in enumerate(affine):
-            assert H.layers[d].value(1 << i) == dot(a, u)
-    assert H.layers == point_ideal((Trop(0), Trop(1), INF), 3).layers
-
-
-def test_homogenize_affine_unit():
-    H = affine_unit_ideal(2, 2)
-    assert H.num_vars == 3 and H.degree_bound == 2
-    for d in range(3):
-        assert H.hilbert(d) == 0
-        assert H.layers[d].underlying().loops() == monomials_of_degree(3, d)
-
-
-def test_homogenize_single_circuit():
-    f = TropPoly(1, {(2,): Trop(0), (0,): Trop(1)})  # x^2 + 1
-    H = affine_principal_truncation(f)
-    assert H.num_vars == 2 and H.degree_bound == 2
-    for d in range(2):  # nothing of the ideal below deg f
-        assert H.layers[d].rank == len(H.layers[d].ground)
-    top = H.layers[2]
-    # x^2 + 1 homogenizes to 1 x0^2 + x1^2 over the ground x0^2, x0 x1, x1^2
-    assert top.ground == ((2, 0), (1, 1), (0, 2))
-    assert circuits(top) == [(Trop(1), INF, Trop(0))]
-    circuit = TropPoly(2, {u: c for u, c in zip(top.ground, circuits(top)[0])})
-    assert circuit.dehomogenize() == f
 
 
 def test_hilbert_matches_macaulay_corank():

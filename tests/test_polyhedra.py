@@ -12,7 +12,7 @@ from tropideal.config import Budget
 from tropideal.errors import InputError, InvariantViolationError, SizeGuardError
 from tropideal.polyhedra import (Cell, PolyComplex, canonical_row, fm_solve,
                                  normal_complex, quotient_lineality, refine)
-from tropideal.polyhedra import _tie_at, _tie_system
+from tropideal.polyhedra import _scaled, _tie_at, _tie_system
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
@@ -180,7 +180,7 @@ def test_normal_complex_of_line():
     dims = sorted(c.dim() for c in cells)
     assert dims == [0, 1, 1, 1, 2, 2, 2]
     vertex = [c for c in cells if c.dim() == 0][0]
-    assert vertex.contains_closed((Fraction(0), Fraction(0)))
+    assert contains_by_fractions(vertex, (Fraction(0), Fraction(0)), relint=False)
     assert vertex.label == frozenset({(1, 0), (0, 1), (0, 0)})
 
 
@@ -200,7 +200,7 @@ def test_normal_complex_univariate():
     for c in cells:
         by_dim.setdefault(c.dim(), []).append(c)
     assert len(by_dim[1]) == 2 and len(by_dim[0]) == 1
-    assert by_dim[0][0].contains_closed((Fraction(0),))
+    assert contains_by_fractions(by_dim[0][0], (Fraction(0),), relint=False)
 
 
 def test_normal_complex_of_infinity_polynomial():
@@ -241,7 +241,7 @@ def test_normal_complex_covering_property():
     for _ in range(1000):
         p = (Fraction(rng.randint(-60, 60), rng.randint(1, 7)),
              Fraction(rng.randint(-60, 60), rng.randint(1, 7)))
-        containing = [c for c in cells if c.contains_closed(p)]
+        containing = [c for c in cells if contains_by_fractions(c, p, relint=False)]
         assert containing, "point not covered"
         exact = [c for c in containing if contains_by_fractions(c, p, relint=True)]
         if len(containing) == 1:
@@ -573,7 +573,7 @@ def test_integer_tie_kernel_matches_fraction_oracle(case, rng):
     for p in probe_points(got, m, rng):
         assert _tie_at(int_terms, scale, p) == tie_at_by_fractions(terms, p)
         for cell in got:
-            assert cell.contains_closed(p) == contains_by_fractions(cell, p, relint=False)
+            assert cell._holds_at(*_scaled(p)) == contains_by_fractions(cell, p, relint=False)
 
 
 @st.composite
@@ -652,12 +652,12 @@ def test_membership_on_tight_rows_and_outside():
     half, third = Fraction(1, 2), Fraction(1, 3)
     for point, closed in [((half, third), True), ((0, third), True), ((0, 0), True),
                           ((1, Fraction(4, 3)), False)]:
-        assert sq.contains_closed(point) is closed
+        assert sq._holds_at(*_scaled(point)) is closed
+        assert contains_by_fractions(sq, point, relint=False) is closed
     edge = Cell(2, (), [((1, 0), 0)], [((0, -1), 0), ((0, 1), 1)])
-    assert edge.contains_closed((0, half)) and edge.contains_closed((0, 1))
-    assert not edge.contains_closed((Fraction(1, 7), half))
-    with pytest.raises(InputError):
-        edge.contains_closed((0,))
+    for point, closed in [((0, half), True), ((0, 1), True), ((Fraction(1, 7), half), False)]:
+        assert edge._holds_at(*_scaled(point)) is closed
+        assert contains_by_fractions(edge, point, relint=False) is closed
 
 
 def test_quotient_lineality():

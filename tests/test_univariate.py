@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import least_coefficients_by_chords
+from oracles import least_coefficients_by_chords, poly_from_roots
 from tropideal.config import Budget
 from tropideal.errors import DegenerateInputError, SizeGuardError
-from tropideal.polynomials import (TropPoly, least_coefficients,
-                                   poly_from_roots, tropical_roots)
+from tropideal.polynomials import TropPoly, least_coefficients, tropical_roots
 from tropideal.semiring import Trop
 
 
@@ -134,8 +133,8 @@ def test_empty_polynomial_rejected():
 def test_least_coefficients_charges_the_cap():
     f = U([(10 ** 3, 0), (0, 1)])
     with pytest.raises(SizeGuardError):
-        least_coefficients(f, budget=Budget(4003))
-    least_coefficients(f, budget=Budget(4004))  # (top + 1) * terms**2 steps
+        least_coefficients(f, budget=Budget(1000))
+    least_coefficients(f, budget=Budget(1001))  # one unit per coefficient written
 
 
 def test_tropical_roots_of_a_wide_binomial_is_one_edge():
