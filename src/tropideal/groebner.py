@@ -163,9 +163,8 @@ def variety_supports_equal(V1: VarietySubcomplex, V2: VarietySubcomplex) -> bool
                     continue
                 P = gc.cell
                 for R in bad:
-                    eqs = [*P.eqs, *R.core[0]]
-                    ineqs = [*((c, r, False) for c, r in P.ineqs), *R.core[1]]
-                    if fm_solve(len(P.free), eqs, ineqs) is not None:
+                    if fm_solve(len(P.free), [*P.eqs, *R.core[0]], P.ineqs,
+                                R.core[1]) is not None:
                         return False
         return True
 
@@ -192,7 +191,7 @@ def tropical_basis(G: GroebnerComplex) -> list[TropPoly]:
             loops = _loops_mask(layer, len(M.ground))
             if loops:
                 break
-        loop_idx = (loops & -loops).bit_length() - 1
+        loop_idx = next(_bits(loops))
         sigma_mask = _sigma_mask(M.ground, sigma)
         BA = lex_min_basis_of_subset(M, sigma_mask)
         layer_basis = min(layer, key=lambda m: tuple(_bits(m)))

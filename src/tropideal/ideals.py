@@ -22,7 +22,7 @@ from .linalg import echelon
 from .matroids import (VMatroid, _bits, _mask_of, circuits, is_vector,
                        lex_min_basis_of_subset)
 from .polynomials import TropPoly
-from .semiring import INF, Trop, all_infinite, dot, weight_sigma
+from .semiring import Trop, all_infinite, dot, weight_sigma
 
 
 # Classical-side input ------------------------------------------------------------
@@ -74,11 +74,6 @@ class Valuation:
         if self.kind == "padic" and not _is_prime(self.p):
             raise InputError("p-adic valuation needs a prime, got %r" % (self.p,))
 
-    def of(self, q: Fraction) -> Trop:
-        if q == 0:
-            return INF
-        return Trop(self.of_int(q.numerator) - self.of_int(q.denominator))
-
     def of_int(self, n: int) -> int:
         """The valuation of a nonzero integer."""
         if self.kind == "trivial":
@@ -124,17 +119,10 @@ class QPoly:
     def is_homogeneous(self) -> bool:
         return len({sum(u) for u in self.coeffs}) <= 1
 
-    def times_monomial(self, v) -> "QPoly":
-        v = tuple(v)
-        return QPoly(self.num_vars, {mon.mul(u, v): c for u, c in self.coeffs.items()})
-
     def __mul__(self, other: "QPoly") -> "QPoly":
         return QPoly(self.num_vars, [(mon.mul(u, v), a * b)
                                      for u, a in self.coeffs.items()
                                      for v, b in other.coeffs.items()])
-
-    def trop(self, valuation: Valuation) -> TropPoly:
-        return TropPoly(self.num_vars, {u: valuation.of(c) for u, c in self.coeffs.items()})
 
     def __repr__(self) -> str:
         bits = ["%s*%s" % (c, mon.label(u)) for u, c in sorted(self.coeffs.items(), key=lambda t: mon.grlex_key(t[0]))]

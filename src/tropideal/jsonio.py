@@ -93,25 +93,12 @@ def qpoly_from_json(obj) -> QPoly:
     return QPoly(nv, coeffs)
 
 
-def qpoly_to_json(g: QPoly) -> dict:
-    items = sorted(g.coeffs.items(), key=lambda t: mon.grlex_key(t[0]))
-    return {"vars": g.num_vars,
-            "terms": [{"exp": list(u), "coeff": str(c)} for u, c in items]}
-
-
 def classical_input_from_json(obj) -> ClassicalInput:
     gens = tuple(qpoly_from_json(g) for g in _expect(obj, "generators", list, "input"))
     val = _expect(obj, "valuation", dict, "input")
     kind = _expect(val, "type", str, "valuation")
     p = val.get("p", 0)
     return ClassicalInput(gens, Valuation(kind, p))
-
-
-def classical_input_to_json(inp: ClassicalInput) -> dict:
-    val = {"type": inp.valuation.kind}
-    if inp.valuation.kind == "padic":
-        val["p"] = inp.valuation.p
-    return {"generators": [qpoly_to_json(g) for g in inp.generators], "valuation": val}
 
 
 # Weights ---------------------------------------------------------------------------

@@ -137,17 +137,6 @@ class VMatroid:
     def bases_as_sets(self) -> list[frozenset]:
         return [frozenset(self.ground[i] for i in _bits(m)) for m in self.basis_masks()]
 
-    def loops(self) -> list:
-        """Elements in no basis."""
-        return [self.ground[i] for i in _bits(_loops_mask(self._val, len(self.ground)))]
-
-    def underlying(self) -> "VMatroid":
-        """The Boolean valuated matroid on the same bases: every value 0."""
-        return VMatroid.from_bases(self.ground, self.basis_masks())
-
-    def index_of(self, e) -> int:
-        return self._index[e]
-
     @classmethod
     def from_bases(cls, ground: Sequence[Hashable], bases: Iterable) -> "VMatroid":
         """Boolean valuated matroid: value 0 on every listed basis.
@@ -302,8 +291,9 @@ def _fundamental_circuit_idx(M: VMatroid, mask: int, ei: int) -> VVector:
     if mask & ebit:
         raise PreconditionError("e must lie outside B")
     extended = mask | ebit
-    coords = [M._val.get(extended ^ (1 << i)) if (extended >> i) & 1 else None
-              for i in range(len(M.ground))]
+    coords = [None] * len(M.ground)
+    for i in _bits(extended):
+        coords[i] = M._val.get(extended ^ (1 << i))
     low = min(v for v in coords if v is not None)
     return tuple(INF if v is None else Trop(Fraction(v - low, M.den)) for v in coords)
 

@@ -13,10 +13,6 @@ from .errors import InputError
 Monomial = tuple  # tuple[int, ...]
 
 
-def degree(u: Monomial) -> int:
-    return sum(u)
-
-
 def grlex_key(u: Monomial):
     """Sort key for the canonical order (ascending degree, then lex descending)."""
     return (sum(u), tuple(-e for e in u))

@@ -99,8 +99,10 @@ def _fm_eliminate(ineqs, var: int):
     return _dedupe(out)
 
 
-def fm_solve(m: int, eqs: Sequence[Row], ineqs) -> Optional[tuple]:
-    """An exact feasible point of a mixed strict/non-strict system, or None.
+def fm_solve(m: int, eqs: Sequence[Row], ineqs: Sequence[Row],
+             strict: Sequence[Row] = ()) -> Optional[tuple]:
+    """An exact point with a.w = b on eqs, a.w <= b on ineqs and a.w < b on
+    strict, or None.
 
     For a closed system the returned point lies in the relative interior:
     equalities are eliminated first and each remaining variable is chosen
@@ -108,23 +110,23 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs) -> Optional[tuple]:
     bounded).  Int rows are taken as given: echelon's reduced form over d
     and _dedupe's primitive rows do not depend on a row's scale.
     """
-    eq_rows = [coeffs + (rhs,) for coeffs, rhs, _ in _normalize_rows(eqs, m)]
+    eq_rows = [coeffs + (rhs,) for coeffs, rhs, _ in _normalize_rows(eqs, m, False)]
     pivots, prows, d = echelon(eq_rows)
     if pivots and pivots[-1] == m:
         return None  # the equalities reduce to 0 = nonzero
     if d < 0:
         d, prows = -d, [[-x for x in prow] for prow in prows]
     free = [c for c in range(m) if c not in pivots]
-    rows = _normalize_rows(ineqs, m)
+    rows = _normalize_rows(ineqs, m, False) + _normalize_rows(strict, m, True)
     if pivots:
-        for k, (coeffs, rhs, strict) in enumerate(rows):
+        for k, (coeffs, rhs, is_strict) in enumerate(rows):
             # d * row minus row[c] times the pivot row of c; each pivot row
             # carries d at its own column, so the pivot columns become 0
             row = [d * x for x in (*coeffs, rhs)]
             for c, prow in zip(pivots, prows):
                 if coeffs[c]:
                     row = [a - coeffs[c] * b for a, b in zip(row, prow)]
-            rows[k] = (row[:m], row[m], strict)
+            rows[k] = (row[:m], row[m], is_strict)
     rows = _dedupe(rows)
     if rows is None:
         return None
@@ -138,18 +140,18 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs) -> Optional[tuple]:
     for v, lrows in reversed(levels):
         lower: Optional[tuple[Fraction, bool]] = None
         upper: Optional[tuple[Fraction, bool]] = None
-        for coeffs, rhs, strict in lrows:
+        for coeffs, rhs, is_strict in lrows:
             a = coeffs[v]
             if a == 0:
                 continue
             rest = rhs - sum(coeffs[j] * values[j] for j in values if coeffs[j] != 0 and j != v)
             bound = Fraction(rest, a)
             if a > 0:
-                if upper is None or bound < upper[0] or (bound == upper[0] and strict):
-                    upper = (bound, strict)
+                if upper is None or bound < upper[0] or (bound == upper[0] and is_strict):
+                    upper = (bound, is_strict)
             else:
-                if lower is None or bound > lower[0] or (bound == lower[0] and strict):
-                    lower = (bound, strict)
+                if lower is None or bound > lower[0] or (bound == lower[0] and is_strict):
+                    lower = (bound, is_strict)
         if lower is None and upper is None:
             values[v] = Fraction(0)
         elif lower is None:
@@ -167,18 +169,17 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs) -> Optional[tuple]:
     return tuple(values[c] for c in range(m))
 
 
-def _normalize_rows(rows, m):
+def _normalize_rows(rows, m, strict: bool):
     """(coeffs, rhs, strict) int rows; only rows with a non-int entry are scaled."""
     out = []
-    for row in rows:
-        coeffs, rhs = row[0], row[1]
+    for coeffs, rhs in rows:
         if len(coeffs) != m:
             raise InputError("row has wrong width")
         if type(rhs) is int and set(map(type, coeffs)) <= {int}:
             coeffs = tuple(coeffs)
         else:
             coeffs, rhs = canonical_row(coeffs, rhs)
-        out.append((coeffs, rhs, len(row) > 2 and bool(row[2])))
+        out.append((coeffs, rhs, strict))
     return out
 
 
@@ -190,8 +191,9 @@ class Cell:
 
     Rows are primitive integer (coeffs, rhs) over the cell's free
     coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  core
-    is an (eqs, strict rows) pair cutting out exactly the relative interior:
-    given by the builder, else solved once on first use.
+    is a pair (eqs, strict) of row lists, a.w = b and a.w < b, cutting out
+    exactly the relative interior, as fm_solve's eqs and strict: given by
+    the builder, else solved once on first use.
     """
 
     __slots__ = ("ambient", "sigma", "free", "eqs", "ineqs", "label", "_core",
@@ -222,7 +224,7 @@ class Cell:
             return
         self._solved = True
         m = len(self.free)
-        p = fm_solve(m, self.eqs, [(c, r, False) for c, r in self.ineqs])
+        p = fm_solve(m, self.eqs, self.ineqs)
         self._relint = p
         if p is None:
             return
@@ -259,14 +261,11 @@ class Cell:
         if self._core is None:
             self._solve()
             if self._relint is None:
-                self._core = ((), [((0,) * len(self.free), 0, True)])
+                self._core = ((), [((0,) * len(self.free), 0)])
             else:
                 eqs, strict = list(self.eqs), []
-                for i, (c, r) in enumerate(self.ineqs):
-                    if i in self._tight:
-                        eqs.append((c, r))
-                    else:
-                        strict.append((c, r, True))
+                for i, row in enumerate(self.ineqs):
+                    (eqs if i in self._tight else strict).append(row)
                 self._core = (eqs, strict)
         return self._core
 
@@ -381,7 +380,7 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
         while True:
             budget.charge(1, what)
             _, ineqs = _tie_system(terms, scale, {i}, rows=S)
-            p = fm_solve(m, [], [(c, r, True) for c, r in ineqs])
+            p = fm_solve(m, [], [], ineqs)
             if p is None:
                 break
             T = _tie_at(terms, scale, p)
@@ -396,7 +395,7 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
     def register(T):
         if T not in discovered:
             eqs, ineqs = _tie_system(terms, scale, T)
-            strict = [(c, r, True) for c, r in _tie_system(terms, scale, T, rows=vertices)[1]]
+            strict = _tie_system(terms, scale, T, rows=vertices)[1]
             discovered[T] = Cell(ambient, sigma, eqs, ineqs, label=label_of(T), core=(eqs, strict))
             queue.append(T)
 
@@ -409,7 +408,7 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
                 continue
             budget.charge(1, what)
             eqs, ineqs = _tie_system(terms, scale, T | {v}, rows=vertices)
-            p = fm_solve(m, eqs, [(c, r, False) for c, r in ineqs])
+            p = fm_solve(m, eqs, ineqs)
             if p is not None:
                 register(_tie_at(terms, scale, p))
     return PolyComplex(ambient, sigma, [discovered[T] for T in sorted(discovered, key=sorted)])
@@ -443,14 +442,14 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
         for key, (reps, eqs, strict) in partial.items():
             for j, cell in enumerate(other.cells):
                 budget.charge(1, what)
-                system = ([*eqs, *cell.core[0]], [*strict, *cell.core[1]])
-                p = fm_solve(len(cell.free), *system)
+                meet_eqs, meet_strict = [*eqs, *cell.core[0]], [*strict, *cell.core[1]]
+                p = fm_solve(len(cell.free), meet_eqs, (), meet_strict)
                 if p is None:
                     continue
                 P, q = _scaled(p)
                 if not all(c._holds_at(P, q) for c in (*reps, cell)):
                     raise InvariantViolationError("refinement point escaped the input complexes")
-                found[key + (j,)] = ([*reps, cell], *system)
+                found[key + (j,)] = ([*reps, cell], meet_eqs, meet_strict)
         partial = found
     return PolyComplex(first.ambient, first.sigma, [
         Cell(first.ambient, first.sigma,

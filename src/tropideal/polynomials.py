@@ -1,8 +1,9 @@
 """Tropical polynomials: finite maps from exponent vectors to finite scalars.
 
-The empty map is the polynomial infinity, a first-class value (it is the
-additive identity and evaluates to infinity everywhere).  Stored
-coefficients are never infinite; absence encodes infinity.
+The empty map, TropPoly(n), is the polynomial infinity, a first-class value
+(it is the additive identity and evaluates to infinity everywhere).  Stored
+coefficients are never infinite; absence encodes infinity.  + and * are the
+semiring operations; a multiple c x^v f is f * TropPoly(n, {v: c}).
 """
 
 from __future__ import annotations
@@ -40,16 +41,6 @@ class TropPoly:
             prev = data.get(u)
             data[u] = c if prev is None else prev + c
         self._terms = data
-
-    # Constructors ---------------------------------------------------------
-
-    @classmethod
-    def infinity(cls, num_vars: int) -> "TropPoly":
-        return cls(num_vars, {})
-
-    @classmethod
-    def monomial(cls, num_vars: int, u, coeff=Trop(0)) -> "TropPoly":
-        return cls(num_vars, {tuple(u): coeff})
 
     # Basic views ----------------------------------------------------------
 
@@ -116,21 +107,16 @@ class TropPoly:
                                         for u, a in self._terms.items()
                                         for v, b in other._terms.items()])
 
-    def scale(self, c) -> "TropPoly":
-        if not isinstance(c, Trop):
-            c = Trop(c)
-        if c.is_inf:
-            return TropPoly.infinity(self.num_vars)
-        return TropPoly(self.num_vars, {u: a * c for u, a in self._terms.items()})
+    # Initial forms ------------------------------------------------------------
 
-    def times_monomial(self, v) -> "TropPoly":
-        v = tuple(v)
-        return TropPoly(self.num_vars, {mon.mul(u, v): a for u, a in self._terms.items()})
+    def initial_form(self, w: Sequence[Trop]) -> frozenset:
+        """Monomials attaining min over the support of coeff + w.u; empty
+        when that minimum is infinite.
 
-    # Evaluation and initial forms -------------------------------------------
-
-    def _min_terms(self, w: Sequence[Trop]):
-        """(value, set of argmin exponents); no precondition on w."""
+        Requires w not identically infinite.
+        """
+        if all(wi.is_inf for wi in w):
+            raise InputError("initial form needs a weight with a finite coordinate")
         if len(w) != self.num_vars:
             raise DimensionError("point has %d coordinates, polynomial has %d variables"
                                  % (len(w), self.num_vars))
@@ -145,28 +131,7 @@ class TropPoly:
                 argmin = {u}
             elif v == best:
                 argmin.add(u)
-        return best, argmin
-
-    def evaluate(self, w: Sequence[Trop]) -> Trop:
-        """min over the support of coeff + w.u; infinity for empty support."""
-        return self._min_terms(w)[0]
-
-    def initial_form(self, w: Sequence[Trop]) -> frozenset:
-        """Monomials attaining the minimum; empty marker when the value is infinite.
-
-        Requires w not identically infinite.
-        """
-        if all(wi.is_inf for wi in w):
-            raise InputError("initial form needs a weight with a finite coordinate")
-        value, argmin = self._min_terms(w)
-        if value.is_inf:
-            return frozenset()
         return frozenset(argmin)
-
-    def min_twice(self, w: Sequence[Trop]) -> bool:
-        """Membership of w in the tropical hypersurface of this polynomial."""
-        value, argmin = self._min_terms(w)
-        return value.is_inf or len(argmin) >= 2
 
     # Structural operations ----------------------------------------------------
 

@@ -52,7 +52,11 @@ class Trop:
     def __hash__(self) -> int:
         return hash(("Trop", self.value))
 
+    # a > b and a >= b fall back to b < a and b <= a; a non-Trop operand
+    # gets NotImplemented, so Python raises TypeError
     def __lt__(self, other: "Trop") -> bool:
+        if not isinstance(other, Trop):
+            return NotImplemented
         if other.value is None:
             return self.value is not None
         if self.value is None:
@@ -61,12 +65,6 @@ class Trop:
 
     def __le__(self, other: "Trop") -> bool:
         return self < other or self == other
-
-    def __gt__(self, other: "Trop") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Trop") -> bool:
-        return other <= self
 
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)

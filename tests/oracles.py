@@ -1,7 +1,9 @@
 """Reference helpers shared by the test modules: point charts, membership,
 the direct exchange quantifier, the univariate chord scan and root
 expansion, term merging, contraction, initial matroids, elimination
-witnesses, and stratum polynomials and initial towers by contraction.
+witnesses, stratum polynomials and initial towers by contraction, and
+tropical evaluation, hypersurface membership, the tropicalization of a
+classical polynomial and the loops of a matroid.
 
 These are oracles, not library API: they read a cell's rows with plain
 Fractions, so the integer kernels in tropideal.polyhedra can be checked
@@ -10,9 +12,13 @@ by brute force, so the lower hull in tropideal.polynomials can be; and they
 build each stratum from `contract` and `initial_matroid_by_fractions` on
 ground labels, so the basis table that reads the sigma-face off the layer
 can be; and they decide valuated exchange by its quantifier over all pairs
-of bases, so the three-term scan and connectivity walk can be.  `charged`
-runs one call alone on a fresh budget, so a run's nested calls can be
-summed against the single budget the run hands them.
+of bases, so the three-term scan and connectivity walk can be.  They
+evaluate a tropical polynomial term by term, so the hypersurfaces that
+varieties and tropical bases cut out can be checked pointwise, and they
+tropicalize a classical polynomial coefficient by coefficient, so the
+layers that tropicalize builds from minors can be.  `charged` runs one call
+alone on a fresh budget, so a run's nested calls can be summed against the
+single budget the run hands them.
 """
 
 from fractions import Fraction
@@ -20,9 +26,9 @@ from typing import Optional, Sequence
 
 from tropideal.config import Budget
 from tropideal.errors import InvalidMatroidError
-from tropideal.ideals import TruncIdeal
+from tropideal.ideals import QPoly, TruncIdeal, Valuation
 from tropideal.matroids import (VMatroid, VVector, _as_mask, _bits,
-                                _fundamental_circuit_idx, _mask_of,
+                                _fundamental_circuit_idx, _loops_mask, _mask_of,
                                 lex_min_basis_of_subset)
 from tropideal.monomials import uses_sigma
 from tropideal.polynomials import TropPoly
@@ -184,7 +190,7 @@ def poly_from_roots(leading: Trop, roots, x_power: int = 0) -> TropPoly:
 
 def boolean_image(I: TruncIdeal) -> TruncIdeal:
     """Forget coefficients: finite values become 0, layerwise."""
-    layers = [M.underlying() for M in I.layers]
+    layers = [VMatroid.from_bases(M.ground, M.basis_masks()) for M in I.layers]
     return TruncIdeal(I.num_vars, layers, mode="boolean")
 
 
@@ -289,3 +295,45 @@ def vector_elimination_witness(M: VMatroid, G: Sequence[Trop], H: Sequence[Trop]
     if not pieces:
         return tuple(INF for _ in range(n))
     return tuple(min(p[j] for p in pieces) for j in range(n))
+
+
+def _min_terms(f: TropPoly, w: Sequence[Trop]):
+    """(min over the support of coeff + w.u, the exponents attaining it)."""
+    best, argmin = INF, set()
+    for u, a in f.terms():
+        v = a * dot(w, u)
+        if v.is_inf:
+            continue
+        if best.is_inf or v < best:
+            best, argmin = v, {u}
+        elif v == best:
+            argmin.add(u)
+    return best, argmin
+
+
+def evaluate(f: TropPoly, w: Sequence[Trop]) -> Trop:
+    """f at w: min over the support of coeff + w.u; infinity for empty support."""
+    return _min_terms(f, w)[0]
+
+
+def min_twice(f: TropPoly, w: Sequence[Trop]) -> bool:
+    """Membership of w in the tropical hypersurface of f."""
+    value, argmin = _min_terms(f, w)
+    return value.is_inf or len(argmin) >= 2
+
+
+def valuation_of(valuation: Valuation, q: Fraction) -> Trop:
+    """The valuation of a rational, infinity at 0."""
+    if q == 0:
+        return INF
+    return Trop(valuation.of_int(q.numerator) - valuation.of_int(q.denominator))
+
+
+def trop(g: QPoly, valuation: Valuation) -> TropPoly:
+    """The tropical polynomial of the valuations of g's coefficients."""
+    return TropPoly(g.num_vars, {u: valuation_of(valuation, c) for u, c in g.coeffs.items()})
+
+
+def loops(M: VMatroid) -> list:
+    """The ground elements in no basis of M, in ground order."""
+    return [M.ground[i] for i in _bits(_loops_mask(M.basis_masks(), len(M.ground)))]

@@ -24,7 +24,7 @@ from tropideal.polynomials import TropPoly, least_coefficients, tropical_roots
 from tropideal.semiring import INF, Trop
 
 from oracles import (circuit_elimination_witness, contains_by_fractions, poly_from_roots,
-                     vector_elimination_witness, weight_to_cell_coords)
+                     trop, vector_elimination_witness, weight_to_cell_coords)
 
 
 def report(k, text):
@@ -60,7 +60,7 @@ def example_2_7():
     gp = QPoly(3, {x: 1, y: 1}) * QPoly(3, {x: 1, z: 1}) * QPoly(3, {y: 1, z: 1})
     I = tropicalize(ClassicalInput((g,), Valuation("trivial")), 4)
     Ip = tropicalize(ClassicalInput((gp,), Valuation("trivial")), 4)
-    f = (gp * QPoly(3, {x: 1, y: -1, z: -1})).trop(Valuation("trivial"))
+    f = trop(gp * QPoly(3, {x: 1, y: -1, z: -1}), Valuation("trivial"))
     return I, Ip, f
 
 
@@ -75,7 +75,7 @@ def macaulay_rank(gens, d):
         if dg > d:
             continue
         for u in monomials_of_degree(nv, d - dg):
-            shifted = g.times_monomial(u)
+            shifted = g * QPoly(nv, {u: 1})
             row = [Fraction(0)] * len(cols)
             for v, c in shifted.coeffs.items():
                 row[index[v]] = c

@@ -15,7 +15,7 @@ from tropideal.semiring import INF, Trop
 
 from oracles import (circuit_elimination_witness, contract, exchange_by_quantifier,
                      exchange_holds_at, fundamental_circuit,
-                     initial_matroid_by_fractions, vector_elimination_witness)
+                     initial_matroid_by_fractions, loops, vector_elimination_witness)
 
 
 def circuit_supports(M):
@@ -158,9 +158,9 @@ def test_initial_matroid_examples():
     N2 = initial_matroid_by_fractions(M, [0, 1, 2])
     assert N2.bases_as_sets() == [frozenset("bc")]
     assert circuit_supports(N2) == [frozenset("a")]
-    assert N2.loops() == ["a"]
+    assert loops(N2) == ["a"]
     N3 = initial_matroid_by_fractions(M, [0, 0, 0])
-    assert N3 == M.underlying()
+    assert N3 == VMatroid.from_bases(M.ground, M.basis_masks())
 
 
 def test_initial_matroid_bases_are_bases_of_underlying():
@@ -179,7 +179,7 @@ def test_initial_matroid_bases_are_bases_of_underlying():
         w = [Fraction(rng.randint(-5, 5)) for _ in range(5)]
         N = initial_matroid_by_fractions(M, w)
         assert N.rank == M.rank
-        assert set(N.basis_masks()) <= set(M.underlying().basis_masks())
+        assert set(N.basis_masks()) <= set(M.basis_masks())
 
 
 def test_initial_circuits_are_minimal_initial_forms_of_circuits():
@@ -270,9 +270,9 @@ def test_three_term_scan_agrees_with_direct_exchange():
         assert (brute is None) == (fast is None)
         if fast is not None:
             A, B, a = fast
-            Am = sum(1 << M.index_of(e) for e in A)
-            Bm = sum(1 << M.index_of(e) for e in B)
-            assert not exchange_holds_at(M._val, Am, Bm, M.index_of(a))
+            Am = sum(1 << M.ground.index(e) for e in A)
+            Bm = sum(1 << M.ground.index(e) for e in B)
+            assert not exchange_holds_at(M._val, Am, Bm, M.ground.index(a))
             violations += 1
         checked += 1
     assert checked > 300 and violations > 100
@@ -362,8 +362,8 @@ def three_term_by_full_scan(M):
 def assert_witness_fails(M, witness):
     A, B, a = witness
     assert a in A - B
-    Am, Bm = (sum(1 << M.index_of(e) for e in X) for X in (A, B))
-    assert not exchange_holds_at(M._val, Am, Bm, M.index_of(a))
+    Am, Bm = (sum(1 << M.ground.index(e) for e in X) for X in (A, B))
+    assert not exchange_holds_at(M._val, Am, Bm, M.ground.index(a))
 
 
 def _stiefel_with_infinities(A, B):
@@ -441,7 +441,7 @@ def test_circuit_supports_match_underlying_matroid(M):
 
     masks = supports(M)
     assert masks == circuit_masks_by_fundamental_circuits(M)
-    assert supports(M.underlying()) == masks
+    assert supports(VMatroid.from_bases(M.ground, M.basis_masks())) == masks
     # the circuits are the minimal sets in no basis
     bases = M.basis_masks()
     indep = {S for S in range(1 << len(M.ground)) if any(S & ~B == 0 for B in bases)}

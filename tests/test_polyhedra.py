@@ -50,11 +50,19 @@ def test_relint_with_implied_equality():
 
 
 def test_fm_solve_strict():
-    assert fm_solve(1, [], [((Fraction(1),), Fraction(0), True),
-                           ((Fraction(-1),), Fraction(0), True)]) is None
-    p = fm_solve(2, [], [((Fraction(1), Fraction(0)), Fraction(1), True),
-                         ((Fraction(-1), Fraction(0)), Fraction(1), True)])
+    assert fm_solve(1, [], [], [((Fraction(1),), Fraction(0)),
+                               ((Fraction(-1),), Fraction(0))]) is None
+    p = fm_solve(2, [], [], [((Fraction(1), Fraction(0)), Fraction(1)),
+                             ((Fraction(-1), Fraction(0)), Fraction(1))])
     assert p is not None and -1 < p[0] < 1
+
+
+def test_fm_solve_strictness_is_positional():
+    # x <= 0 and -x <= 0 meet at 0; x < 0 and -x < 0 do not meet
+    rows = [((1,), 0), ((-1,), 0)]
+    assert fm_solve(1, [], rows) == (Fraction(0),)
+    assert fm_solve(1, [], [], rows) is None
+    assert fm_solve(1, [], rows[:1], rows[1:]) is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,23 +114,24 @@ def test_fm_solve_random_feasible_systems():
     for trial in range(400):
         m = rng.randint(1, 4)
         x0 = [rat() for _ in range(m)]
-        eqs, ineqs = [], []
+        eqs, ineqs, strict = [], [], []
         for _ in range(rng.randint(0, m)):
             a = [rat() for _ in range(m)]
             eqs.append((a, sum(c * x for c, x in zip(a, x0))))
         for _ in range(rng.randint(0, 6)):
             a = [rat() for _ in range(m)]
-            strict = rng.random() < 0.5
-            slack = Fraction(rng.randint(1 if strict else 0, 3), rng.randint(1, 4))
-            ineqs.append((a, sum(c * x for c, x in zip(a, x0)) + slack, strict))
-        p = fm_solve(m, eqs, ineqs)
+            is_strict = rng.random() < 0.5
+            slack = Fraction(rng.randint(1 if is_strict else 0, 3), rng.randint(1, 4))
+            (strict if is_strict else ineqs).append((a, sum(c * x for c, x in zip(a, x0)) + slack))
+        p = fm_solve(m, eqs, ineqs, strict)
         assert p is not None and len(p) == m
         assert all(type(x) is Fraction for x in p)
         for a, r in eqs:
             assert sum(c * x for c, x in zip(a, p)) == r
-        for a, r, strict in ineqs:
-            lhs = sum(c * x for c, x in zip(a, p))
-            assert lhs < r if strict else lhs <= r
+        for a, r in ineqs:
+            assert sum(c * x for c, x in zip(a, p)) <= r
+        for a, r in strict:
+            assert sum(c * x for c, x in zip(a, p)) < r
 
 
 @st.composite
@@ -133,11 +142,13 @@ def primitive_systems(draw):
     entry = st.integers(-4, 4)
     row = st.tuples(st.lists(entry, min_size=m, max_size=m), entry)
     eqs = [canonical_row(c, r, True) for c, r in draw(st.lists(row, max_size=2))]
-    ineqs = [(*canonical_row(c, r), draw(st.booleans()))
-             for c, r in draw(st.lists(row, max_size=6))]
-    factors = draw(st.lists(st.tuples(st.integers(1, 6), st.booleans()),
-                            min_size=len(eqs) + len(ineqs), max_size=len(eqs) + len(ineqs)))
-    return m, eqs, ineqs, factors
+    ineqs, strict = [], []
+    for c, r in draw(st.lists(row, max_size=6)):
+        (strict if draw(st.booleans()) else ineqs).append(canonical_row(c, r))
+    factors = [draw(st.lists(st.tuples(st.integers(1, 6), st.booleans()),
+                             min_size=len(rows), max_size=len(rows)))
+               for rows in (eqs, ineqs, strict)]
+    return m, (eqs, ineqs, strict), factors
 
 
 @settings(max_examples=300, deadline=None)
@@ -145,18 +156,17 @@ def primitive_systems(draw):
 def test_fm_solve_ignores_row_scaling(case):
     # all-int rows are taken as given and Fraction rows are scaled to primitive
     # ints; either way the point is the one the primitive rows give
-    m, eqs, ineqs, factors = case
+    m, system, factors = case
 
     def rescale(coeffs, rhs, k, as_fraction):
         if as_fraction:
             return [Fraction(c, k) for c in coeffs], Fraction(rhs, k)
         return tuple(k * c for c in coeffs), k * rhs
 
-    eq_factors, ineq_factors = factors[:len(eqs)], factors[len(eqs):]
-    scaled_eqs = [rescale(c, r, *f) for (c, r), f in zip(eqs, eq_factors)]
-    scaled_ineqs = [(*rescale(c, r, *f), strict) for (c, r, strict), f in zip(ineqs, ineq_factors)]
-    want = fm_solve(m, eqs, ineqs)
-    got = fm_solve(m, scaled_eqs, scaled_ineqs)
+    scaled = [[rescale(c, r, *f) for (c, r), f in zip(rows, fs)]
+              for rows, fs in zip(system, factors)]
+    want = fm_solve(m, *system)
+    got = fm_solve(m, *scaled)
     assert got == want
     assert got is None or all(type(x) is Fraction for x in got)
 
@@ -204,7 +214,7 @@ def test_normal_complex_univariate():
 
 
 def test_normal_complex_of_infinity_polynomial():
-    N = normal_complex(TropPoly.infinity(2))
+    N = normal_complex(TropPoly(2))
     cells = N.cells
     assert len(cells) == 1 and cells[0].label == "inf" and cells[0].dim() == 2
 
@@ -260,7 +270,7 @@ def test_disjoint_relative_interiors():
             assert not contains_by_fractions(b, a.relint_point(), relint=True)
             # the strict-intersection system of the pair is infeasible
             (ea, sa), (eb, sb) = solved_core(a), solved_core(b)
-            assert fm_solve(2, ea + eb, sa + sb) is None
+            assert fm_solve(2, ea + eb, [], sa + sb) is None
 
 
 def solved_core(cell):
@@ -404,7 +414,7 @@ def test_refine_cells_without_core_match_product_oracle():
 def test_refine_rejects_a_core_that_escapes_its_rows():
     allspace = PolyComplex(2, frozenset(), [Cell(2, (), [], [], label="all")])
     # rows say w0 <= 0, the core says w0 > 1
-    bad = Cell(2, (), [], [((1, 0), 0)], core=((), [((-1, 0), -1, True)]))
+    bad = Cell(2, (), [], [((1, 0), 0)], core=((), [((-1, 0), -1)]))
     with pytest.raises(InvariantViolationError, match="escaped"):
         refine([allspace, PolyComplex(2, frozenset(), [bad])])
 
@@ -622,8 +632,8 @@ def test_core_rows_solve_like_relint_systems(case):
     m = f.num_vars - len(sigma)
     for a, b in itertools.combinations_with_replacement(cells, 2):
         (ea, sa), (eb, sb) = solved_core(a), solved_core(b)
-        assert fm_solve(m, [*a.core[0], *b.core[0]], [*a.core[1], *b.core[1]]) == \
-            fm_solve(m, ea + eb, sa + sb)
+        assert fm_solve(m, [*a.core[0], *b.core[0]], [], [*a.core[1], *b.core[1]]) == \
+            fm_solve(m, ea + eb, [], sa + sb)
 
 
 def test_normal_complex_charges_before_each_solve(monkeypatch):

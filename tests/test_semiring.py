@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -27,6 +28,19 @@ def test_order_infinity_largest():
     assert not INF < Trop(5)
     assert INF <= INF
     assert max(Trop(1), INF) == INF
+
+
+def test_comparisons_reflect_and_reject_other_types():
+    # > and >= are the swapped < and <=; against an int every order raises
+    scalars = [INF, Trop(-1), Trop(Fraction(1, 2)), Trop(3)]
+    for a in scalars:
+        for b in scalars:
+            assert (a > b) == (b < a)
+            assert (a >= b) == (b <= a)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((Trop(1), 3), (3, Trop(1)), (INF, 3)):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 def test_semiring_laws_randomized():
