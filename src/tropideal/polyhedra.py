@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .config import Budget
@@ -29,8 +30,17 @@ Row = tuple  # (coeffs: tuple[int, ...], rhs: int), primitive: the gcd of all en
 
 
 def _scaled(xs) -> tuple[list[int], int]:
-    """Integers P and q > 0 with xs = P / q, for rationals xs."""
-    vals = [Fraction(x) for x in xs]
+    """Integers P and q > 0 with xs = P / q, for rationals xs.  A string is
+    read by int() when that parses, unless it holds "_": Fraction, which
+    reads every other string, reads underscores only from Python 3.11 on."""
+    vals = []
+    for x in xs:
+        if type(x) is str and "_" not in x:
+            try:
+                x = int(x)
+            except ValueError:
+                pass
+        vals.append(x if type(x) in (int, Fraction) else Fraction(x))
     q = lcm(*(v.denominator for v in vals))
     return [v.numerator * (q // v.denominator) for v in vals], q
 
@@ -110,23 +120,25 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs: Sequence[Row],
     bounded).  Int rows are taken as given: echelon's reduced form over d
     and _dedupe's primitive rows do not depend on a row's scale.
     """
-    eq_rows = [coeffs + (rhs,) for coeffs, rhs, _ in _normalize_rows(eqs, m, False)]
-    pivots, prows, d = echelon(eq_rows)
-    if pivots and pivots[-1] == m:
-        return None  # the equalities reduce to 0 = nonzero
-    if d < 0:
-        d, prows = -d, [[-x for x in prow] for prow in prows]
-    free = [c for c in range(m) if c not in pivots]
     rows = _normalize_rows(ineqs, m, False) + _normalize_rows(strict, m, True)
-    if pivots:
+    pivots, prows, d = [], [], 1
+    if eqs:
+        pivots, prows, d = echelon([c + (r,) for c, r, _ in _normalize_rows(eqs, m, False)])
+        if pivots and pivots[-1] == m:
+            return None  # the equalities reduce to 0 = nonzero
+        if d < 0:
+            d, prows = -d, [[-x for x in prow] for prow in prows]
         for k, (coeffs, rhs, is_strict) in enumerate(rows):
             # d * row minus row[c] times the pivot row of c; each pivot row
-            # carries d at its own column, so the pivot columns become 0
-            row = [d * x for x in (*coeffs, rhs)]
-            for c, prow in zip(pivots, prows):
-                if coeffs[c]:
-                    row = [a - coeffs[c] * b for a, b in zip(row, prow)]
-            rows[k] = (row[:m], row[m], is_strict)
+            # carries d at its own column, so the pivot columns become 0.
+            # A row no pivot touches keeps its scale: _dedupe ignores it
+            hits = [(coeffs[c], prow) for c, prow in zip(pivots, prows) if coeffs[c]]
+            if hits:
+                row = [d * x for x in (*coeffs, rhs)]
+                for a, prow in hits:
+                    row = [x - a * y for x, y in zip(row, prow)]
+                rows[k] = (row[:m], row[m], is_strict)
+    free = [c for c in range(m) if c not in pivots]
     rows = _dedupe(rows)
     if rows is None:
         return None
@@ -136,37 +148,39 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs: Sequence[Row],
         rows = _fm_eliminate(rows, v)
         if rows is None:
             return None
-    values: dict[int, Fraction] = {}
+    # back-substitution over one common denominator: coordinate j is X[j] / den,
+    # and a row bounds side * w_v <= n / (k * den) with side the sign of its
+    # coefficient, k > 0; its other columns are all chosen (X is 0 elsewhere)
+    X, den = [0] * m, 1
     for v, lrows in reversed(levels):
-        lower: Optional[tuple[Fraction, bool]] = None
-        upper: Optional[tuple[Fraction, bool]] = None
+        best: dict[bool, tuple] = {}  # side -> tightest (n, k, strict)
         for coeffs, rhs, is_strict in lrows:
-            a = coeffs[v]
-            if a == 0:
-                continue
-            rest = rhs - sum(coeffs[j] * values[j] for j in values if coeffs[j] != 0 and j != v)
-            bound = Fraction(rest, a)
-            if a > 0:
-                if upper is None or bound < upper[0] or (bound == upper[0] and is_strict):
-                    upper = (bound, is_strict)
-            else:
-                if lower is None or bound > lower[0] or (bound == lower[0] and is_strict):
-                    lower = (bound, is_strict)
-        if lower is None and upper is None:
-            values[v] = Fraction(0)
-        elif lower is None:
-            values[v] = upper[0] - 1
-        elif upper is None:
-            values[v] = lower[0] + 1
-        elif lower[0] < upper[0]:
-            values[v] = (lower[0] + upper[0]) / 2
-        elif lower[0] == upper[0] and not lower[1] and not upper[1]:
-            values[v] = lower[0]
+            if coeffs[v]:
+                n, k, side = rhs * den - sum(map(mul, coeffs, X)), abs(coeffs[v]), coeffs[v] > 0
+                old = best.get(side)
+                if old is None or n * old[1] < old[0] * k or (n * old[1] == old[0] * k and is_strict):
+                    best[side] = (n, k, is_strict)
+        upper, lower = best.get(True), best.get(False)
+        hi = None if upper is None else Fraction(upper[0], upper[1])
+        lo = None if lower is None else Fraction(-lower[0], lower[1])
+        if lo is None:
+            t = Fraction(0) if hi is None else hi - den  # the value times den
+        elif hi is None:
+            t = lo + den
+        elif lo < hi:
+            t = (lo + hi) / 2
+        elif lo == hi and not lower[2] and not upper[2]:
+            t = lo
         else:
             return None
+        if t.denominator > 1:
+            den *= t.denominator
+            X = [x * t.denominator for x in X]
+        X[v] = t.numerator
+    point = [Fraction(x, den) for x in X]
     for col, prow in zip(pivots, prows):
-        values[col] = Fraction(prow[m] - sum(prow[j] * values[j] for j in free if prow[j] != 0), d)
-    return tuple(values[c] for c in range(m))
+        point[col] = Fraction(prow[m] * den - sum(map(mul, prow, X)), d * den)
+    return tuple(point)
 
 
 def _normalize_rows(rows, m, strict: bool):
@@ -186,6 +200,19 @@ def _normalize_rows(rows, m, strict: bool):
 # Cells and complexes ------------------------------------------------------------------
 
 
+def _holds(eqs, ineqs, P: Sequence[int], q: int, strict: bool = False) -> bool:
+    """Whether P / q (q > 0) has a.w = b on eqs and a.w <= b on ineqs, a.w < b
+    when strict."""
+    for c, r in eqs:
+        if sum(map(mul, c, P)) != r * q:
+            return False
+    for c, r in ineqs:
+        v = sum(map(mul, c, P)) - r * q
+        if v > 0 or (strict and v == 0):
+            return False
+    return True
+
+
 class Cell:
     """A closed polyhedron inside one stratum, with a label.
 
@@ -193,11 +220,13 @@ class Cell:
     coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  core
     is a pair (eqs, strict) of row lists, a.w = b and a.w < b, cutting out
     exactly the relative interior, as fm_solve's eqs and strict: given by
-    the builder, else solved once on first use.
+    the builder, else read off the rows tight at a relative-interior point.
+    That point is the builder's when it hands one over (_handed), else the
+    witness, relint_point(), solved once on first use.
     """
 
     __slots__ = ("ambient", "sigma", "free", "eqs", "ineqs", "label", "_core",
-                 "_relint", "_tight", "_dim", "_solved")
+                 "_inner", "_relint", "_solved", "_tight", "_dim")
 
     def __init__(self, ambient: int, sigma, eqs, ineqs, label=None, free=None, core=None):
         self.ambient = ambient
@@ -214,53 +243,50 @@ class Cell:
                 raise InputError("row width %d does not match %d free coordinates" % (len(c), m))
         self.label = label
         self._core = core
+        self._inner = None
         self._relint = None
+        self._solved = False
         self._tight = None
         self._dim = None
-        self._solved = False
-
-    def _solve(self):
-        if self._solved:
-            return
-        self._solved = True
-        m = len(self.free)
-        p = fm_solve(m, self.eqs, self.ineqs)
-        self._relint = p
-        if p is None:
-            return
-        P, q = _scaled(p)
-        tight = frozenset(i for i, (c, r) in enumerate(self.ineqs)
-                          if sum(a * x for a, x in zip(c, P)) == r * q)
-        self._tight = tight
-        rows = [c for c, _ in self.eqs] + [self.ineqs[i][0] for i in tight]
-        self._dim = m - len(echelon(rows)[0])
 
     def relint_point(self) -> Optional[tuple]:
-        self._solve()
+        """The witness: fm_solve's point of the closed system, or None."""
+        if not self._solved:
+            self._solved = True
+            self._relint = fm_solve(len(self.free), self.eqs, self.ineqs)
         return self._relint
+
+    def _point(self) -> Optional[tuple]:
+        """A point of the relative interior, the builder's or the witness."""
+        if self._inner is None:
+            self._inner = self.relint_point()
+        return self._inner
+
+    def _read_tight(self):
+        """Tight rows and dimension, read off a relative-interior point."""
+        if self._tight is None and self._point() is not None:
+            P, q = _scaled(self._inner)
+            self._tight = frozenset(i for i, (c, r) in enumerate(self.ineqs)
+                                    if sum(map(mul, c, P)) == r * q)
+            rows = [c for c, _ in self.eqs] + [self.ineqs[i][0] for i in self._tight]
+            self._dim = len(self.free) - len(echelon(rows)[0])
 
     def dim(self) -> Optional[int]:
         """The affine-hull dimension, or None when the closed system is empty."""
-        self._solve()
+        self._read_tight()
         return self._dim
 
     def _holds_at(self, P: Sequence[int], q: int) -> bool:
         """Whether the point P / q (q > 0) lies in the closed cell."""
-        for c, r in self.eqs:
-            if sum(a * x for a, x in zip(c, P)) != r * q:
-                return False
-        for c, r in self.ineqs:
-            if sum(a * x for a, x in zip(c, P)) > r * q:
-                return False
-        return True
+        return _holds(self.eqs, self.ineqs, P, q)
 
     @property
     def core(self):
         """The builder's core, else the equalities plus the tight rows with
         every other row strict (the infeasible 0 < 0 for an empty cell)."""
         if self._core is None:
-            self._solve()
-            if self._relint is None:
+            self._read_tight()
+            if self._tight is None:
                 self._core = ((), [((0,) * len(self.free), 0)])
             else:
                 eqs, strict = list(self.eqs), []
@@ -271,6 +297,19 @@ class Cell:
 
     def __repr__(self) -> str:
         return "Cell(sigma=%s, dim=%s, label=%r)" % (sorted(self.sigma), self.dim(), self.label)
+
+
+def _handed(cell: Cell, point, witness: bool) -> Cell:
+    """cell, given a point of its relative interior that its builder found;
+    the witness too when the solve that found it had exactly the cell's
+    point set or its relative interior.  fm_solve picks each coordinate,
+    highest column first, in the relative interior of its fibre, and the
+    fibre of ri C over a point of ri D is ri of C's fibre (Rockafellar,
+    Convex Analysis, Thm 6.8), so its point depends on that set alone."""
+    cell._inner = point
+    if witness:
+        cell._relint, cell._solved = point, True
+    return cell
 
 
 @dataclass
@@ -308,14 +347,15 @@ def _tie_system(terms, scale: int, T, rows=None):
     return eqs, ineqs
 
 
-def _tie_at(terms, scale: int, point):
-    """The terms attaining the minimum at point, compared as c q + scale u.P
-    with point = P / q."""
+def _tie_at(terms, scale: int, point, among=None):
+    """The terms (of among, default all) attaining the minimum at point,
+    compared as c q + scale u.P with point = P / q."""
     P, q = _scaled(point)
     best = None
     arg = set()
-    for i, (u, c) in enumerate(terms):
-        v = c * q + scale * sum(e * x for e, x in zip(u, P))
+    for i in range(len(terms)) if among is None else among:
+        u, c = terms[i]
+        v = c * q + scale * sum(map(mul, u, P))
         if best is None or v < best:
             best, arg = v, {i}
         elif v == best:
@@ -332,12 +372,16 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
     coefficients, found by a walk over the lifted vertices only.
 
     A vertex is a term whose region is full-dimensional, i.e. whose lifted
-    point (u, c) is a vertex of the lower hull.  Term i is tested by cutting
+    point (u, c) is a vertex of the lower hull.  A term u on or above a
+    chord, with u + e and u - e terms and c(u+e) + c(u-e) <= 2 c(u) for some
+    e in {e_a - e_b, e_a}, is none.  Each survivor i is tested by cutting
     planes: solve the strict system {i < j : j in S} from S = {}, and take the
-    tie set T at the returned point.  T = {i} proves i a vertex; otherwise
-    T - {i} misses S (every j in S is strictly above i there) and joins S.
-    The system describes a superset of i's open region, so infeasibility
-    proves i is no vertex, and the loop ends within one round per term.
+    survivors' tie set T at the returned point.  T = {i} proves i a vertex
+    (a term tying with i alone would share its lifted point); otherwise
+    T - {i} misses S (every j in S is strictly above i there), and its least
+    term, which cuts the point off (Kelley, 1960), joins S.  The system
+    describes a superset of i's open region, so infeasibility proves i is
+    no vertex, and the loop ends within one round per survivor.
 
     The walk probes T + {v} from every tie set T it finds, for the vertices
     v outside T only, on T's equalities and the vertex rows only.  This is
@@ -348,7 +392,8 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
     region by a chain of facets, each cut out by a vertex row; the probe's
     relative-interior witness then lands in that facet.  Redundant rows
     change no Fourier-Motzkin projection, so each witness is the one the
-    full system gives.  Stored rows stay complete.  The core is T's
+    full system gives, and the cell keeps it; a vertex's region keeps its
+    seed point, which is no witness.  Stored rows stay complete.  The core is T's
     equalities and vertex rows, strict: on the relative interior the argmin
     is exactly T, and where those rows hold the minimum is attained on T's
     vertices only, whose face of the lower hull holds exactly the terms in
@@ -374,8 +419,17 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
         return frozenset(full[t][0] for t in T)
 
     m = len(free)
-    vertices = []
-    for i in range(len(terms)):
+    coeff = dict(terms)
+    units = [tuple(int(k == a) for k in range(m)) for a in range(m)]
+    steps = units + [tuple(map(sub, x, y)) for x, y in itertools.combinations(units, 2)]
+
+    def on_or_above_a_chord(u, c):
+        ends = ((coeff.get(tuple(map(add, u, e))), coeff.get(tuple(map(sub, u, e)))) for e in steps)
+        return any(a is not None and b is not None and a + b <= 2 * c for a, b in ends)
+
+    survivors = [i for i, (u, c) in enumerate(terms) if not on_or_above_a_chord(u, c)]
+    vertices: dict[int, tuple] = {}  # vertex -> the seed point that proved it
+    for i in survivors:
         S: set[int] = set()
         while True:
             budget.charge(1, what)
@@ -383,24 +437,25 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
             p = fm_solve(m, [], [], ineqs)
             if p is None:
                 break
-            T = _tie_at(terms, scale, p)
+            T = _tie_at(terms, scale, p, among=survivors)
             if T == {i}:
-                vertices.append(i)
+                vertices[i] = p
                 break
-            S |= T - {i}
+            S.add(min(T - {i}))
 
     discovered: dict[frozenset, Cell] = {}
     queue: list[frozenset] = []
 
-    def register(T):
+    def register(T, p, witness):
         if T not in discovered:
             eqs, ineqs = _tie_system(terms, scale, T)
             strict = _tie_system(terms, scale, T, rows=vertices)[1]
-            discovered[T] = Cell(ambient, sigma, eqs, ineqs, label=label_of(T), core=(eqs, strict))
+            discovered[T] = _handed(Cell(ambient, sigma, eqs, ineqs, label=label_of(T),
+                                         core=(eqs, strict)), p, witness)
             queue.append(T)
 
-    for i in vertices:
-        register(frozenset({i}))
+    for i, p in vertices.items():
+        register(frozenset({i}), p, False)
     while queue:
         T = queue.pop()
         for v in vertices:
@@ -410,7 +465,7 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
             eqs, ineqs = _tie_system(terms, scale, T | {v}, rows=vertices)
             p = fm_solve(m, eqs, ineqs)
             if p is not None:
-                register(_tie_at(terms, scale, p))
+                register(_tie_at(terms, scale, p), p, True)
     return PolyComplex(ambient, sigma, [discovered[T] for T in sorted(discovered, key=sorted)])
 
 
@@ -426,6 +481,17 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
     prefixes do, and one strict solve on the concatenated cores decides each
     (prefix, cell) pair.  Cells are listed by key, with rows concatenated and
     labels tupled in input order, 1-tuples for a single complex.
+
+    Each prefix P keeps a point of ri(P), its witness when known; the next
+    cell whose core holds there, the start, meets P with no solve.  The next cells that meet
+    ri(P) are connected under the face relation (a segment in ri(P) crosses
+    cells one after another, each a face of the next or the next a face of
+    it), and in one complex a is a face of b exactly when a's point lies in
+    b's closed rows; so only face-neighbours of pairs that meet are solved.
+    When the start alone meets P, ri(P) lies in its relative interior and
+    the pair keeps P's witness.  Where no core holds (a complex that does
+    not cover the stratum) every pair is solved.  Each prefix is charged
+    one unit per next cell.
     """
     if not complexes:
         raise InputError("refine needs at least one complex")
@@ -435,29 +501,49 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
         raise InputError("refine needs complexes over the same ambient space and stratum")
     budget = Budget() if budget is None else budget
     what = "refinement pairs, stratum %s" % (sorted(first.sigma),)
-    # key -> (input cells, their cores' equalities and strict rows), in key order
-    partial = {(j,): ([cell], *cell.core) for j, cell in enumerate(first.cells)}
+    # key -> (input cells, their cores' equalities and strict rows, a point of
+    # the meet's relative interior, whether it is the meet's witness), in key order
+    partial = {(j,): ([cell], *cell.core, cell.relint_point(), True)
+               for j, cell in enumerate(first.cells)}
     for other in complexes[1:]:
+        cells = other.cells
+        points = [None if c._point() is None else _scaled(c._point()) for c in cells]
+        near: dict[int, list] = {}  # j -> the cells that are faces of j or have j as a face
         found: dict[tuple, tuple] = {}
-        for key, (reps, eqs, strict) in partial.items():
-            for j, cell in enumerate(other.cells):
-                budget.charge(1, what)
+        for key, (reps, eqs, strict, point, witness) in partial.items():
+            budget.charge(len(cells), what)
+            at = None if point is None else _scaled(point)
+            start = None if at is None else next(
+                (j for j, c in enumerate(cells) if _holds(*c.core, *at, strict=True)), None)
+            todo = list(range(len(cells))) if start is None else [start]
+            seen, hits = set(todo), {}
+            for j in todo:  # the walk appends to todo as it goes
+                cell = cells[j]
                 meet_eqs, meet_strict = [*eqs, *cell.core[0]], [*strict, *cell.core[1]]
-                p = fm_solve(len(cell.free), meet_eqs, (), meet_strict)
+                p = point if j == start else fm_solve(len(cell.free), meet_eqs, (), meet_strict)
                 if p is None:
                     continue
-                P, q = _scaled(p)
-                if not all(c._holds_at(P, q) for c in (*reps, cell)):
+                if not all(c._holds_at(*_scaled(p)) for c in (*reps, cell)):
                     raise InvariantViolationError("refinement point escaped the input complexes")
-                found[key + (j,)] = ([*reps, cell], meet_eqs, meet_strict)
+                hits[j] = ([*reps, cell], meet_eqs, meet_strict, p, j != start)
+                if start is not None:
+                    if j not in near:
+                        near[j] = [k for k, pk in enumerate(points) if k != j and pk and (
+                            cells[j]._holds_at(*pk) or cells[k]._holds_at(*points[j]))]
+                    todo += [k for k in near[j] if k not in seen]
+                    seen.update(near[j])
+            if list(hits) == [start]:
+                hits[start] = (*hits[start][:4], witness)
+            for j in sorted(hits):
+                found[key + (j,)] = hits[j]
         partial = found
     return PolyComplex(first.ambient, first.sigma, [
-        Cell(first.ambient, first.sigma,
-             [row for rep in reps for row in rep.eqs],
-             [row for rep in reps for row in rep.ineqs],
-             label=tuple(rep.label for rep in reps),
-             free=reps[0].free)
-        for reps, _, _ in partial.values()], first.quotiented)
+        _handed(Cell(first.ambient, first.sigma,
+                     [row for rep in reps for row in rep.eqs],
+                     [row for rep in reps for row in rep.ineqs],
+                     label=tuple(rep.label for rep in reps),
+                     free=reps[0].free), point, witness)
+        for reps, _, _, point, witness in partial.values()], first.quotiented)
 
 
 # Lineality quotient -------------------------------------------------------------------
@@ -480,10 +566,14 @@ def quotient_lineality(C: PolyComplex) -> PolyComplex:
                 raise InvariantViolationError(
                     "cell in stratum %s is not invariant under the all-ones line"
                     % (sorted(C.sigma),))
-        cells.append(Cell(
+        # the parent's witness has last coordinate 0: by the all-ones line that
+        # coordinate's fibre is the whole line, chosen first, at 0; the rest
+        # is the quotient system's own solve
+        p = cell.relint_point()
+        cells.append(_handed(Cell(
             C.ambient, C.sigma,
             [(c[:-1], r) for c, r in cell.eqs],
             [(c[:-1], r) for c, r in cell.ineqs],
             label=cell.label,
-            free=cell.free[:-1]))
+            free=cell.free[:-1]), None if p is None else p[:-1], True))
     return PolyComplex(C.ambient, C.sigma, cells, quotiented=True)

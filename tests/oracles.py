@@ -63,7 +63,7 @@ def weight_to_cell_coords(cell, w, quotiented):
 def contains_by_fractions(cell, point, relint):
     """Whether point lies in the closed cell, or with relint in its relative
     interior: there the tight rows hold with equality and the others strictly."""
-    if relint and cell.relint_point() is None:
+    if relint and cell.dim() is None:  # dim() also reads the tight rows
         return False
     point = tuple(Fraction(x) for x in point)
     for c, r in cell.eqs:

@@ -99,7 +99,7 @@ def test_groebner_complex_charges_its_nested_calls_to_one_budget():
                 complexes.append(C)
                 total += n
             total += charged(refine, complexes)[1]
-    assert total == 41
+    assert total == 38
     budget = Budget()
     groebner_complex(I, budget)
     assert budget.remaining == budget.cap - total

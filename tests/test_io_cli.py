@@ -515,14 +515,14 @@ def test_cli_factor_univariate_charges_the_cap(capsys):
 
 
 def test_cli_cap_bounds_the_whole_groebner_run(tmp_path, capsys):
-    # 12 normal complexes and 4 refinements over the 4 strata charge 41 subsets
+    # 12 normal complexes and 4 refinements over the 4 strata charge 38 subsets
     # in all, the last refinement's pair among them; no single call charges over 12
     point = tmp_path / "point.json"
     point.write_text(json.dumps(jsonio.ideal_to_json(point_ideal((Trop(0), Trop(3)), 2))))
     argv = ["groebner-complex", "--ideal", str(point), "--cap"]
-    assert cli.main(argv + ["40"]) == 3
+    assert cli.main(argv + ["37"]) == 3
     assert capsys.readouterr().err.startswith("size guard: ")
-    assert cli.main(argv + ["41"]) == 0
+    assert cli.main(argv + ["38"]) == 0
     assert cli.main(argv + ["0"]) == 2
 
 

@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropideal import polyhedra
@@ -429,6 +430,95 @@ def test_refine_rejects_inputs_over_different_spaces():
             refine([other, A])
 
 
+@st.composite
+def covering_complexes(draw):
+    """Two or three normal complexes over one stratum: each covers it."""
+    nvars = draw(st.integers(2, 3))
+    sigma = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    polys = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=6),
+                          min_size=2, max_size=3))
+    return [normal_complex(TropPoly(nvars, {u: Trop(c) for u, c in terms.items()})
+                           .strip_sigma(sigma), sigma) for terms in polys]
+
+
+@settings(max_examples=80, deadline=None)
+@given(covering_complexes())
+def test_refine_walk_matches_product_oracle(complexes):
+    # also checks each handed-over witness against the oracle's own solve
+    assert_same_refinement(refine(complexes), refine_by_product(complexes))
+
+
+def fresh(cell):
+    """A copy of the cell with no builder's point or core: it solves its own."""
+    return Cell(cell.ambient, cell.sigma, cell.eqs, cell.ineqs, free=cell.free)
+
+
+def assert_handed_points_match_fresh_solves(cells):
+    """Witness, dimension and (when the builder gave none) core of each cell
+    match a fresh copy's; returns how many witnesses the builder handed over."""
+    handed = sum(cell._solved for cell in cells)
+    for cell in cells:
+        copy = fresh(cell)
+        assert (cell.relint_point(), cell.dim()) == (copy.relint_point(), copy.dim())
+        if cell._core is None:
+            assert cell.core == copy.core
+    return handed
+
+
+@st.composite
+def homogeneous_polys_and_stratum(draw):
+    """Two or three homogeneous polynomials of one degree, stripped to a
+    stratum with a free coordinate left: their cells hold the all-ones line."""
+    nvars = draw(st.integers(2, 3))
+    sigma = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
+    k = draw(st.integers(1, 3))
+    mons = [u for u in itertools.product(range(k + 1), repeat=nvars) if sum(u) == k]
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    polys = draw(st.lists(st.dictionaries(st.sampled_from(mons), coeffs, min_size=1,
+                                          max_size=6), min_size=2, max_size=3))
+    return [TropPoly(nvars, {u: Trop(c) for u, c in terms.items()}).strip_sigma(sigma)
+            for terms in polys], sigma
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(polys_and_stratum(), homogeneous_polys_and_stratum()))
+def test_handed_witnesses_match_fresh_solves(case):
+    polys, sigma = case
+    complexes = [normal_complex(f, sigma) for f in polys]
+    for C in complexes:
+        assert_handed_points_match_fresh_solves(C.cells)
+    R = refine(complexes)
+    assert_handed_points_match_fresh_solves(R.cells)
+    if all(sum(c) == 0 for cell in R.cells for c, _ in (*cell.eqs, *cell.ineqs)):
+        Q = quotient_lineality(R)
+        assert assert_handed_points_match_fresh_solves(Q.cells) == len(Q.cells)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=" \t\n+-_/0123456789\u0663\u06f7\uff11", max_size=8))
+@example("1_000")
+@example(" -12\n")
+@example("+\u0663\u06f7")
+@example("\uff11_2")
+def test_scaled_reads_a_string_as_fraction_does(s):
+    try:
+        n = int(s)
+    except ValueError:
+        n = None
+    # Fraction reads "_" from Python 3.11 on; _scaled sends such strings to it
+    if n is not None and ("_" not in s or sys.version_info >= (3, 11)):
+        assert n == Fraction(s)
+    try:
+        want = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            _scaled([s])
+        return
+    assert _scaled([s]) == ([want.numerator], want.denominator)
+
+
 def test_refine_charges_one_unit_per_prefix_and_cell():
     f = poly([((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((2, 0), 1), ((1, 1), 3)], 2)
     g = poly([((0, 0), 1), ((0, 1), 0), ((1, 1), -1)], 2)
@@ -629,11 +719,73 @@ def test_vertex_walk_matches_term_probe_walk(case):
 def test_core_rows_solve_like_relint_systems(case):
     f, sigma = case
     cells = normal_complex(f, sigma).cells
+    solved = [solved_core(cell) for cell in cells]  # each cell's core solved once
     m = f.num_vars - len(sigma)
-    for a, b in itertools.combinations_with_replacement(cells, 2):
-        (ea, sa), (eb, sb) = solved_core(a), solved_core(b)
+    for (a, (ea, sa)), (b, (eb, sb)) in itertools.combinations_with_replacement(
+            zip(cells, solved), 2):
         assert fm_solve(m, [*a.core[0], *b.core[0]], [], [*a.core[1], *b.core[1]]) == \
             fm_solve(m, ea + eb, [], sa + sb)
+
+
+def vertices_unscreened(f, sigma):
+    """The lifted vertices, by cutting planes over every term with all of
+    T - {i} joining S each round: the vertex test with no chord screen."""
+    terms = merged_terms(f, sigma)
+    scale = math.lcm(*(c.denominator for _, c in terms))
+    int_terms = [(u, int(c * scale)) for u, c in terms]
+    vertices = []
+    for i in range(len(terms)):
+        S = set()
+        while True:
+            _, ineqs = _tie_system(int_terms, scale, {i}, rows=S)
+            p = fm_solve(f.num_vars - len(sigma), [], [], ineqs)
+            if p is None:
+                break
+            T = _tie_at(int_terms, scale, p)
+            if T == {i}:
+                vertices.append(terms[i][0])
+                break
+            S |= T - {i}
+    return vertices
+
+
+@st.composite
+def near_chord_poly_in_stratum(draw):
+    """Triples u - e, u, u + e, e a unit vector or a difference of two, with
+    integer coefficients a, b at the ends and (a + b) // 2 - 1, + 0 or + 1 at
+    u: u lies just below, on or just above the chord, the screen's boundary.
+    Exponents are zero on sigma."""
+    nvars = draw(st.integers(2, 3))
+    sigma = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
+    free = [i for i in range(nvars) if i not in sigma]
+    units = [tuple(int(k == j) for k in range(len(free))) for j in range(len(free))]
+    steps = units + [tuple(x - y for x, y in zip(p, q)) for p, q in itertools.combinations(units, 2)]
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        u = tuple(draw(st.integers(1, 3)) for _ in free)
+        e = draw(st.sampled_from(steps))
+        a, b = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+        mid = (a + b) // 2 + draw(st.sampled_from((-1, 0, 1)))
+        for v, c in ((tuple(x + y for x, y in zip(u, e)), a),
+                     (tuple(x - y for x, y in zip(u, e)), b), (u, mid)):
+            terms.setdefault(v, c)
+    full = {u: tuple(0 if i in sigma else u[free.index(i)] for i in range(nvars))
+            for u in terms}
+    return TropPoly(nvars, {full[u]: Trop(c) for u, c in terms.items()}), sigma
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(dense_poly_in_stratum(), poly_in_stratum(), near_chord_poly_in_stratum()))
+def test_chord_screen_keeps_every_vertex(case):
+    # the vertex test hands each vertex's region its seed point and no witness
+    # (walk cells get one), and cells are listed in term order
+    f, sigma = case
+    if f.is_inf:
+        return
+    free = [i for i in range(f.num_vars) if i not in sigma]
+    screened = [tuple(u[i] for i in free) for cell in normal_complex(f, sigma).cells
+                if not cell._solved for u in cell.label]
+    assert screened == vertices_unscreened(f, sigma)
 
 
 def test_normal_complex_charges_before_each_solve(monkeypatch):
