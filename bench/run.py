@@ -1,6 +1,6 @@
 """Frontier timings of the Groebner-complex pipeline, written to BENCH_<label>.json.
 
-    python3 bench/run.py --label NAME [--case CASE ...] [--out DIR]
+    python3 bench/run.py --label NAME [--out DIR]
 
 Each case runs in a fresh Python process that imports `tropideal` from the
 `src/` beside this script.  The process builds the case's ideal and then its
@@ -98,8 +98,6 @@ def machine() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", help="writes BENCH_<label>.json")
-    ap.add_argument("--case", action="append", choices=sorted(CASES),
-                    help="run only these cases (repeatable); default all")
     ap.add_argument("--out", default=str(ROOT), help="directory of the output file")
     ap.add_argument("--one", choices=sorted(CASES), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -109,7 +107,7 @@ def main(argv=None) -> int:
     if not args.label:
         ap.error("--label is required")
     results = {}
-    for name in args.case or list(CASES):
+    for name in CASES:
         proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--one", name],
                               capture_output=True, text=True, check=True)
         results[name] = json.loads(proc.stdout)

@@ -15,7 +15,7 @@ back-substitution; all exact, with no floating point and no perturbation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -220,9 +220,8 @@ class Cell:
     coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  core
     is a pair (eqs, strict) of row lists, a.w = b and a.w < b, cutting out
     exactly the relative interior, as fm_solve's eqs and strict: given by
-    the builder, else read off the rows tight at a relative-interior point.
-    That point is the builder's when it hands one over (_handed), else the
-    witness, relint_point(), solved once on first use.
+    the builder, else read off the rows tight at a point of the relative
+    interior: the builder's (_handed), else the witness, relint_point().
     """
 
     __slots__ = ("ambient", "sigma", "free", "eqs", "ineqs", "label", "_core",
@@ -301,11 +300,10 @@ class Cell:
 
 def _handed(cell: Cell, point, witness: bool) -> Cell:
     """cell, given a point of its relative interior that its builder found;
-    the witness too when the solve that found it had exactly the cell's
-    point set or its relative interior.  fm_solve picks each coordinate,
-    highest column first, in the relative interior of its fibre, and the
-    fibre of ri C over a point of ri D is ri of C's fibre (Rockafellar,
-    Convex Analysis, Thm 6.8), so its point depends on that set alone."""
+    the witness too when that solve had exactly the cell's point set or its
+    relative interior: fm_solve picks each coordinate, highest column first,
+    in ri of its fibre, and the fibre of ri C over a point of ri D is ri of
+    C's fibre (Rockafellar, Convex Analysis, Thm 6.8)."""
     cell._inner = point
     if witness:
         cell._relint, cell._solved = point, True
@@ -314,12 +312,14 @@ def _handed(cell: Cell, point, witness: bool) -> Cell:
 
 @dataclass
 class PolyComplex:
-    """The cells of the stratum sigma, with pairwise disjoint relative interiors."""
+    """The cells of the stratum sigma, with pairwise disjoint relative interiors;
+    _covers marks a normal complex, whose relative interiors cover the stratum."""
 
     ambient: int
     sigma: frozenset
     cells: list  # list[Cell]
     quotiented: bool = False
+    _covers: bool = field(default=False, repr=False, compare=False)
 
     def cell_count(self) -> int:
         return len(self.cells)
@@ -409,7 +409,7 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
     budget = Budget() if budget is None else budget
     what = "normal complex, stratum %s" % (sorted(sigma),)
     if f.is_inf:
-        return PolyComplex(ambient, sigma, [Cell(ambient, sigma, [], [], label="inf")])
+        return PolyComplex(ambient, sigma, [Cell(ambient, sigma, [], [], label="inf")], _covers=True)
     # no term uses sigma, so u's lex order is that of its free coordinates
     full = sorted((u, c.value) for u, c in f.terms())
     scale = lcm(*(c.denominator for _, c in full))
@@ -466,7 +466,8 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
             p = fm_solve(m, eqs, ineqs)
             if p is not None:
                 register(_tie_at(terms, scale, p), p, True)
-    return PolyComplex(ambient, sigma, [discovered[T] for T in sorted(discovered, key=sorted)])
+    return PolyComplex(ambient, sigma, [discovered[T] for T in sorted(discovered, key=sorted)],
+                       _covers=True)
 
 
 # Refinement --------------------------------------------------------------------------
@@ -489,9 +490,9 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
     it), and in one complex a is a face of b exactly when a's point lies in
     b's closed rows; so only face-neighbours of pairs that meet are solved.
     When the start alone meets P, ri(P) lies in its relative interior and
-    the pair keeps P's witness.  Where no core holds (a complex that does
-    not cover the stratum) every pair is solved.  Each prefix is charged
-    one unit per next cell.
+    the pair keeps P's witness.  Both steps need a next complex that covers
+    the stratum, a normal complex; for any other, or where no core holds,
+    every pair is solved.  Each prefix is charged one unit per next cell.
     """
     if not complexes:
         raise InputError("refine needs at least one complex")
@@ -513,7 +514,7 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
         for key, (reps, eqs, strict, point, witness) in partial.items():
             budget.charge(len(cells), what)
             at = None if point is None else _scaled(point)
-            start = None if at is None else next(
+            start = None if at is None or not other._covers else next(
                 (j for j, c in enumerate(cells) if _holds(*c.core, *at, strict=True)), None)
             todo = list(range(len(cells))) if start is None else [start]
             seen, hits = set(todo), {}
@@ -534,8 +535,7 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
                     seen.update(near[j])
             if list(hits) == [start]:
                 hits[start] = (*hits[start][:4], witness)
-            for j in sorted(hits):
-                found[key + (j,)] = hits[j]
+            found.update((key + (j,), hits[j]) for j in sorted(hits))
         partial = found
     return PolyComplex(first.ambient, first.sigma, [
         _handed(Cell(first.ambient, first.sigma,

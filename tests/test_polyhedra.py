@@ -346,20 +346,25 @@ def assert_same_refinement(R, S):
 
 
 @st.composite
-def polys_and_stratum(draw):
+def polys_and_stratum(draw, top=2, bound=3, size=4):
+    """Two or three polynomials over a stratum: exponents at most top,
+    coefficients in [-bound, bound] with denominators up to bound, at most
+    size terms each."""
     nvars = draw(st.integers(2, 3))
     sigma = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
-    exps = st.tuples(*[st.integers(0, 2)] * nvars)
-    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    polys = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=4),
+    exps = st.tuples(*[st.integers(0, top)] * nvars)
+    coeffs = st.fractions(min_value=-bound, max_value=bound, max_denominator=bound)
+    polys = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=size),
                           min_size=2, max_size=3))
     return [TropPoly(nvars, {u: Trop(c) for u, c in terms.items()}).strip_sigma(sigma)
             for terms in polys], sigma
 
 
-@settings(max_examples=100, deadline=None)
-@given(polys_and_stratum())
+@settings(max_examples=180, deadline=None)
+@given(st.one_of(polys_and_stratum(), polys_and_stratum(top=3, bound=4, size=6)))
 def test_refine_fold_matches_product_oracle(case):
+    # normal complexes cover the stratum, so refine locates and walks; the
+    # oracle's cells also check each handed-over witness against a fresh solve
     polys, sigma = case
     complexes = [normal_complex(f, sigma) for f in polys]
     assert_same_refinement(refine(complexes), refine_by_product(complexes))
@@ -406,6 +411,19 @@ def test_refine_cells_without_core_match_product_oracle():
     for _ in range(6):
         cases.append([arrangement_complex([line()]), arrangement_complex([line(), line()]),
                       arrangement_complex([line()])])
+    # complexes that cover only part of the stratum, one with a core that
+    # holds at the prefix's point: their cells away from it are still met;
+    # part drops one region of a normal complex, keeping its other cells
+    line = PolyComplex(1, frozenset(), [Cell(1, (), [], [], label="all")])
+    gaps = PolyComplex(1, frozenset(), [
+        Cell(1, (), [], [((1,), 1), ((-1,), 1)], label="near"),
+        Cell(1, (), [], [((1,), 5), ((-1,), -3)], label="far")])
+    cases.append([line, gaps])
+    f = TropPoly(2, {(0, 0): Trop(0), (1, 0): Trop(1), (0, 1): Trop(-1), (1, 1): Trop(2)})
+    whole = normal_complex(f)
+    for drop in (j for j, cell in enumerate(whole.cells) if cell.dim() == 2):
+        part = PolyComplex(2, frozenset(), whole.cells[:drop] + whole.cells[drop + 1:])
+        cases += [[axis_complex(0), part], [part, whole], [axis_complex(1), part, whole]]
     for complexes in cases:
         assert_same_refinement(refine(complexes), refine_by_product(complexes))
     with_empty = [tight_axes[0], PolyComplex(2, frozenset(), []), tight_axes[1]]
@@ -428,26 +446,6 @@ def test_refine_rejects_inputs_over_different_spaces():
             refine([A, other])
         with pytest.raises(InputError, match="same ambient space and stratum"):
             refine([other, A])
-
-
-@st.composite
-def covering_complexes(draw):
-    """Two or three normal complexes over one stratum: each covers it."""
-    nvars = draw(st.integers(2, 3))
-    sigma = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
-    exps = st.tuples(*[st.integers(0, 3)] * nvars)
-    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-    polys = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=6),
-                          min_size=2, max_size=3))
-    return [normal_complex(TropPoly(nvars, {u: Trop(c) for u, c in terms.items()})
-                           .strip_sigma(sigma), sigma) for terms in polys]
-
-
-@settings(max_examples=80, deadline=None)
-@given(covering_complexes())
-def test_refine_walk_matches_product_oracle(complexes):
-    # also checks each handed-over witness against the oracle's own solve
-    assert_same_refinement(refine(complexes), refine_by_product(complexes))
 
 
 def fresh(cell):
