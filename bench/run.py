@@ -37,6 +37,7 @@ CASES = {
     "tower-2-5": ("tower", 2, 5),
     "tower-2-6": ("tower", 2, 6),
     "tower-3-4": ("tower", 3, 4),
+    "tower-4-3": ("tower", 4, 3),
     "example27-g-d4": ("tropicalize", "tests/golden/inputs/example27_g.json", 4),
 }
 SLOW_S = 60.0

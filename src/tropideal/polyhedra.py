@@ -217,15 +217,16 @@ class Cell:
     """A closed polyhedron inside one stratum, with a label.
 
     Rows are primitive integer (coeffs, rhs) over the cell's free
-    coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  core
-    is a pair (eqs, strict) of row lists, a.w = b and a.w < b, cutting out
-    exactly the relative interior, as fm_solve's eqs and strict: given by
-    the builder, else read off the rows tight at a point of the relative
-    interior: the builder's (_handed), else the witness, relint_point().
+    coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  The
+    cell holds one point, its witness relint_point(), handed over by its
+    builder (_handed) or solved on first use; tight rows and dim() are read
+    off it.  core is a pair (eqs, strict) of row lists, a.w = b and a.w < b,
+    cutting out exactly the relative interior, as fm_solve's eqs and strict:
+    given by the builder, else the rows tight at the witness.
     """
 
     __slots__ = ("ambient", "sigma", "free", "eqs", "ineqs", "label", "_core",
-                 "_inner", "_relint", "_solved", "_tight", "_dim")
+                 "_relint", "_solved", "_tight", "_dim")
 
     def __init__(self, ambient: int, sigma, eqs, ineqs, label=None, free=None, core=None):
         self.ambient = ambient
@@ -242,7 +243,6 @@ class Cell:
                 raise InputError("row width %d does not match %d free coordinates" % (len(c), m))
         self.label = label
         self._core = core
-        self._inner = None
         self._relint = None
         self._solved = False
         self._tight = None
@@ -255,16 +255,10 @@ class Cell:
             self._relint = fm_solve(len(self.free), self.eqs, self.ineqs)
         return self._relint
 
-    def _point(self) -> Optional[tuple]:
-        """A point of the relative interior, the builder's or the witness."""
-        if self._inner is None:
-            self._inner = self.relint_point()
-        return self._inner
-
     def _read_tight(self):
-        """Tight rows and dimension, read off a relative-interior point."""
-        if self._tight is None and self._point() is not None:
-            P, q = _scaled(self._inner)
+        """Tight rows and dimension, read off the witness."""
+        if self._tight is None and self.relint_point() is not None:
+            P, q = _scaled(self._relint)
             self._tight = frozenset(i for i, (c, r) in enumerate(self.ineqs)
                                     if sum(map(mul, c, P)) == r * q)
             rows = [c for c, _ in self.eqs] + [self.ineqs[i][0] for i in self._tight]
@@ -274,10 +268,6 @@ class Cell:
         """The affine-hull dimension, or None when the closed system is empty."""
         self._read_tight()
         return self._dim
-
-    def _holds_at(self, P: Sequence[int], q: int) -> bool:
-        """Whether the point P / q (q > 0) lies in the closed cell."""
-        return _holds(self.eqs, self.ineqs, P, q)
 
     @property
     def core(self):
@@ -298,22 +288,21 @@ class Cell:
         return "Cell(sigma=%s, dim=%s, label=%r)" % (sorted(self.sigma), self.dim(), self.label)
 
 
-def _handed(cell: Cell, point, witness: bool) -> Cell:
-    """cell, given a point of its relative interior that its builder found;
-    the witness too when that solve had exactly the cell's point set or its
-    relative interior: fm_solve picks each coordinate, highest column first,
-    in ri of its fibre, and the fibre of ri C over a point of ri D is ri of
-    C's fibre (Rockafellar, Convex Analysis, Thm 6.8)."""
-    cell._inner = point
-    if witness:
-        cell._relint, cell._solved = point, True
+def _handed(cell: Cell, point) -> Cell:
+    """cell, given its witness: the point of a builder's solve of exactly the
+    cell's point set or its relative interior.  fm_solve picks each
+    coordinate, highest column first, in ri of its fibre, and the fibre of
+    ri C over a point of ri D is ri of C's fibre (Rockafellar, Convex
+    Analysis, Thm 6.8), so that point depends on the set alone."""
+    cell._relint, cell._solved = point, True
     return cell
 
 
 @dataclass
 class PolyComplex:
     """The cells of the stratum sigma, with pairwise disjoint relative interiors;
-    _covers marks a normal complex, whose relative interiors cover the stratum."""
+    _covers marks one whose relative interiors cover the stratum and whose
+    labels are tie sets, a normal complex."""
 
     ambient: int
     sigma: frozenset
@@ -392,8 +381,8 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
     region by a chain of facets, each cut out by a vertex row; the probe's
     relative-interior witness then lands in that facet.  Redundant rows
     change no Fourier-Motzkin projection, so each witness is the one the
-    full system gives, and the cell keeps it; a vertex's region keeps its
-    seed point, which is no witness.  Stored rows stay complete.  The core is T's
+    full system gives, and the cell keeps it; a vertex's region solves its
+    own witness when asked.  Stored rows stay complete.  The core is T's
     equalities and vertex rows, strict: on the relative interior the argmin
     is exactly T, and where those rows hold the minimum is attained on T's
     vertices only, whose face of the lower hull holds exactly the terms in
@@ -409,7 +398,7 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
     budget = Budget() if budget is None else budget
     what = "normal complex, stratum %s" % (sorted(sigma),)
     if f.is_inf:
-        return PolyComplex(ambient, sigma, [Cell(ambient, sigma, [], [], label="inf")], _covers=True)
+        return PolyComplex(ambient, sigma, [Cell(ambient, sigma, [], [], frozenset())], _covers=True)
     # no term uses sigma, so u's lex order is that of its free coordinates
     full = sorted((u, c.value) for u, c in f.terms())
     scale = lcm(*(c.denominator for _, c in full))
@@ -428,7 +417,7 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
         return any(a is not None and b is not None and a + b <= 2 * c for a, b in ends)
 
     survivors = [i for i, (u, c) in enumerate(terms) if not on_or_above_a_chord(u, c)]
-    vertices: dict[int, tuple] = {}  # vertex -> the seed point that proved it
+    vertices: list[int] = []
     for i in survivors:
         S: set[int] = set()
         while True:
@@ -439,23 +428,23 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
                 break
             T = _tie_at(terms, scale, p, among=survivors)
             if T == {i}:
-                vertices[i] = p
+                vertices.append(i)
                 break
             S.add(min(T - {i}))
 
     discovered: dict[frozenset, Cell] = {}
     queue: list[frozenset] = []
 
-    def register(T, p, witness):
+    def register(T, p=None):
         if T not in discovered:
             eqs, ineqs = _tie_system(terms, scale, T)
             strict = _tie_system(terms, scale, T, rows=vertices)[1]
-            discovered[T] = _handed(Cell(ambient, sigma, eqs, ineqs, label=label_of(T),
-                                         core=(eqs, strict)), p, witness)
+            cell = Cell(ambient, sigma, eqs, ineqs, label=label_of(T), core=(eqs, strict))
+            discovered[T] = cell if p is None else _handed(cell, p)
             queue.append(T)
 
-    for i, p in vertices.items():
-        register(frozenset({i}), p, False)
+    for i in vertices:
+        register(frozenset({i}))
     while queue:
         T = queue.pop()
         for v in vertices:
@@ -465,7 +454,7 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
             eqs, ineqs = _tie_system(terms, scale, T | {v}, rows=vertices)
             p = fm_solve(m, eqs, ineqs)
             if p is not None:
-                register(_tie_at(terms, scale, p), p, True)
+                register(_tie_at(terms, scale, p), p)
     return PolyComplex(ambient, sigma, [discovered[T] for T in sorted(discovered, key=sorted)],
                        _covers=True)
 
@@ -484,15 +473,17 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
     labels tupled in input order, 1-tuples for a single complex.
 
     Each prefix P keeps a point of ri(P), its witness when known; the next
-    cell whose core holds there, the start, meets P with no solve.  The next cells that meet
-    ri(P) are connected under the face relation (a segment in ri(P) crosses
-    cells one after another, each a face of the next or the next a face of
-    it), and in one complex a is a face of b exactly when a's point lies in
-    b's closed rows; so only face-neighbours of pairs that meet are solved.
-    When the start alone meets P, ri(P) lies in its relative interior and
-    the pair keeps P's witness.  Both steps need a next complex that covers
-    the stratum, a normal complex; for any other, or where no core holds,
-    every pair is solved.  Each prefix is charged one unit per next cell.
+    cell whose core holds there, the start, meets P with no solve.  The next
+    cells that meet ri(P) are connected under the face relation (a segment
+    in ri(P) crosses cells one after another, each a face of the next or
+    the next a face of it), so only face-neighbours of pairs that meet are
+    solved.  In a normal complex the cell with tie set T has closed rows
+    {w : T <= argmin(w)}, so a is a face of b exactly when a's label
+    contains b's.  When the start alone meets P, ri(P) lies in its relative
+    interior and the pair keeps P's witness; a refined cell is handed a
+    point only when it is its witness.  Both steps need a next complex
+    marked _covers; for any other, or where no core holds, every pair is
+    solved.  Each prefix is charged one unit per next cell.
     """
     if not complexes:
         raise InputError("refine needs at least one complex")
@@ -508,7 +499,6 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
                for j, cell in enumerate(first.cells)}
     for other in complexes[1:]:
         cells = other.cells
-        points = [None if c._point() is None else _scaled(c._point()) for c in cells]
         near: dict[int, list] = {}  # j -> the cells that are faces of j or have j as a face
         found: dict[tuple, tuple] = {}
         for key, (reps, eqs, strict, point, witness) in partial.items():
@@ -524,26 +514,27 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
                 p = point if j == start else fm_solve(len(cell.free), meet_eqs, (), meet_strict)
                 if p is None:
                     continue
-                if not all(c._holds_at(*_scaled(p)) for c in (*reps, cell)):
+                P, q = _scaled(p)
+                if not all(_holds(c.eqs, c.ineqs, P, q) for c in (*reps, cell)):
                     raise InvariantViolationError("refinement point escaped the input complexes")
                 hits[j] = ([*reps, cell], meet_eqs, meet_strict, p, j != start)
                 if start is not None:
                     if j not in near:
-                        near[j] = [k for k, pk in enumerate(points) if k != j and pk and (
-                            cells[j]._holds_at(*pk) or cells[k]._holds_at(*points[j]))]
+                        near[j] = [k for k, c in enumerate(cells) if k != j and (
+                            c.label <= cell.label or cell.label <= c.label)]
                     todo += [k for k in near[j] if k not in seen]
                     seen.update(near[j])
             if list(hits) == [start]:
                 hits[start] = (*hits[start][:4], witness)
             found.update((key + (j,), hits[j]) for j in sorted(hits))
         partial = found
-    return PolyComplex(first.ambient, first.sigma, [
-        _handed(Cell(first.ambient, first.sigma,
-                     [row for rep in reps for row in rep.eqs],
-                     [row for rep in reps for row in rep.ineqs],
-                     label=tuple(rep.label for rep in reps),
-                     free=reps[0].free), point, witness)
-        for reps, _, _, point, witness in partial.values()], first.quotiented)
+    refined = []
+    for reps, _, _, point, witness in partial.values():
+        cell = Cell(first.ambient, first.sigma, [row for rep in reps for row in rep.eqs],
+                    [row for rep in reps for row in rep.ineqs],
+                    label=tuple(rep.label for rep in reps), free=reps[0].free)
+        refined.append(_handed(cell, point) if witness else cell)
+    return PolyComplex(first.ambient, first.sigma, refined, first.quotiented)
 
 
 # Lineality quotient -------------------------------------------------------------------
@@ -575,5 +566,5 @@ def quotient_lineality(C: PolyComplex) -> PolyComplex:
             [(c[:-1], r) for c, r in cell.eqs],
             [(c[:-1], r) for c, r in cell.ineqs],
             label=cell.label,
-            free=cell.free[:-1]), None if p is None else p[:-1], True))
+            free=cell.free[:-1]), None if p is None else p[:-1]))
     return PolyComplex(C.ambient, C.sigma, cells, quotiented=True)

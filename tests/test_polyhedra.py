@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropideal import polyhedra
+from tropideal import jsonio, polyhedra
 from tropideal.config import Budget
 from tropideal.errors import InputError, InvariantViolationError, SizeGuardError
 from tropideal.polyhedra import (Cell, PolyComplex, canonical_row, fm_solve,
                                  normal_complex, quotient_lineality, refine)
-from tropideal.polyhedra import _scaled, _tie_at, _tie_system
+from tropideal.polyhedra import _holds, _scaled, _tie_at, _tie_system
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
@@ -217,7 +217,13 @@ def test_normal_complex_univariate():
 def test_normal_complex_of_infinity_polynomial():
     N = normal_complex(TropPoly(2))
     cells = N.cells
-    assert len(cells) == 1 and cells[0].label == "inf" and cells[0].dim() == 2
+    assert len(cells) == 1 and cells[0].label == frozenset() and cells[0].dim() == 2
+
+
+def test_refined_cell_of_infinity_polynomial_serializes():
+    # the label is the tie set, empty where the minimum is infinite
+    cell = refine([normal_complex(TropPoly(2))]).cells[0]
+    assert jsonio.cell_to_json(cell)["label"] == [[]]
 
 
 def test_normal_complex_requires_stripped_input():
@@ -270,13 +276,13 @@ def test_disjoint_relative_interiors():
         for b in cells[i + 1:]:
             assert not contains_by_fractions(b, a.relint_point(), relint=True)
             # the strict-intersection system of the pair is infeasible
-            (ea, sa), (eb, sb) = solved_core(a), solved_core(b)
+            (ea, sa), (eb, sb) = fresh(a).core, fresh(b).core
             assert fm_solve(2, ea + eb, [], sa + sb) is None
 
 
-def solved_core(cell):
-    """The core a copy of the cell solves for itself, built without one."""
-    return Cell(cell.ambient, cell.sigma, cell.eqs, cell.ineqs, free=cell.free).core
+def fresh(cell):
+    """A copy of the cell with no builder's witness or core: it solves its own."""
+    return Cell(cell.ambient, cell.sigma, cell.eqs, cell.ineqs, free=cell.free)
 
 
 def axis_complex(var, ambient=2):
@@ -448,11 +454,6 @@ def test_refine_rejects_inputs_over_different_spaces():
             refine([other, A])
 
 
-def fresh(cell):
-    """A copy of the cell with no builder's point or core: it solves its own."""
-    return Cell(cell.ambient, cell.sigma, cell.eqs, cell.ineqs, free=cell.free)
-
-
 def assert_handed_points_match_fresh_solves(cells):
     """Witness, dimension and (when the builder gave none) core of each cell
     match a fresh copy's; returns how many witnesses the builder handed over."""
@@ -578,7 +579,7 @@ def normal_complex_by_term_probes(f, sigma):
     sigma = frozenset(sigma)
     free = [i for i in range(f.num_vars) if i not in sigma]
     if f.is_inf:
-        return [Cell(f.num_vars, sigma, [], [], label="inf")]
+        return [Cell(f.num_vars, sigma, [], [], label=frozenset())]
     terms = merged_terms(f, sigma)
     full = {u: tuple(0 if i in sigma else u[free.index(i)] for i in range(f.num_vars))
             for u, _ in terms}
@@ -671,7 +672,8 @@ def test_integer_tie_kernel_matches_fraction_oracle(case, rng):
     for p in probe_points(got, m, rng):
         assert _tie_at(int_terms, scale, p) == tie_at_by_fractions(terms, p)
         for cell in got:
-            assert cell._holds_at(*_scaled(p)) == contains_by_fractions(cell, p, relint=False)
+            assert _holds(cell.eqs, cell.ineqs, *_scaled(p)) == \
+                contains_by_fractions(cell, p, relint=False)
 
 
 @st.composite
@@ -717,7 +719,7 @@ def test_vertex_walk_matches_term_probe_walk(case):
 def test_core_rows_solve_like_relint_systems(case):
     f, sigma = case
     cells = normal_complex(f, sigma).cells
-    solved = [solved_core(cell) for cell in cells]  # each cell's core solved once
+    solved = [fresh(cell).core for cell in cells]  # each cell's core solved once
     m = f.num_vars - len(sigma)
     for (a, (ea, sa)), (b, (eb, sb)) in itertools.combinations_with_replacement(
             zip(cells, solved), 2):
@@ -775,15 +777,29 @@ def near_chord_poly_in_stratum(draw):
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(dense_poly_in_stratum(), poly_in_stratum(), near_chord_poly_in_stratum()))
 def test_chord_screen_keeps_every_vertex(case):
-    # the vertex test hands each vertex's region its seed point and no witness
-    # (walk cells get one), and cells are listed in term order
+    # a vertex's region is the cell with a one-element tie set, and cells are
+    # listed in term order
     f, sigma = case
     if f.is_inf:
         return
     free = [i for i in range(f.num_vars) if i not in sigma]
     screened = [tuple(u[i] for i in free) for cell in normal_complex(f, sigma).cells
-                if not cell._solved for u in cell.label]
+                if len(cell.label) == 1 for u in cell.label]
     assert screened == vertices_unscreened(f, sigma)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(dense_poly_in_stratum(), poly_in_stratum(), near_chord_poly_in_stratum()))
+def test_normal_complex_faces_are_read_off_tie_sets(case):
+    # refine walks a normal complex by label containment, which must be the
+    # face relation: b's closed rows hold at a's witness exactly when b's tie
+    # set lies inside a's
+    f, sigma = case
+    cells = normal_complex(f, sigma).cells
+    points = [_scaled(cell.relint_point()) for cell in cells]
+    for (a, pa), (b, pb) in itertools.combinations(zip(cells, points), 2):
+        assert (b.label <= a.label) == _holds(b.eqs, b.ineqs, *pa)
+        assert (a.label <= b.label) == _holds(a.eqs, a.ineqs, *pb)
 
 
 def test_normal_complex_charges_before_each_solve(monkeypatch):
@@ -812,11 +828,11 @@ def test_membership_on_tight_rows_and_outside():
     half, third = Fraction(1, 2), Fraction(1, 3)
     for point, closed in [((half, third), True), ((0, third), True), ((0, 0), True),
                           ((1, Fraction(4, 3)), False)]:
-        assert sq._holds_at(*_scaled(point)) is closed
+        assert _holds(sq.eqs, sq.ineqs, *_scaled(point)) is closed
         assert contains_by_fractions(sq, point, relint=False) is closed
     edge = Cell(2, (), [((1, 0), 0)], [((0, -1), 0), ((0, 1), 1)])
     for point, closed in [((0, half), True), ((0, 1), True), ((Fraction(1, 7), half), False)]:
-        assert edge._holds_at(*_scaled(point)) is closed
+        assert _holds(edge.eqs, edge.ineqs, *_scaled(point)) is closed
         assert contains_by_fractions(edge, point, relint=False) is closed
 
 
