@@ -80,6 +80,7 @@ CASES = {
     "tropical-basis-padic-d3": (["tropical-basis", "--ideal", _inp("padic_d3.json")], 0),
     "nullstellensatz-text": (["nullstellensatz", "--ideal", _inp("point.json"),
                               "--output", "text"], 0),
+    "nullstellensatz-point-inf-d4": (["nullstellensatz", "--ideal", _inp("point_inf_d4.json")], 0),
     "compare-tower-point": (["compare", "--ideal", _inp("tower.json"),
                              "--other", _inp("point.json")], 0),
     "cap-refusal": (["nonrealizable", "--n", "2", "--degree", "3", "--cap", "100"], 3),
