@@ -38,6 +38,7 @@ CASES = {
     "tower-2-6": ("tower", 2, 6),
     "tower-3-4": ("tower", 3, 4),
     "tower-4-3": ("tower", 4, 3),
+    "tower-5-3": ("tower", 5, 3),
     "example27-g-d4": ("tropicalize", "tests/golden/inputs/example27_g.json", 4),
 }
 SLOW_S = 60.0
