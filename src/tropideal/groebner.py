@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .config import Budget
@@ -24,8 +24,7 @@ from .errors import InputError, InvariantViolationError
 from .ideals import TruncIdeal, _basis_table, _sigma_mask
 from .matroids import (_bits, _fundamental_circuit_idx, _loops_mask,
                        lex_min_basis_of_subset)
-from .polyhedra import (Cell, PolyComplex, fm_solve, normal_complex,
-                        quotient_lineality, refine)
+from .polyhedra import Cell, fm_solve, normal_complex, quotient_lineality, refine
 from .polynomials import TropPoly
 from .semiring import INF, Trop
 
@@ -135,13 +134,8 @@ def variety(G: GroebnerComplex, presentation: str = "projective") -> VarietySubc
     I = G.ideal
     if presentation == "affine":
         return VarietySubcomplex(I, "affine", dict(G.strata), quotiented=False)
-    strata = {}
-    for sigma, gcs in G.strata.items():
-        if len(sigma) == I.num_vars:
-            continue  # the all-infinite point
-        cells = quotient_lineality(PolyComplex(I.num_vars, sigma, [gc.cell for gc in gcs])).cells
-        strata[sigma] = [GroebnerCell(c, gc.witness, gc.fingerprint, gc.in_variety)
-                         for c, gc in zip(cells, gcs)]
+    strata = {sigma: [replace(gc, cell=quotient_lineality(gc.cell)) for gc in gcs]
+              for sigma, gcs in G.strata.items() if len(sigma) < I.num_vars}
     return VarietySubcomplex(I, "projective", strata, quotiented=True)
 
 
@@ -234,10 +228,10 @@ def nullstellensatz(I: TruncIdeal, budget: Budget | None = None) -> Certificate:
     for d, M in enumerate(I.layers):
         if M.rank == 0:  # every monomial is a loop
             return Certificate("unit", degree=d, truncation=I.degree_bound)
-    V = variety(groebner_complex(I, budget), "projective")
-    hits = V.in_variety_cells()
-    if hits:
-        sigma, gc = hits[0]
-        return Certificate("nonempty", witness_sigma=sigma, witness_cell=gc,
-                           truncation=I.degree_bound)
+    # the first in-variety cell of the projective variety, in stratum order
+    for sigma, gc in groebner_complex(I, budget).all_cells():
+        if gc.in_variety and len(sigma) < I.num_vars:
+            return Certificate("nonempty", witness_sigma=sigma,
+                               witness_cell=replace(gc, cell=quotient_lineality(gc.cell)),
+                               truncation=I.degree_bound)
     return Certificate("inconclusive", truncation=I.degree_bound)

@@ -307,7 +307,6 @@ class PolyComplex:
     ambient: int
     sigma: frozenset
     cells: list  # list[Cell]
-    quotiented: bool = False
     _covers: bool = field(default=False, repr=False, compare=False)
 
     def cell_count(self) -> int:
@@ -463,7 +462,8 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
 
 
 def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> PolyComplex:
-    """Common refinement: the nonempty intersections of one cell per input complex.
+    """Common refinement of normal complexes: the nonempty intersections of
+    one cell per input complex.
 
     A pairwise left fold, keyed by the flat tuple of input cells whose
     relative interiors meet: then ri(A & B) = ri A & ri B and cl(A & B) =
@@ -481,15 +481,17 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
     {w : T <= argmin(w)}, so a is a face of b exactly when a's label
     contains b's.  When the start alone meets P, ri(P) lies in its relative
     interior and the pair keeps P's witness; a refined cell is handed a
-    point only when it is its witness.  Both steps need a next complex
-    marked _covers; for any other, or where no core holds, every pair is
-    solved.  Each prefix is charged one unit per next cell.
+    point only when it is its witness.  Both steps need the cores to
+    partition the stratum, so every input must be a normal complex (marked
+    _covers): any other raises InputError, and a point that no core holds
+    InvariantViolationError.  Each prefix is charged one unit per next cell.
     """
     if not complexes:
         raise InputError("refine needs at least one complex")
+    if not all(c._covers for c in complexes):
+        raise InputError("refine takes normal complexes only")
     first = complexes[0]
-    shape = (first.ambient, first.sigma, first.quotiented)
-    if any((c.ambient, c.sigma, c.quotiented) != shape for c in complexes[1:]):
+    if any((c.ambient, c.sigma) != (first.ambient, first.sigma) for c in complexes[1:]):
         raise InputError("refine needs complexes over the same ambient space and stratum")
     budget = Budget() if budget is None else budget
     what = "refinement pairs, stratum %s" % (sorted(first.sigma),)
@@ -503,11 +505,13 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
         found: dict[tuple, tuple] = {}
         for key, (reps, eqs, strict, point, witness) in partial.items():
             budget.charge(len(cells), what)
-            at = None if point is None else _scaled(point)
-            start = None if at is None or not other._covers else next(
-                (j for j, c in enumerate(cells) if _holds(*c.core, *at, strict=True)), None)
-            todo = list(range(len(cells))) if start is None else [start]
-            seen, hits = set(todo), {}
+            at = _scaled(point)
+            start = next((j for j, c in enumerate(cells) if _holds(*c.core, *at, strict=True)),
+                         None)
+            if start is None:
+                raise InvariantViolationError("no core of a normal complex holds at a point "
+                                              "of its stratum")
+            todo, seen, hits = [start], {start}, {}
             for j in todo:  # the walk appends to todo as it goes
                 cell = cells[j]
                 meet_eqs, meet_strict = [*eqs, *cell.core[0]], [*strict, *cell.core[1]]
@@ -518,12 +522,11 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
                 if not all(_holds(c.eqs, c.ineqs, P, q) for c in (*reps, cell)):
                     raise InvariantViolationError("refinement point escaped the input complexes")
                 hits[j] = ([*reps, cell], meet_eqs, meet_strict, p, j != start)
-                if start is not None:
-                    if j not in near:
-                        near[j] = [k for k, c in enumerate(cells) if k != j and (
-                            c.label <= cell.label or cell.label <= c.label)]
-                    todo += [k for k in near[j] if k not in seen]
-                    seen.update(near[j])
+                if j not in near:
+                    near[j] = [k for k, c in enumerate(cells) if k != j and (
+                        c.label <= cell.label or cell.label <= c.label)]
+                todo += [k for k in near[j] if k not in seen]
+                seen.update(near[j])
             if list(hits) == [start]:
                 hits[start] = (*hits[start][:4], witness)
             found.update((key + (j,), hits[j]) for j in sorted(hits))
@@ -534,37 +537,30 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
                     [row for rep in reps for row in rep.ineqs],
                     label=tuple(rep.label for rep in reps), free=reps[0].free)
         refined.append(_handed(cell, point) if witness else cell)
-    return PolyComplex(first.ambient, first.sigma, refined, first.quotiented)
+    return PolyComplex(first.ambient, first.sigma, refined)
 
 
 # Lineality quotient -------------------------------------------------------------------
 
 
-def quotient_lineality(C: PolyComplex) -> PolyComplex:
-    """Rewrite every cell modulo the all-ones direction of the stratum.
+def quotient_lineality(cell: Cell) -> Cell:
+    """The cell modulo the all-ones direction of its stratum.
 
-    Requires each cell to be invariant under that line (all row sums 0);
-    the last finite coordinate is normalized to 0 and dropped.
+    Requires the cell to be invariant under that line (all row sums 0);
+    the last finite coordinate is normalized to 0 and dropped, so a cell
+    with fewer free coordinates than its stratum has is already quotiented.
     """
-    if C.quotiented:
-        raise InputError("complex is already quotiented")
-    cells = []
-    for cell in C.cells:
-        if len(cell.free) == 0:
-            raise InputError("cannot quotient a zero-dimensional stratum")
-        for c, _ in itertools.chain(cell.eqs, cell.ineqs):
-            if sum(c) != 0:
-                raise InvariantViolationError(
-                    "cell in stratum %s is not invariant under the all-ones line"
-                    % (sorted(C.sigma),))
-        # the parent's witness has last coordinate 0: by the all-ones line that
-        # coordinate's fibre is the whole line, chosen first, at 0; the rest
-        # is the quotient system's own solve
-        p = cell.relint_point()
-        cells.append(_handed(Cell(
-            C.ambient, C.sigma,
-            [(c[:-1], r) for c, r in cell.eqs],
-            [(c[:-1], r) for c, r in cell.ineqs],
-            label=cell.label,
-            free=cell.free[:-1]), None if p is None else p[:-1]))
-    return PolyComplex(C.ambient, C.sigma, cells, quotiented=True)
+    if len(cell.free) + len(cell.sigma) < cell.ambient:
+        raise InputError("cell is already quotiented")
+    if not cell.free:
+        raise InputError("cannot quotient a zero-dimensional stratum")
+    if any(sum(c) for c, _ in itertools.chain(cell.eqs, cell.ineqs)):
+        raise InvariantViolationError("cell in stratum %s is not invariant under the "
+                                      "all-ones line" % (sorted(cell.sigma),))
+    # the parent's witness has last coordinate 0: by the all-ones line that
+    # coordinate's fibre is the whole line, chosen first, at 0; the rest is
+    # the quotient system's own solve
+    p = cell.relint_point()
+    return _handed(Cell(cell.ambient, cell.sigma, [(c[:-1], r) for c, r in cell.eqs],
+                        [(c[:-1], r) for c, r in cell.ineqs], label=cell.label,
+                        free=cell.free[:-1]), None if p is None else p[:-1])

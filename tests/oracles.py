@@ -1,14 +1,15 @@
 """Reference helpers shared by the test modules: point charts, membership,
-the direct exchange quantifier, the univariate chord scan and root
-expansion, term merging, contraction, initial matroids, elimination
-witnesses, stratum polynomials and initial towers by contraction, and
-tropical evaluation, hypersurface membership, the tropicalization of a
-classical polynomial and the loops of a matroid.
+the refinement by product, the direct exchange quantifier, the univariate
+chord scan and root expansion, term merging, contraction, initial
+matroids, elimination witnesses, stratum polynomials and initial towers by
+contraction, and tropical evaluation, hypersurface membership, the
+tropicalization of a classical polynomial and the loops of a matroid.
 
 These are oracles, not library API: they read a cell's rows with plain
 Fractions, so the integer kernels in tropideal.polyhedra can be checked
-against them; they take the least coefficients of a univariate polynomial
-by brute force, so the lower hull in tropideal.polynomials can be; and they
+against them; they solve every tuple of cells, so refine's locate-and-walk
+can be; they take the least coefficients of a univariate polynomial by
+brute force, so the lower hull in tropideal.polynomials can be; and they
 build each stratum from `contract` and `initial_matroid_by_fractions` on
 ground labels, so the basis table that reads the sigma-face off the layer
 can be; and they decide valuated exchange by its quantifier over all pairs
@@ -21,6 +22,7 @@ alone on a fresh budget, so a run's nested calls can be summed against the
 single budget the run hands them.
 """
 
+import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,6 +33,7 @@ from tropideal.matroids import (VMatroid, VVector, _as_mask, _bits,
                                 _fundamental_circuit_idx, _loops_mask, _mask_of,
                                 lex_min_basis_of_subset)
 from tropideal.monomials import uses_sigma
+from tropideal.polyhedra import Cell, PolyComplex, fm_solve
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop, dot, weight_sigma
 
@@ -42,42 +45,76 @@ def charged(call, *args):
     return result, budget.cap - budget.remaining
 
 
-def weight_to_cell_coords(cell, w, quotiented):
+def weight_to_cell_coords(cell, w):
     """Coordinates of an ambient weight inside the cell's chart, or None.
 
     None when the weight's infinite coordinates do not match the cell's
-    stratum.  In a quotiented complex the last finite coordinate is
-    subtracted from the others and dropped.
+    stratum.  In a quotiented cell, one with fewer free coordinates than its
+    stratum has, the last finite coordinate is subtracted from the others
+    and dropped.
     """
     assert len(w) == cell.ambient, "weight has wrong length"
     sig = frozenset(i for i, x in enumerate(w) if x.is_inf)
     if sig != cell.sigma:
         return None
-    if not quotiented:
-        return tuple(w[i].value for i in cell.free)
     full_free = tuple(i for i in range(cell.ambient) if i not in cell.sigma)
+    if cell.free == full_free:
+        return tuple(w[i].value for i in cell.free)
     last = w[full_free[-1]].value
     return tuple(w[i].value - last for i in full_free[:-1])
 
 
 def contains_by_fractions(cell, point, relint):
     """Whether point lies in the closed cell, or with relint in its relative
-    interior: there the tight rows hold with equality and the others strictly."""
-    if relint and cell.dim() is None:  # dim() also reads the tight rows
+    interior: there a row is tight exactly when it is tight at the cell's
+    witness."""
+
+    def slack(c, r, w):
+        return r - sum(a * Fraction(x) for a, x in zip(c, w))
+
+    witness = cell.relint_point() if relint else None
+    if relint and witness is None or any(slack(c, r, point) for c, r in cell.eqs):
         return False
-    point = tuple(Fraction(x) for x in point)
-    for c, r in cell.eqs:
-        if sum(a * x for a, x in zip(c, point)) != r:
-            return False
-    tight = cell._tight if relint else frozenset()
-    for i, (c, r) in enumerate(cell.ineqs):
-        v = sum(a * x for a, x in zip(c, point))
-        if i in tight:
-            if v != r:
-                return False
-        elif v > r or (relint and v == r):
+    for c, r in cell.ineqs:
+        s = slack(c, r, point)
+        if s < 0 or relint and (s == 0) != (slack(c, r, witness) == 0):
             return False
     return True
+
+
+def refine_by_product(complexes):
+    """Reference refinement: solve every tuple of the product of the inputs'
+    cells, and key each feasible one by the cells whose relative interiors
+    hold its point."""
+    first = complexes[0]
+    lists = [c.cells for c in complexes]
+    found = {}
+    for combo in itertools.product(*lists):
+        p = fm_solve(len(combo[0].free), [row for cell in combo for row in cell.eqs],
+                     [row for cell in combo for row in cell.ineqs])
+        if p is None:
+            continue
+        located = tuple(next(i for i, cell in enumerate(lst)
+                             if contains_by_fractions(cell, p, relint=True))
+                        for lst in lists)
+        if located in found:
+            continue
+        reps = [lists[i][j] for i, j in enumerate(located)]
+        found[located] = Cell(first.ambient, first.sigma,
+                              [row for rep in reps for row in rep.eqs],
+                              [row for rep in reps for row in rep.ineqs],
+                              label=tuple(rep.label for rep in reps),
+                              free=combo[0].free)
+    return PolyComplex(first.ambient, first.sigma, [found[k] for k in sorted(found)])
+
+
+def assert_same_refinement(R, S):
+    """Same space, and cell by cell the same rows, labels and witnesses."""
+    assert (R.ambient, R.sigma) == (S.ambient, S.sigma)
+    assert len(R.cells) == len(S.cells)
+    for a, b in zip(R.cells, S.cells):
+        assert (a.free, a.eqs, a.ineqs, a.label) == (b.free, b.eqs, b.ineqs, b.label)
+        assert a.relint_point() == b.relint_point()
 
 
 def exchange_holds_at(val, A, B, a):

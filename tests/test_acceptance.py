@@ -121,7 +121,7 @@ def test_criterion_02_variety_is_tropical_line(tower4, tower4_complex):
     assert sorted(gc.cell.dim() for gc in torus) == [0, 1, 1, 1]
     origin = (Trop(0), Trop(0), Trop(0))
     vertex = next(gc for gc in torus if gc.cell.dim() == 0)
-    vcoord = weight_to_cell_coords(vertex.cell, origin, True)
+    vcoord = weight_to_cell_coords(vertex.cell, origin)
     assert contains_by_fractions(vertex.cell, vcoord, relint=False)
     rays = [gc for gc in torus if gc.cell.dim() == 1]
     for gc in rays:
@@ -130,7 +130,7 @@ def test_criterion_02_variety_is_tropical_line(tower4, tower4_complex):
     for i in range(3):
         w = tuple(Trop(7 if j == i else 0) for j in range(3))
         assert sum(1 for gc in rays
-                   if contains_by_fractions(gc.cell, weight_to_cell_coords(gc.cell, w, True),
+                   if contains_by_fractions(gc.cell, weight_to_cell_coords(gc.cell, w),
                                             relint=False)) == 1
     for i in range(3):
         assert [gc.cell.dim() for gc in by_sigma[frozenset({i})]] == [0]
@@ -329,7 +329,7 @@ def test_criterion_09_nullstellensatz():
         ideals.append(I)
         cert = nullstellensatz(I)
         assert cert.kind == "nonempty"
-        coords = weight_to_cell_coords(cert.witness_cell.cell, a, quotiented=True)
+        coords = weight_to_cell_coords(cert.witness_cell.cell, a)
         assert coords is not None and contains_by_fractions(cert.witness_cell.cell, coords,
                                                             relint=False)
 

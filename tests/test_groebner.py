@@ -256,7 +256,7 @@ def test_variety_of_point_ideal_is_single_projective_point():
     sigma, gc = hits[0]
     assert sigma == frozenset()
     assert gc.cell.dim() == 0
-    coords = weight_to_cell_coords(gc.cell, (Trop(0), Trop(0), Trop(0)), quotiented=True)
+    coords = weight_to_cell_coords(gc.cell, (Trop(0), Trop(0), Trop(0)))
     assert coords is not None and contains_by_fractions(gc.cell, coords, relint=False)
 
 
@@ -276,13 +276,13 @@ def test_variety_of_divisibility_tower_is_tropical_line():
     assert sorted(gc.cell.dim() for gc in torus) == [0, 1, 1, 1]
     vertex = [gc for gc in torus if gc.cell.dim() == 0][0]
     origin = (Trop(0), Trop(0), Trop(0))
-    assert contains_by_fractions(vertex.cell, weight_to_cell_coords(vertex.cell, origin, True),
+    assert contains_by_fractions(vertex.cell, weight_to_cell_coords(vertex.cell, origin),
                                  relint=False)
     # each ray contains the weight with a single raised coordinate
     for i in range(3):
         w = tuple(Trop(5 if j == i else 0) for j in range(3))
         hit = [gc for gc in torus if gc.cell.dim() == 1 and contains_by_fractions(
-            gc.cell, weight_to_cell_coords(gc.cell, w, True), relint=False)]
+            gc.cell, weight_to_cell_coords(gc.cell, w), relint=False)]
         assert len(hit) == 1
     # boundary strata: a single point each at the coordinate vertices of the plane
     for i in range(3):
@@ -338,7 +338,7 @@ def test_variety_crosscheck_by_circuit_sampling():
         for s, gc in V.all_cells():
             if not gc.in_variety or s != sigma:
                 continue
-            coords = weight_to_cell_coords(gc.cell, w, quotiented=False)
+            coords = weight_to_cell_coords(gc.cell, w)
             if coords is not None and contains_by_fractions(gc.cell, coords, relint=False):
                 in_cell = True
                 break
@@ -356,13 +356,13 @@ def test_boundary_condition_on_sampled_limits():
                 limit = tuple(INF if i in sigma else Trop(p[i]) for i in range(3))
                 holders = []
                 for other in G.strata[frozenset(sigma)]:
-                    coords = weight_to_cell_coords(other.cell, limit, quotiented=False)
+                    coords = weight_to_cell_coords(other.cell, limit)
                     if coords is not None and contains_by_fractions(other.cell, coords,
                                                                     relint=False):
                         holders.append(other)
                 assert holders
                 in_relint = [o for o in holders if contains_by_fractions(
-                    o.cell, weight_to_cell_coords(o.cell, limit, quotiented=False), relint=True)]
+                    o.cell, weight_to_cell_coords(o.cell, limit), relint=True)]
                 assert len(in_relint) == 1
 
 
@@ -400,10 +400,10 @@ def test_tropical_basis_cuts_out_variety_on_samples():
         on_all = all(min_twice(f, w) for f in basis)
         in_cell = any(
             gc.in_variety and s == sigma and
-            contains_by_fractions(gc.cell, weight_to_cell_coords(gc.cell, w, False),
+            contains_by_fractions(gc.cell, weight_to_cell_coords(gc.cell, w),
                                   relint=False)
             for s, gc in V.all_cells()
-            if weight_to_cell_coords(gc.cell, w, False) is not None)
+            if weight_to_cell_coords(gc.cell, w) is not None)
         assert on_all == in_cell
 
 
@@ -427,8 +427,7 @@ def test_nullstellensatz_point_witness():
     cert = nullstellensatz(I)
     assert cert.kind == "nonempty"
     assert cert.witness_sigma == frozenset()
-    coords = weight_to_cell_coords(cert.witness_cell.cell,
-                                   (Trop(0), Trop(0), Trop(0)), quotiented=True)
+    coords = weight_to_cell_coords(cert.witness_cell.cell, (Trop(0), Trop(0), Trop(0)))
     assert contains_by_fractions(cert.witness_cell.cell, coords, relint=False)
 
 
@@ -439,9 +438,9 @@ def test_nullstellensatz_hyperplane_witness():
     assert cert.kind == "nonempty"
     cell = cert.witness_cell.cell
     # the witness cell is the diagonal w0 = w1
-    coords = weight_to_cell_coords(cell, (Trop(7), Trop(7)), quotiented=True)
+    coords = weight_to_cell_coords(cell, (Trop(7), Trop(7)))
     assert contains_by_fractions(cell, coords, relint=False)
-    coords = weight_to_cell_coords(cell, (Trop(1), Trop(0)), quotiented=True)
+    coords = weight_to_cell_coords(cell, (Trop(1), Trop(0)))
     assert not contains_by_fractions(cell, coords, relint=False)
 
 

@@ -17,7 +17,8 @@ from tropideal.polyhedra import _holds, _scaled, _tie_at, _tie_system
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
-from oracles import contains_by_fractions, weight_to_cell_coords
+from oracles import (assert_same_refinement, contains_by_fractions, refine_by_product,
+                     weight_to_cell_coords)
 
 
 def C1(eqs, ineqs, ambient=1, sigma=()):
@@ -286,15 +287,9 @@ def fresh(cell):
 
 
 def axis_complex(var, ambient=2):
-    """Three cells: {w_var <= 0}, {w_var = 0}, {w_var >= 0}."""
-    coeff_pos = tuple(Fraction(1 if i == var else 0) for i in range(ambient))
-    coeff_neg = tuple(Fraction(-1 if i == var else 0) for i in range(ambient))
-    cells = [
-        Cell(ambient, (), [], [(coeff_pos, 0)], label="neg%d" % var),
-        Cell(ambient, (), [(coeff_pos, 0)], [], label="zero%d" % var),
-        Cell(ambient, (), [], [(coeff_neg, 0)], label="pos%d" % var),
-    ]
-    return PolyComplex(ambient, frozenset(), cells)
+    """The normal complex of x_var + 0: {w_var <= 0}, {w_var = 0}, {w_var >= 0}."""
+    unit = tuple(int(i == var) for i in range(ambient))
+    return normal_complex(poly([(unit, 0), ((0,) * ambient, 0)], ambient))
 
 
 def test_refine_two_lines_gives_nine_cells():
@@ -312,43 +307,10 @@ def test_refine_identity():
     R = refine([A])
     assert [(c.eqs, c.ineqs, c.label) for c in R.cells] == [
         (c.eqs, c.ineqs, (c.label,)) for c in A.cells]
-    allspace = PolyComplex(2, frozenset(), [Cell(2, (), [], [], label="all")])
+    allspace = normal_complex(poly([((0, 0), 0)], 2))
     R = refine([A, allspace])
     assert R.cell_count() == 3
     assert sorted(c.dim() for c in R.cells) == sorted(c.dim() for c in A.cells)
-
-
-def refine_by_product(complexes):
-    """Reference: solve every tuple of the product of the inputs' cells."""
-    first = complexes[0]
-    lists = [c.cells for c in complexes]
-    found = {}
-    for combo in itertools.product(*lists):
-        p = fm_solve(len(combo[0].free), [row for cell in combo for row in cell.eqs],
-                     [row for cell in combo for row in cell.ineqs])
-        if p is None:
-            continue
-        located = tuple(next(i for i, cell in enumerate(lst)
-                             if contains_by_fractions(cell, p, relint=True))
-                        for lst in lists)
-        if located in found:
-            continue
-        reps = [lists[i][j] for i, j in enumerate(located)]
-        found[located] = Cell(first.ambient, first.sigma,
-                              [row for rep in reps for row in rep.eqs],
-                              [row for rep in reps for row in rep.ineqs],
-                              label=tuple(rep.label for rep in reps),
-                              free=combo[0].free)
-    return PolyComplex(first.ambient, first.sigma, [found[k] for k in sorted(found)],
-                       first.quotiented)
-
-
-def assert_same_refinement(R, S):
-    assert (R.ambient, R.sigma, R.quotiented) == (S.ambient, S.sigma, S.quotiented)
-    assert len(R.cells) == len(S.cells)
-    for a, b in zip(R.cells, S.cells):
-        assert (a.free, a.eqs, a.ineqs, a.label) == (b.free, b.eqs, b.ineqs, b.label)
-        assert a.relint_point() == b.relint_point()
 
 
 @st.composite
@@ -376,34 +338,20 @@ def test_refine_fold_matches_product_oracle(case):
     assert_same_refinement(refine(complexes), refine_by_product(complexes))
 
 
-def test_refine_empty_input_stratum():
-    empty = PolyComplex(2, frozenset(), [])
-    for complexes in ([axis_complex(0), empty], [empty, axis_complex(1)],
-                      [axis_complex(0), empty, axis_complex(1)]):
-        R = refine(complexes)
-        assert R.cells == []
-        assert_same_refinement(R, refine_by_product(complexes))
-    three = [axis_complex(0), axis_complex(1), axis_complex(0)]
-    assert_same_refinement(refine(three), refine_by_product(three))
-
-
 def arrangement_complex(lines):
-    """Every sign vector of a line arrangement in the plane as one cell with no
-    core, empty ones included; zero signs are written as two opposite
-    inequalities, so those rows are tight."""
-    cells = []
-    for signs in itertools.product((-1, 0, 1), repeat=len(lines)):
-        rows = []
-        for s, (a, b) in zip(signs, lines):
-            if s <= 0:
-                rows.append((a, b))
-            if s >= 0:
-                rows.append((tuple(-x for x in a), -b))
-        cells.append(Cell(2, (), [], rows, label=signs))
-    return PolyComplex(2, frozenset(), cells)
+    """The normal complex of a product of binomials, one per line a.w = b of
+    an arrangement in the plane: x^max(a, 0) with coefficient 0 plus
+    x^max(-a, 0) with coefficient b, whose terms tie exactly on the line.
+    Its cells are the arrangement's nonempty sign vectors."""
+    f = poly([((0, 0), 0)], 2)
+    for a, b in lines:
+        f = f * poly([(tuple(max(x, 0) for x in a), 0), (tuple(max(-x, 0) for x in a), b)], 2)
+    return normal_complex(f)
 
 
 def test_refine_cells_without_core_match_product_oracle():
+    # refined cells carry no core; line arrangements, some with a line
+    # through several vertices, against the product oracle
     rng = random.Random(11)
 
     def line():
@@ -417,40 +365,34 @@ def test_refine_cells_without_core_match_product_oracle():
     for _ in range(6):
         cases.append([arrangement_complex([line()]), arrangement_complex([line(), line()]),
                       arrangement_complex([line()])])
-    # complexes that cover only part of the stratum, one with a core that
-    # holds at the prefix's point: their cells away from it are still met;
-    # part drops one region of a normal complex, keeping its other cells
-    line = PolyComplex(1, frozenset(), [Cell(1, (), [], [], label="all")])
-    gaps = PolyComplex(1, frozenset(), [
-        Cell(1, (), [], [((1,), 1), ((-1,), 1)], label="near"),
-        Cell(1, (), [], [((1,), 5), ((-1,), -3)], label="far")])
-    cases.append([line, gaps])
-    f = TropPoly(2, {(0, 0): Trop(0), (1, 0): Trop(1), (0, 1): Trop(-1), (1, 1): Trop(2)})
-    whole = normal_complex(f)
-    for drop in (j for j, cell in enumerate(whole.cells) if cell.dim() == 2):
-        part = PolyComplex(2, frozenset(), whole.cells[:drop] + whole.cells[drop + 1:])
-        cases += [[axis_complex(0), part], [part, whole], [axis_complex(1), part, whole]]
     for complexes in cases:
         assert_same_refinement(refine(complexes), refine_by_product(complexes))
-    with_empty = [tight_axes[0], PolyComplex(2, frozenset(), []), tight_axes[1]]
-    assert refine(with_empty).cells == []
 
 
 def test_refine_rejects_a_core_that_escapes_its_rows():
-    allspace = PolyComplex(2, frozenset(), [Cell(2, (), [], [], label="all")])
-    # rows say w0 <= 0, the core says w0 > 1
-    bad = Cell(2, (), [], [((1, 0), 0)], core=((), [((-1, 0), -1)]))
+    allspace = normal_complex(poly([((0, 0), 0)], 2))  # its witness is the origin
+    # rows say w0 <= -1, the core says w0 > -2: it holds at the origin
+    bad = Cell(2, (), [], [((1, 0), -1)], core=((), [((-1, 0), 2)]))
     with pytest.raises(InvariantViolationError, match="escaped"):
-        refine([allspace, PolyComplex(2, frozenset(), [bad])])
+        refine([allspace, PolyComplex(2, frozenset(), [bad], _covers=True)])
+    # a core that holds nowhere leaves the origin in no cell
+    gap = Cell(2, (), [], [((1, 0), -1)], core=((), [((1, 0), -1)]))
+    with pytest.raises(InvariantViolationError, match="no core"):
+        refine([allspace, PolyComplex(2, frozenset(), [gap], _covers=True)])
 
 
 def test_refine_rejects_inputs_over_different_spaces():
     A = axis_complex(0)
-    for other in (axis_complex(0, ambient=3), PolyComplex(2, frozenset({0}), []),
-                  PolyComplex(2, frozenset(), [], quotiented=True)):
+    for other in (axis_complex(0, ambient=3), normal_complex(poly([((0, 1), 0)], 2), {0})):
         with pytest.raises(InputError, match="same ambient space and stratum"):
             refine([A, other])
         with pytest.raises(InputError, match="same ambient space and stratum"):
+            refine([other, A])
+    # only normal complexes cover their stratum: not a hand-built or a refined one
+    for other in (PolyComplex(2, frozenset(), [Cell(2, (), [], [])]), refine([A])):
+        with pytest.raises(InputError, match="normal complexes only"):
+            refine([A, other])
+        with pytest.raises(InputError, match="normal complexes only"):
             refine([other, A])
 
 
@@ -491,8 +433,8 @@ def test_handed_witnesses_match_fresh_solves(case):
     R = refine(complexes)
     assert_handed_points_match_fresh_solves(R.cells)
     if all(sum(c) == 0 for cell in R.cells for c, _ in (*cell.eqs, *cell.ineqs)):
-        Q = quotient_lineality(R)
-        assert assert_handed_points_match_fresh_solves(Q.cells) == len(Q.cells)
+        Q = [quotient_lineality(cell) for cell in R.cells]
+        assert assert_handed_points_match_fresh_solves(Q) == len(Q)
 
 
 @settings(max_examples=400, deadline=None)
@@ -839,26 +781,32 @@ def test_membership_on_tight_rows_and_outside():
 def test_quotient_lineality():
     # the diagonal fan: cells of x0 + x1 (homogeneous)
     f = poly([((1, 0), 0), ((0, 1), 0)], 2)
-    N = normal_complex(f)
-    Q = quotient_lineality(N)
-    cells = Q.cells
+    cells = [quotient_lineality(cell) for cell in normal_complex(f).cells]
     assert len(cells) == 3
     assert sorted(c.dim() for c in cells) == [0, 1, 1]
-    allspace = PolyComplex(2, frozenset(), [Cell(2, (), [], [])])
-    Q2 = quotient_lineality(allspace)
-    assert Q2.cells[0].dim() == 1
+    assert all(c.free == (0,) for c in cells)
+    assert quotient_lineality(Cell(2, (), [], [])).dim() == 1
+    assert quotient_lineality(Cell(3, {1}, [], [])).free == (0,)
 
 
 def test_quotient_rejects_non_invariant():
-    bad = PolyComplex(2, frozenset(), [Cell(2, (), [], [((1, 0), 0)])])
     with pytest.raises(InvariantViolationError):
-        quotient_lineality(bad)
+        quotient_lineality(Cell(2, (), [], [((1, 0), 0)]))
+
+
+def test_quotient_rejects_a_quotiented_or_zero_dimensional_cell():
+    # a quotiented cell has fewer free coordinates than its stratum
+    for cell in (quotient_lineality(Cell(2, (), [], [])), Cell(3, {1}, [], [], free=(0,))):
+        with pytest.raises(InputError, match="already quotiented"):
+            quotient_lineality(cell)
+    with pytest.raises(InputError, match="zero-dimensional"):
+        quotient_lineality(Cell(2, {0, 1}, [], []))
 
 
 def test_weight_to_cell_coords():
     cell = Cell(3, {1}, [], [])
     w = (Trop(2), INF, Trop(5))
-    assert weight_to_cell_coords(cell, w, quotiented=False) == (Fraction(2), Fraction(5))
-    assert weight_to_cell_coords(cell, (Trop(1), Trop(1), Trop(1)), False) is None
+    assert weight_to_cell_coords(cell, w) == (Fraction(2), Fraction(5))
+    assert weight_to_cell_coords(cell, (Trop(1), Trop(1), Trop(1))) is None
     qcell = Cell(3, {1}, [], [], free=(0,))
-    assert weight_to_cell_coords(qcell, w, quotiented=True) == (Fraction(-3),)
+    assert weight_to_cell_coords(qcell, w) == (Fraction(-3),)
