@@ -350,8 +350,8 @@ def arrangement_complex(lines):
 
 
 def test_refine_cells_without_core_match_product_oracle():
-    # refined cells carry no core; line arrangements, some with a line
-    # through several vertices, against the product oracle
+    # line arrangements against the product oracle; the refined cells carry
+    # no builder's core
     rng = random.Random(11)
 
     def line():
