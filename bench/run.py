@@ -7,11 +7,14 @@ Each case runs in a fresh Python process that imports `tropideal` from the
 Groebner complex, each timed apart with `time.perf_counter`, and repeats the
 pair three times; a case whose first build plus `groebner_complex` takes
 over 60 s runs once.  Per case the file records the median build and
-`groebner_complex` seconds, every run, the process's peak RSS, the number
-of cells and the sha256 of
+`groebner_complex` seconds, every run, the peak RSS, the number of cells
+and the sha256 of
 `json.dumps(groebner_complex_to_json(G, verbose=True), sort_keys=True)`,
-so two files from different commits can be compared case by case.  Budgets
-are raised far past any case here, so no run is refused.
+so two files from different commits can be compared case by case.  The
+peak RSS is the process's `ru_maxrss` read right after the first build
+and `groebner_complex`, before that JSON is built and before the pair
+repeats: the pipeline's own peak, imports included.  Budgets are raised
+far past any case here, so no run is refused.
 
 Stdlib only.
 """
@@ -71,6 +74,8 @@ def run_case(name: str) -> dict:
         t1 = time.perf_counter()
         G = groebner_complex(ideal, Budget(CAP))
         t2 = time.perf_counter()
+        if not runs:
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         runs.append({"build_s": t1 - t0, "groebner_complex_s": t2 - t1})
         text = json.dumps(groebner_complex_to_json(G, verbose=True), sort_keys=True)
         h = hashlib.sha256(text.encode()).hexdigest()
@@ -84,7 +89,7 @@ def run_case(name: str) -> dict:
         "build_s": statistics.median(r["build_s"] for r in runs),
         "groebner_complex_s": statistics.median(r["groebner_complex_s"] for r in runs),
         "runs": runs,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": peak_rss_mb,
         "cells": cells,
         "sha256": digest,
     }

@@ -55,8 +55,15 @@ class GroebnerCell:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-class _Strata:
-    """Cells per stratum sigma, iterated by the size of sigma, then sigma."""
+@dataclass
+class GroebnerComplex:
+    """Cells per stratum sigma, iterated by the size of sigma, then sigma:
+    all strata as built (affine), or as variety quotients them (projective)."""
+
+    ideal: TruncIdeal
+    presentation: str                  # affine | projective
+    strata: dict                       # frozenset sigma -> list[GroebnerCell]
+    quotiented: bool
 
     def sigmas(self) -> list:
         return sorted(self.strata, key=lambda s: (len(s), sorted(s)))
@@ -69,11 +76,11 @@ class _Strata:
     def cell_count(self) -> int:
         return sum(len(v) for v in self.strata.values())
 
+    def in_variety_cells(self):
+        return [(s, gc) for s, gc in self.all_cells() if gc.in_variety]
 
-@dataclass
-class GroebnerComplex(_Strata):
-    ideal: TruncIdeal
-    strata: dict  # frozenset sigma -> list[GroebnerCell]
+
+VarietySubcomplex = GroebnerComplex  # a variety is its Groebner complex in a presentation
 
 
 def groebner_complex(I: TruncIdeal, budget: Budget | None = None) -> GroebnerComplex:
@@ -104,42 +111,32 @@ def groebner_complex(I: TruncIdeal, budget: Budget | None = None) -> GroebnerCom
                 w = tuple(INF if i in sigma else Trop(coords[i]) for i in range(nv))
                 out.append(GroebnerCell(cell, w, fingerprint, in_variety=not has_loop))
             strata[sigma] = out
-    return GroebnerComplex(I, strata)
+    return GroebnerComplex(I, "affine", strata, False)
 
 
 # Varieties -----------------------------------------------------------------------
 
 
-@dataclass
-class VarietySubcomplex(_Strata):
-    ideal: TruncIdeal
-    presentation: str                  # affine | projective
-    strata: dict                       # sigma -> list[GroebnerCell]
-    quotiented: bool
+def variety(G: GroebnerComplex, presentation: str = "projective") -> GroebnerComplex:
+    """The affine G in a presentation; its in-variety cells, those whose
+    degenerated layers are monomial-free, are the variety of G.ideal.
 
-    def in_variety_cells(self):
-        return [(s, gc) for s, gc in self.all_cells() if gc.in_variety]
-
-
-def variety(G: GroebnerComplex, presentation: str = "projective") -> VarietySubcomplex:
-    """The cells of G whose degenerated layers are monomial-free, affine or
-    projective, as the variety of G.ideal.
-
-    The affine presentation keeps all strata of the ambient stratified
-    space including the all-infinite point; the projective one drops that
-    point and rewrites every cell modulo the all-ones line.
+    The affine presentation is G itself, all strata of the ambient
+    stratified space including the all-infinite point; the projective one
+    drops that point and rewrites every cell modulo the all-ones line.
     """
     if presentation not in ("affine", "projective"):
         raise InputError("presentation must be 'affine' or 'projective'")
-    I = G.ideal
+    if G.presentation != "affine":
+        raise InputError("variety takes an affine Groebner complex")
     if presentation == "affine":
-        return VarietySubcomplex(I, "affine", dict(G.strata), quotiented=False)
+        return G
     strata = {sigma: [replace(gc, cell=quotient_lineality(gc.cell)) for gc in gcs]
-              for sigma, gcs in G.strata.items() if len(sigma) < I.num_vars}
-    return VarietySubcomplex(I, "projective", strata, quotiented=True)
+              for sigma, gcs in G.strata.items() if len(sigma) < G.ideal.num_vars}
+    return GroebnerComplex(G.ideal, "projective", strata, True)
 
 
-def variety_supports_equal(V1: VarietySubcomplex, V2: VarietySubcomplex) -> bool:
+def variety_supports_equal(V1: GroebnerComplex, V2: GroebnerComplex) -> bool:
     """Exact set equality of the two varieties' supports, cell by cell.
 
     The support of V1 is covered by V2 iff no in-variety cell of V1 meets
@@ -149,7 +146,7 @@ def variety_supports_equal(V1: VarietySubcomplex, V2: VarietySubcomplex) -> bool
     if V1.presentation != V2.presentation or set(V1.strata) != set(V2.strata):
         return False
 
-    def covered(A: VarietySubcomplex, B: VarietySubcomplex) -> bool:
+    def covered(A: GroebnerComplex, B: GroebnerComplex) -> bool:
         for sigma, gcs in A.strata.items():
             bad = [gc.cell for gc in B.strata[sigma] if not gc.in_variety]
             for gc in gcs:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import monomials as mon
 from .errors import ParseError
-from .groebner import Certificate, GroebnerCell, GroebnerComplex, VarietySubcomplex
+from .groebner import Certificate, GroebnerCell, GroebnerComplex
 from .ideals import ClassicalInput, QPoly, TruncIdeal, Valuation
 from .matroids import VMatroid, _bits
 from .polyhedra import Cell
@@ -238,7 +238,7 @@ def _gcell_to_json(gc: GroebnerCell, verbose: bool) -> dict:
     return out
 
 
-def _strata_to_json(X: GroebnerComplex | VarietySubcomplex, verbose: bool) -> list:
+def _strata_to_json(X: GroebnerComplex, verbose: bool) -> list:
     """Each stratum's sigma and cells, in all_cells order."""
     return [{"sigma": sorted(sigma),
              "cells": [_gcell_to_json(gc, verbose) for gc in X.strata[sigma]]}
@@ -257,7 +257,7 @@ def groebner_complex_to_json(G: GroebnerComplex, verbose: bool = False) -> dict:
                         for k, v in sorted(classes.items())]}
 
 
-def variety_to_json(V: VarietySubcomplex, verbose: bool = False) -> dict:
+def variety_to_json(V: GroebnerComplex, verbose: bool = False) -> dict:
     return {"ambient": V.ideal.num_vars, "presentation": V.presentation,
             "quotiented": V.quotiented, "strata": _strata_to_json(V, verbose)}
 

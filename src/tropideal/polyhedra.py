@@ -472,19 +472,19 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
     (prefix, cell) pair.  Cells are listed by key, with rows concatenated and
     labels tupled in input order, 1-tuples for a single complex.
 
-    Each prefix P keeps a point of ri(P), its witness when known; the next
-    cell whose core holds there, the start, meets P with no solve.  The next
-    cells that meet ri(P) are connected under the face relation (a segment
-    in ri(P) crosses cells one after another, each a face of the next or
-    the next a face of it), so only face-neighbours of pairs that meet are
-    solved.  In a normal complex the cell with tie set T has closed rows
-    {w : T <= argmin(w)}, so a is a face of b exactly when a's label
-    contains b's.  When the start alone meets P, ri(P) lies in its relative
-    interior and the pair keeps P's witness; a refined cell is handed a
-    point only when it is its witness.  Both steps need the cores to
-    partition the stratum, so every input must be a normal complex (marked
-    _covers): any other raises InputError, and a point that no core holds
-    InvariantViolationError.  Each prefix is charged one unit per next cell.
+    Each prefix P keeps its witness; the next cell whose core holds there,
+    the start, meets P with no solve.  The next cells that meet ri(P) are
+    connected under the face relation (a segment in ri(P) crosses cells one
+    after another, each a face of the next or the next a face of it), so
+    only face-neighbours of pairs that meet are solved.  In a normal complex
+    the cell with tie set T has closed rows {w : T <= argmin(w)}, so a is a
+    face of b exactly when a's label contains b's.  When the start alone
+    meets P, ri(P) lies in its relative interior and the pair keeps P's
+    witness; else it is solved too, so every refined cell is handed its
+    witness.  Both steps need the cores to partition the stratum, so every
+    input must be a normal complex (marked _covers): any other raises
+    InputError, and a point that no core holds InvariantViolationError.  Each
+    prefix is charged one unit per next cell.
     """
     if not complexes:
         raise InputError("refine needs at least one complex")
@@ -495,15 +495,14 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
         raise InputError("refine needs complexes over the same ambient space and stratum")
     budget = Budget() if budget is None else budget
     what = "refinement pairs, stratum %s" % (sorted(first.sigma),)
-    # key -> (input cells, their cores' equalities and strict rows, a point of
-    # the meet's relative interior, whether it is the meet's witness), in key order
-    partial = {(j,): ([cell], *cell.core, cell.relint_point(), True)
-               for j, cell in enumerate(first.cells)}
+    # key -> (input cells, their cores' equalities and strict rows, the meet's
+    # witness), in key order
+    partial = {(j,): ([cell], *cell.core, cell.relint_point()) for j, cell in enumerate(first.cells)}
     for other in complexes[1:]:
         cells = other.cells
         near: dict[int, list] = {}  # j -> the cells that are faces of j or have j as a face
         found: dict[tuple, tuple] = {}
-        for key, (reps, eqs, strict, point, witness) in partial.items():
+        for key, (reps, eqs, strict, point) in partial.items():
             budget.charge(len(cells), what)
             at = _scaled(point)
             start = next((j for j, c in enumerate(cells) if _holds(*c.core, *at, strict=True)),
@@ -515,28 +514,30 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
             for j in todo:  # the walk appends to todo as it goes
                 cell = cells[j]
                 meet_eqs, meet_strict = [*eqs, *cell.core[0]], [*strict, *cell.core[1]]
-                p = point if j == start else fm_solve(len(cell.free), meet_eqs, (), meet_strict)
+                p = point if j == start else fm_solve(len(point), meet_eqs, (), meet_strict)
                 if p is None:
                     continue
-                P, q = _scaled(p)
-                if not all(_holds(c.eqs, c.ineqs, P, q) for c in (*reps, cell)):
-                    raise InvariantViolationError("refinement point escaped the input complexes")
-                hits[j] = ([*reps, cell], meet_eqs, meet_strict, p, j != start)
+                hits[j] = ([*reps, cell], meet_eqs, meet_strict, p)
                 if j not in near:
                     near[j] = [k for k, c in enumerate(cells) if k != j and (
                         c.label <= cell.label or cell.label <= c.label)]
                 todo += [k for k in near[j] if k not in seen]
                 seen.update(near[j])
-            if list(hits) == [start]:
-                hits[start] = (*hits[start][:4], witness)
-            found.update((key + (j,), hits[j]) for j in sorted(hits))
+            if len(hits) > 1:  # ri(P) crosses other cells, so its meet with the start is smaller
+                meet = hits[start][:3]
+                hits[start] = (*meet, fm_solve(len(point), meet[1], (), meet[2]))
+            for j in sorted(hits):
+                meet_reps, _, _, p = found[key + (j,)] = hits[j]
+                if p is None:
+                    raise InvariantViolationError("the start's pair has no point")
+                P, q = _scaled(p)
+                if not all(_holds(c.eqs, c.ineqs, P, q) for c in meet_reps):
+                    raise InvariantViolationError("refinement point escaped the input complexes")
         partial = found
-    refined = []
-    for reps, _, _, point, witness in partial.values():
-        cell = Cell(first.ambient, first.sigma, [row for rep in reps for row in rep.eqs],
-                    [row for rep in reps for row in rep.ineqs],
-                    label=tuple(rep.label for rep in reps), free=reps[0].free)
-        refined.append(_handed(cell, point) if witness else cell)
+    refined = [_handed(Cell(first.ambient, first.sigma, [row for rep in reps for row in rep.eqs],
+                            [row for rep in reps for row in rep.ineqs],
+                            label=tuple(rep.label for rep in reps)), point)
+               for reps, _, _, point in partial.values()]
     return PolyComplex(first.ambient, first.sigma, refined)
 
 

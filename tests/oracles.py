@@ -19,7 +19,10 @@ varieties and tropical bases cut out can be checked pointwise, and they
 tropicalize a classical polynomial coefficient by coefficient, so the
 layers that tropicalize builds from minors can be.  `charged` runs one call
 alone on a fresh budget, so a run's nested calls can be summed against the
-single budget the run hands them.
+single budget the run hands them.  `macaulay_rank` eliminates a Macaulay
+matrix with plain Fractions, so the layer ranks tropicalize reads off its
+echelon form can be checked.  The last few builders (`T`, `line_ideal`,
+`circuit_supports`) are shared by several test modules.
 """
 
 import itertools
@@ -28,11 +31,11 @@ from typing import Optional, Sequence
 
 from tropideal.config import Budget
 from tropideal.errors import InvalidMatroidError
-from tropideal.ideals import QPoly, TruncIdeal, Valuation
+from tropideal.ideals import ClassicalInput, QPoly, TruncIdeal, Valuation, tropicalize
 from tropideal.matroids import (VMatroid, VVector, _as_mask, _bits,
                                 _fundamental_circuit_idx, _loops_mask, _mask_of,
-                                lex_min_basis_of_subset)
-from tropideal.monomials import uses_sigma
+                                circuits, lex_min_basis_of_subset)
+from tropideal.monomials import monomials_of_degree, uses_sigma
 from tropideal.polyhedra import Cell, PolyComplex, fm_solve
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop, dot, weight_sigma
@@ -374,3 +377,52 @@ def trop(g: QPoly, valuation: Valuation) -> TropPoly:
 def loops(M: VMatroid) -> list:
     """The ground elements in no basis of M, in ground order."""
     return [M.ground[i] for i in _bits(_loops_mask(M.basis_masks(), len(M.ground)))]
+
+
+def macaulay_rank(gens, d):
+    """Exact rank of the degree-d Macaulay matrix, by Gauss elimination on Fractions."""
+    nv = gens[0].num_vars
+    cols = monomials_of_degree(nv, d)
+    index = {u: i for i, u in enumerate(cols)}
+    rows = []
+    for g in gens:
+        dg = g.degree()
+        if dg > d:
+            continue
+        for u in monomials_of_degree(nv, d - dg):
+            shifted = g * QPoly(nv, {u: 1})
+            row = [Fraction(0)] * len(cols)
+            for v, c in shifted.coeffs.items():
+                row[index[v]] = c
+            rows.append(row)
+    rank = 0
+    for c in range(len(cols)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] != 0:
+                fct = rows[r][c] / rows[rank][c]
+                rows[r] = [a - fct * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+# Shared builders ---------------------------------------------------------------------
+
+
+def T(pairs, nvars):
+    """The tropical polynomial with the given (exponent, coefficient) terms."""
+    return TropPoly(nvars, {u: Trop(c) for u, c in pairs})
+
+
+def line_ideal(D=1):
+    """The tropicalization of x + y + z under the trivial valuation, truncated at D."""
+    g = QPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    return tropicalize(ClassicalInput((g,), Valuation("trivial")), D)
+
+
+def circuit_supports(M):
+    """The supports of the circuits of M, as sets of ground labels."""
+    return [frozenset(u for u, c in zip(M.ground, H) if not c.is_inf) for H in circuits(M)]

@@ -23,16 +23,13 @@ from tropideal.monomials import monomials_of_degree
 from tropideal.polynomials import TropPoly, least_coefficients, tropical_roots
 from tropideal.semiring import INF, Trop
 
-from oracles import (circuit_elimination_witness, contains_by_fractions, poly_from_roots,
-                     trop, vector_elimination_witness, weight_to_cell_coords)
+from oracles import (T, circuit_elimination_witness, contains_by_fractions, line_ideal,
+                     macaulay_rank, poly_from_roots, trop, vector_elimination_witness,
+                     weight_to_cell_coords)
 
 
 def report(k, text):
     print("\nACCEPTANCE %2d: PASS - %s" % (k, text))
-
-
-def T(pairs, nvars):
-    return TropPoly(nvars, {u: Trop(c) for u, c in pairs})
 
 
 # Shared expensive objects -----------------------------------------------------------
@@ -48,11 +45,6 @@ def tower4_complex(tower4):
     return groebner_complex(tower4)
 
 
-def line_ideal(D):
-    g = QPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    return tropicalize(ClassicalInput((g,), Valuation("trivial")), D)
-
-
 @pytest.fixture(scope="module")
 def example_2_7():
     x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -62,36 +54,6 @@ def example_2_7():
     Ip = tropicalize(ClassicalInput((gp,), Valuation("trivial")), 4)
     f = trop(gp * QPoly(3, {x: 1, y: -1, z: -1}), Valuation("trivial"))
     return I, Ip, f
-
-
-def macaulay_rank(gens, d):
-    """Independent oracle: exact rank of the degree-d Macaulay matrix."""
-    nv = gens[0].num_vars
-    cols = monomials_of_degree(nv, d)
-    index = {u: i for i, u in enumerate(cols)}
-    rows = []
-    for g in gens:
-        dg = g.degree()
-        if dg > d:
-            continue
-        for u in monomials_of_degree(nv, d - dg):
-            shifted = g * QPoly(nv, {u: 1})
-            row = [Fraction(0)] * len(cols)
-            for v, c in shifted.coeffs.items():
-                row[index[v]] = c
-            rows.append(row)
-    rank = 0
-    for c in range(len(cols)):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                fct = rows[r][c] / rows[rank][c]
-                rows[r] = [a - fct * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 # 1 -----------------------------------------------------------------------------------

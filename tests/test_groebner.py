@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropideal.config import Budget
-from tropideal.errors import SizeGuardError
-from tropideal.groebner import (groebner_complex, groebner_poly,
-                                nullstellensatz, tropical_basis, variety,
+from tropideal.errors import InputError, SizeGuardError
+from tropideal.groebner import (GroebnerComplex, VarietySubcomplex, groebner_complex,
+                                groebner_poly, nullstellensatz, tropical_basis, variety,
                                 variety_supports_equal)
 from tropideal.ideals import (ClassicalInput, QPoly, Valuation, initial_ideal,
                               nonrealizable_ideal, point_ideal, tropicalize)
@@ -18,13 +18,9 @@ from tropideal.polyhedra import fm_solve, normal_complex, refine
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
-from oracles import (charged, contains_by_fractions, initial_layers_by_label_sets, loops,
-                     min_twice, stratum_poly_by_contraction, weight_to_cell_coords)
-
-
-def line_ideal(D=1):
-    g = QPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    return tropicalize(ClassicalInput((g,), Valuation("trivial")), D)
+from oracles import (T, charged, contains_by_fractions, initial_layers_by_label_sets,
+                     line_ideal, loops, min_twice, stratum_poly_by_contraction,
+                     weight_to_cell_coords)
 
 
 def two_planes_ideal():
@@ -37,10 +33,6 @@ def two_planes_ideal():
 def unit_ideal(nv=3, D=1):
     one = QPoly(nv, {(0,) * nv: 1})
     return tropicalize(ClassicalInput((one,), Valuation("trivial")), D)
-
-
-def T(pairs, nvars):
-    return TropPoly(nvars, {u: Trop(c) for u, c in pairs})
 
 
 # groebner_poly ---------------------------------------------------------------------
@@ -246,6 +238,19 @@ def test_full_dimensional_cells_have_monomial_fingerprints():
 
 
 # variety ---------------------------------------------------------------------------
+
+
+def test_variety_is_the_groebner_complex_in_a_presentation():
+    G = groebner_complex(line_ideal())
+    assert (G.presentation, G.quotiented) == ("affine", False)
+    assert variety(G, "affine") is G
+    assert VarietySubcomplex is GroebnerComplex
+    V = variety(G)
+    assert (V.presentation, V.quotiented) == ("projective", True)
+    # a projective complex is already quotiented: no presentation is taken from it
+    for presentation in ("projective", "affine"):
+        with pytest.raises(InputError):
+            variety(V, presentation)
 
 
 def test_variety_of_point_ideal_is_single_projective_point():

@@ -22,56 +22,17 @@ from tropideal.monomials import monomials_of_degree
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
-from oracles import (boolean_image, charged, initial_layers_by_label_sets, loops, trop,
-                     valuation_of)
+from oracles import (boolean_image, charged, circuit_supports, initial_layers_by_label_sets,
+                     loops, macaulay_rank, trop, valuation_of)
 
 
 # Test-local oracles ---------------------------------------------------------------
-
-
-def circuit_supports(M):
-    """The supports of the circuits of M, as sets of ground labels."""
-    return [frozenset(u for u, c in zip(M.ground, H) if not c.is_inf) for H in circuits(M)]
 
 
 def is_cycle(M, subset):
     """Whether subset is a union of circuit supports of M."""
     inside = [C for C in circuit_supports(M) if C <= subset]
     return frozenset().union(*inside) == frozenset(subset)
-
-
-def macaulay_rank(gens, d):
-    """Independent exact rank of the degree-d Macaulay matrix (test-local Gauss)."""
-    nv = gens[0].num_vars
-    cols = monomials_of_degree(nv, d)
-    col_index = {u: i for i, u in enumerate(cols)}
-    rows = []
-    for g in gens:
-        dg = g.degree()
-        if dg > d:
-            continue
-        for u in monomials_of_degree(nv, d - dg):
-            shifted = g * QPoly(nv, {u: 1})
-            row = [Fraction(0)] * len(cols)
-            for v, c in shifted.coeffs.items():
-                row[col_index[v]] = c
-            rows.append(row)
-    rank = 0
-    for c in range(len(cols)):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c] / rows[rank][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 def compatible_by_circuit_push(I):

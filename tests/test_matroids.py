@@ -13,14 +13,9 @@ from tropideal.errors import InvalidMatroidError, PreconditionError, SizeGuardEr
 from tropideal.matroids import VMatroid, check_valuated_exchange, circuits, is_vector
 from tropideal.semiring import INF, Trop
 
-from oracles import (circuit_elimination_witness, contract, exchange_by_quantifier,
-                     exchange_holds_at, fundamental_circuit,
+from oracles import (circuit_elimination_witness, circuit_supports, contract,
+                     exchange_by_quantifier, exchange_holds_at, fundamental_circuit,
                      initial_matroid_by_fractions, loops, vector_elimination_witness)
-
-
-def circuit_supports(M):
-    """The supports of the circuits of M, as sets of ground labels."""
-    return [frozenset(u for u, c in zip(M.ground, H) if not c.is_inf) for H in circuits(M)]
 
 
 def uniform(ground, r):

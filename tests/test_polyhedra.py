@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +13,14 @@ from hypothesis import strategies as st
 from tropideal import jsonio, polyhedra
 from tropideal.config import Budget
 from tropideal.errors import InputError, InvariantViolationError, SizeGuardError
+from tropideal.groebner import groebner_poly
 from tropideal.polyhedra import (Cell, PolyComplex, canonical_row, fm_solve,
                                  normal_complex, quotient_lineality, refine)
 from tropideal.polyhedra import _holds, _scaled, _tie_at, _tie_system
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
+from oracles import T as poly
 from oracles import (assert_same_refinement, contains_by_fractions, refine_by_product,
                      weight_to_cell_coords)
 
@@ -178,10 +182,6 @@ def test_fm_solve_determined_by_equalities():
     assert p == (Fraction(7, 6), Fraction(2, 3))
     assert all(type(x) is Fraction for x in p)
     assert fm_solve(2, [((1, 1), 1), ((2, 2), 3)], []) is None
-
-
-def poly(pairs, nvars):
-    return TropPoly(nvars, {u: Trop(c) for u, c in pairs})
 
 
 def test_normal_complex_of_line():
@@ -379,6 +379,15 @@ def test_refine_rejects_a_core_that_escapes_its_rows():
     gap = Cell(2, (), [], [((1, 0), -1)], core=((), [((1, 0), -1)]))
     with pytest.raises(InvariantViolationError, match="no core"):
         refine([allspace, PolyComplex(2, frozenset(), [gap], _covers=True)])
+    # a prefix core, w0 < -1, that misses its witness, the origin: the start
+    # (w0 > -1/2) holds there, its face-neighbour meets the core, and the
+    # start's own pair is then empty
+    prefix = Cell(2, (), [], [], label=frozenset({0}), core=((), [((1, 0), -1)]))
+    start = Cell(2, (), [], [], label=frozenset({0}), core=((), [((-2, 0), 1)]))
+    other = Cell(2, (), [], [], label=frozenset({0, 1}), core=((), []))
+    with pytest.raises(InvariantViolationError, match="start's pair has no point"):
+        refine([PolyComplex(2, frozenset(), [prefix], _covers=True),
+                PolyComplex(2, frozenset(), [start, other], _covers=True)])
 
 
 def test_refine_rejects_inputs_over_different_spaces():
@@ -408,6 +417,24 @@ def assert_handed_points_match_fresh_solves(cells):
     return handed
 
 
+def test_refine_hands_every_cell_its_witness():
+    # a start cell that shares its prefix with other cells gets its pair
+    # solved like theirs: the line w0 = 0 meets the whole plane beside its
+    # two half-planes, and in the golden point ideal's sigma = {} fold the
+    # whole-stratum degree-0 cell meets all seven degree-1 cells, one of them
+    # the start, whose pair the degree-2 level then keeps
+    allspace = normal_complex(poly([((0, 0), 0)], 2))
+    ideal = jsonio.ideal_from_json(json.loads(
+        (Path(__file__).resolve().parent / "golden" / "inputs" / "point.json").read_text()))
+    folds = [[allspace, axis_complex(0)],
+             [normal_complex(groebner_poly(ideal, d)) for d in range(ideal.degree_bound + 1)]]
+    for complexes, count in zip(folds, (3, 7)):
+        R = refine(complexes)
+        assert len(R.cells) == count and all(cell._solved for cell in R.cells)
+        for cell in R.cells:
+            assert cell.relint_point() == fresh(cell).relint_point()
+
+
 @st.composite
 def homogeneous_polys_and_stratum(draw):
     """Two or three homogeneous polynomials of one degree, stripped to a
@@ -431,7 +458,7 @@ def test_handed_witnesses_match_fresh_solves(case):
     for C in complexes:
         assert_handed_points_match_fresh_solves(C.cells)
     R = refine(complexes)
-    assert_handed_points_match_fresh_solves(R.cells)
+    assert assert_handed_points_match_fresh_solves(R.cells) == len(R.cells)
     if all(sum(c) == 0 for cell in R.cells for c, _ in (*cell.eqs, *cell.ineqs)):
         Q = [quotient_lineality(cell) for cell in R.cells]
         assert assert_handed_points_match_fresh_solves(Q) == len(Q)
