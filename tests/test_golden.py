@@ -49,7 +49,12 @@ CASES = {
     "check-matroid-violation": (["check-matroid", "--matroid", _inp("violating.json")], 0),
     "check-matroid-stiefel-scan": (["check-matroid", "--matroid",
                                     _inp("stiefel_u3_16.json")], 0),
+    "check-matroid-tower-layer": (["check-matroid", "--matroid",
+                                   _inp("tower_d3_layer3.json")], 0),
+    "check-matroid-tower-planted": (["check-matroid", "--matroid",
+                                     _inp("tower_d3_layer3_planted.json")], 0),
     "circuits": (["circuits", "--matroid", _inp("uniform.json")], 0),
+    "circuits-tower-layer": (["circuits", "--matroid", _inp("tower_d3_layer3.json")], 0),
     "circuits-mixed-denominators": (["circuits", "--matroid",
                                      _inp("mixed_denominators.json")], 0),
     "check-matroid-mixed-denominators": (["check-matroid", "--matroid",
