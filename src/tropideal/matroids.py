@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -184,9 +185,15 @@ def _exchange_three_term(M: VMatroid, budget: Budget):
     The scan is driven from the bases: p(S+x+y) is finite only when x and
     y lie in used[S], the union of the pairs {x, y} with S+x+y a basis.  A
     quadruple with an element outside used[S] has three infinite terms and
-    is skipped.  S runs in itertools.combinations order and quadruples in
-    combinations(used[S], 4) order, so the first violation is the one a
-    scan over every S and every quadruple outside S finds first.
+    is skipped.  Within one S, x ~ x' when their rows p(S+x+y), y in
+    used[S], differ by a constant (Dress-Wenzel).  A row is infinite at its
+    own element, so a quadruple holding x and x' has one infinite and two
+    equal terms and passes, and x' in place of x shifts all three terms
+    alike.  So the first violating quadruple holds only the least of each
+    class, or the least in place of another would violate and sort
+    earlier.  S runs in itertools.combinations order and quadruples in
+    combinations order over those least elements, so the first violation
+    is the one a scan over every S and every quadruple outside S finds.
     """
     n = len(M.ground)
     val = M._val
@@ -204,10 +211,16 @@ def _exchange_three_term(M: VMatroid, budget: Budget):
                   key=lambda S: tuple(_bits(S)))
     for smask in scan:
         rest = list(_bits(used[smask]))
-        # p(S + x + y) for x < y in used[S]; only these entries are read below
+        # p(S + x + y) for x, y in used[S]; only these entries are read below
         for x, y in itertools.combinations(rest, 2):
-            pv[x][y] = val.get(smask | (1 << x) | (1 << y), inf)
-        for i, j, k, l in itertools.combinations(rest, 4):
+            pv[x][y] = pv[y][x] = val.get(smask | (1 << x) | (1 << y), inf)
+        least: dict[tuple, int] = {}  # row less its minimum -> least element
+        row_of = operator.itemgetter(*rest)
+        for x in rest:
+            row = row_of(pv[x])
+            low = min(row)  # finite: x is in some basis S + x + y
+            least.setdefault(tuple([v - low for v in row]), x)
+        for i, j, k, l in itertools.combinations(least.values(), 4):  # ascending, as rest
             t1 = pv[i][j] + pv[k][l]
             t2 = pv[i][k] + pv[j][l]
             t3 = pv[i][l] + pv[j][k]
@@ -303,25 +316,27 @@ def circuits(M: VMatroid, budget: Budget | None = None) -> list[VVector]:
 
     Fundamental circuits over all (basis, external element) pairs cover
     every circuit; circuits with equal support are tropical multiples of
-    each other, so support dedup is exact.
+    each other, so support dedup is exact.  The circuit of (B, e) is read
+    off X = B + e alone, so each X is computed once, for its first pair.
     """
     budget = Budget() if budget is None else budget
     n = len(M.ground)
     masks = M.basis_masks()
     budget.charge(len(masks) * max(1, n - M.rank), "circuit enumeration")
     val = M._val
-    seen: dict[int, VVector] = {}
     full = (1 << n) - 1
+    first: dict[int, tuple[int, int]] = {}  # B + e -> the first (B, e) giving it
     for B in masks:
         for e in _bits(full & ~B):
-            # the support of the circuit: e, and each i in B with B + e - i a basis
-            extended = B | (1 << e)
-            smask = 1 << e
-            for i in _bits(B):
-                if extended ^ (1 << i) in val:
-                    smask |= 1 << i
-            if smask not in seen:
-                seen[smask] = _fundamental_circuit_idx(M, B, e)
+            first.setdefault(B | (1 << e), (B, e))
+    seen: dict[int, VVector] = {}
+    for X, (B, e) in first.items():
+        smask = 0  # the support: each i in X with X - i a basis; values p(X - i)
+        for i in _bits(X):
+            if X ^ (1 << i) in val:
+                smask |= 1 << i
+        if smask not in seen:
+            seen[smask] = _fundamental_circuit_idx(M, B, e)
     return [seen[m] for m in sorted(seen)]
 
 

@@ -1,21 +1,28 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import tropideal.matroids as matroids
 from tropideal.config import Budget
 from tropideal.errors import InvalidMatroidError, PreconditionError, SizeGuardError
+from tropideal.ideals import nonrealizable_ideal
+from tropideal.jsonio import vmatroid_from_json
 from tropideal.matroids import VMatroid, check_valuated_exchange, circuits, is_vector
 from tropideal.semiring import INF, Trop
 
 from oracles import (circuit_elimination_witness, circuit_supports, contract,
                      exchange_by_quantifier, exchange_holds_at, fundamental_circuit,
                      initial_matroid_by_fractions, loops, vector_elimination_witness)
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def uniform(ground, r):
@@ -99,25 +106,39 @@ def test_circuits_rank_one():
     assert circuits(M) == [(Trop(0), Trop(0))]
 
 
+def first_fundamental_circuits(M):
+    """Oracle: every fundamental circuit in (basis mask, element) order, the
+    first one kept per support, listed by support mask."""
+    first = {}
+    for B in M.basis_masks():
+        for e in range(len(M.ground)):
+            if not (B >> e) & 1:
+                H = fundamental_circuit(M, B, M.ground[e])
+                first.setdefault(sum(1 << i for i, c in enumerate(H) if not c.is_inf), H)
+    return [first[m] for m in sorted(first)]
+
+
 def test_circuits_first_fundamental_circuit_per_support():
-    # oracle: every fundamental circuit in (basis mask, element) order, the
-    # first one kept per support, listed by support mask
     rng = random.Random(31)
+    cases = []
     for _ in range(120):
         n = rng.randint(3, 7)
         r = rng.randint(1, n - 1)
         vals = {frozenset(S): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                 for S in itertools.combinations(range(n), r) if rng.random() < 0.6}
-        if not vals:
-            continue
-        M = VMatroid(range(n), r, vals)
-        first = {}
-        for B in M.basis_masks():
-            for e in range(n):
-                if not (B >> e) & 1:
-                    H = fundamental_circuit(M, B, e)
-                    first.setdefault(sum(1 << i for i, c in enumerate(H) if not c.is_inf), H)
-        assert circuits(M) == [first[m] for m in sorted(first)]
+        if vals:
+            cases.append(VMatroid(range(n), r, vals))
+    # layers of a tower, and two disjoint rank-3 blocks (not a matroid): in
+    # both, many pairs (B, e) give one set B + e
+    cases.extend(nonrealizable_ideal(2, 3).layers)
+    n, bases = _blocks((5, 6), 3, shared=0)
+    blocks = VMatroid(range(n), 3, {frozenset(B): Fraction(sum(B) % 5, 1 + sum(B) % 2)
+                                    for B in bases})
+    pairs = [B | (1 << e) for B in blocks.basis_masks() for e in range(n) if not (B >> e) & 1]
+    assert len(set(pairs)) < len(pairs)
+    cases.append(blocks)
+    for M in cases:
+        assert circuits(M) == first_fundamental_circuits(M)
 
 
 def test_is_vector_examples():
@@ -410,6 +431,58 @@ def test_basis_driven_scan_matches_full_scan_on_matroid_supports(M):
         assert_witness_fails(M, fast)
 
 
+@st.composite
+def class_twin_supports(draw):
+    """A matroid support or any family of r-sets, with class twins planted.
+
+    A twin x' of x with constant c: each r-set holding x' takes the value of
+    the set with x in place of x', plus c, and is dropped when that set has
+    none (always when it holds x too).  So p(S+x'+y) = p(S+x+y) + c for
+    every S missing x and x'.  Planting into a valuated matroid gives a
+    parallel extension, which passes; any other family mostly fails.
+    """
+    if draw(st.booleans()):
+        M = draw(matroid_supports())
+        n, r = len(M.ground), M.rank
+        vals = dict(M.valuation_items())
+    else:
+        n = draw(st.integers(4, 8))
+        r = draw(st.integers(2, min(4, n - 2)))
+        masks = [sum(1 << i for i in S) for S in itertools.combinations(range(n), r)]
+        chosen = draw(st.lists(st.sampled_from(masks), min_size=1, unique=True))
+        vals = {m: Fraction(draw(st.integers(-2, 2))) for m in chosen}
+    for _ in range(draw(st.integers(1, 3))):
+        x, twin = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2))
+        for S in itertools.combinations(range(n), r):
+            S = sum(1 << i for i in S)
+            if (S >> twin) & 1:
+                T = S ^ (1 << twin) | (1 << x)
+                if T in vals:
+                    vals[S] = vals[T] + c
+                else:
+                    vals.pop(S, None)
+    assume(vals)
+    return VMatroid(range(n), r, vals)
+
+
+def _planted_tower_layer():
+    """Layer 3 of the (2,3) tower with basis {0, 1, 3, 6} revalued to 1: its
+    first violating S has 7 elements in 6 classes, and a scan keeping the
+    largest of each class finds another witness."""
+    with open(GOLDEN_INPUTS / "tower_d3_layer3_planted.json") as f:
+        return vmatroid_from_json(json.load(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_twin_supports())
+@example(_planted_tower_layer())
+def test_class_scan_matches_full_scan_on_any_support(M):
+    fast = matroids._exchange_three_term(M, Budget())
+    assert fast == three_term_by_full_scan(M)
+    event("violating" if fast else "passing")
+
+
 def circuit_masks_by_fundamental_circuits(M):
     """Reference: for every basis B and element e outside it, e plus each x in B
     with B + e - x a basis, read off the bases alone.  Every fundamental circuit
@@ -508,6 +581,27 @@ def test_exchange_budget_is_charged_before_any_quadruple():
         check_valuated_exchange(M, budget=Budget(pairs + quads - 1))
     with pytest.raises(SizeGuardError, match="valuated exchange check needs 1 more"):
         check_valuated_exchange(M, budget=Budget(pairs - 1))
+
+
+def test_matroid_checks_charge_their_formulas_on_a_tower_layer():
+    # the per-class scan and the once-per-set circuits skip work, not charges:
+    # p(S+x+y) is finite only for x, y in used[S], the pairs completing S
+    M = nonrealizable_ideal(2, 4).layer(4)
+    n, r, bases = len(M.ground), M.rank, M.basis_masks()
+    used = {}
+    for B in bases:
+        for x, y in itertools.combinations(matroids._bits(B), 2):
+            pair = (1 << x) | (1 << y)
+            used[B ^ pair] = used.get(B ^ pair, 0) | pair
+    budget = Budget()
+    assert check_valuated_exchange(M, budget) is None
+    assert (budget.cap - budget.remaining
+            == len(bases) * math.comb(r, 2) + sum(math.comb(u.bit_count(), 4)
+                                                  for u in used.values())
+            == 1848 * 10 + 149967)
+    budget = Budget()
+    circuits(M, budget)
+    assert budget.cap - budget.remaining == len(bases) * max(1, n - r) == 1848 * 10
 
 
 def test_vector_elimination_on_circuit_pairs():
