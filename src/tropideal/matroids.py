@@ -214,13 +214,13 @@ def _exchange_three_term(M: VMatroid, budget: Budget):
         # p(S + x + y) for x, y in used[S]; only these entries are read below
         for x, y in itertools.combinations(rest, 2):
             pv[x][y] = pv[y][x] = val.get(smask | (1 << x) | (1 << y), inf)
-        least: dict[tuple, int] = {}  # row less its minimum -> least element
+        least: dict[tuple, int] = {}  # row less its minimum -> least element, ascending
         row_of = operator.itemgetter(*rest)
         for x in rest:
             row = row_of(pv[x])
             low = min(row)  # finite: x is in some basis S + x + y
             least.setdefault(tuple([v - low for v in row]), x)
-        for i, j, k, l in itertools.combinations(least.values(), 4):  # ascending, as rest
+        for i, j, k, l in itertools.combinations(least.values(), 4):
             t1 = pv[i][j] + pv[k][l]
             t2 = pv[i][k] + pv[j][l]
             t3 = pv[i][l] + pv[j][k]
@@ -325,18 +325,18 @@ def circuits(M: VMatroid, budget: Budget | None = None) -> list[VVector]:
     budget.charge(len(masks) * max(1, n - M.rank), "circuit enumeration")
     val = M._val
     full = (1 << n) - 1
-    first: dict[int, tuple[int, int]] = {}  # B + e -> the first (B, e) giving it
+    first: dict[int, int] = {}  # B + e -> e of the first pair (B, e) giving it
     for B in masks:
         for e in _bits(full & ~B):
-            first.setdefault(B | (1 << e), (B, e))
+            first.setdefault(B | (1 << e), e)
     seen: dict[int, VVector] = {}
-    for X, (B, e) in first.items():
+    for X, e in first.items():
         smask = 0  # the support: each i in X with X - i a basis; values p(X - i)
         for i in _bits(X):
             if X ^ (1 << i) in val:
                 smask |= 1 << i
         if smask not in seen:
-            seen[smask] = _fundamental_circuit_idx(M, B, e)
+            seen[smask] = _fundamental_circuit_idx(M, X ^ (1 << e), e)
     return [seen[m] for m in sorted(seen)]
 
 

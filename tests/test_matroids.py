@@ -474,9 +474,18 @@ def _planted_tower_layer():
         return vmatroid_from_json(json.load(f))
 
 
+def _rows_read_one_way():
+    """Rank 2 on 0..4, finite at 12, 03, 13, 24, 34: the rows of 2 and 3 differ
+    only below the diagonal, so a scan that filled p(x+y) for x < y alone
+    would take 2 and 3 for one class and miss the violation at 0123."""
+    pairs = [((1, 2), 1), ((0, 3), 0), ((1, 3), 1), ((2, 4), 0), ((3, 4), 0)]
+    return VMatroid(range(5), 2, {frozenset(S): v for S, v in pairs})
+
+
 @settings(max_examples=300, deadline=None)
 @given(class_twin_supports())
 @example(_planted_tower_layer())
+@example(_rows_read_one_way())
 def test_class_scan_matches_full_scan_on_any_support(M):
     fast = matroids._exchange_three_term(M, Budget())
     assert fast == three_term_by_full_scan(M)
