@@ -72,6 +72,8 @@ CASES = {
                                        "--verbose"], 0),
     "groebner-complex-tower-d3": (["groebner-complex", "--ideal", _inp("tower_d3.json"),
                                    "--verbose"], 0),
+    "groebner-complex-point-d4": (["groebner-complex", "--ideal", _inp("point_d4.json"),
+                                   "--verbose"], 0),
     "groebner-complex-example27-g-d4": (["groebner-complex", "--ideal",
                                          _inp("example27_g_d4.json"), "--verbose"], 0),
     "tropicalize-not-prime": (["tropicalize", "--input", _inp("not_prime.json"),
