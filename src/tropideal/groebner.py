@@ -152,10 +152,11 @@ def variety_supports_equal(V1: GroebnerComplex, V2: GroebnerComplex) -> bool:
             for gc in gcs:
                 if not gc.in_variety:
                     continue
+                # a refined cell repeats the rows its input cells share
                 P = gc.cell
+                eqs, ineqs = list(dict.fromkeys(P.eqs)), list(dict.fromkeys(P.ineqs))
                 for R in bad:
-                    if fm_solve(len(P.free), [*P.eqs, *R.core[0]], P.ineqs,
-                                R.core[1]) is not None:
+                    if fm_solve(len(P.free), [*eqs, *R.core[0]], ineqs, R.core[1]) is not None:
                         return False
         return True
 

@@ -371,21 +371,28 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
     describes a superset of i's open region, so infeasibility proves i is
     no vertex, and the loop ends within one round per survivor.
 
-    The walk probes T + {v} from every tie set T it finds, for the vertices
-    v outside T only, on T's equalities and the vertex rows only.  This is
-    exact: a term's lifted point lies on or above the lower hull of the
-    vertices, so at every weight the minimum over the vertices is the
-    minimum over all terms and the other rows are implied.  Every cell is a
-    face of the region of a vertex in its tie set, and is reached from that
-    region by a chain of facets, each cut out by a vertex row; the probe's
+    The walk keeps each tie set T under its vertices T & V, V the vertex
+    set, and probes (T & V) + {v} from it for the vertices v outside T
+    only: the probe ties those vertices and bounds the other vertex rows
+    only.  This is exact.  A term's lifted point lies on or above the lower
+    hull of the vertices, so at every weight the minimum over the vertices
+    is the minimum over all terms and the other rows are implied.  The face
+    of the lower hull that a weight picks is the hull of its tied vertices
+    and holds every term it ties, and a face of a regular subdivision is
+    fixed by its vertex set (De Loera-Rambau-Santos, Triangulations, 2010,
+    ch. 2): so where T's vertices tie at the minimum, all of T ties, and
+    the full tie set at a probe's witness, a scan of every term, is read
+    once per new tie set among the vertices.  Every cell is a face of the
+    region of a vertex in its tie set, and is reached from that region by a
+    chain of facets, each cut out by a vertex row; the probe's
     relative-interior witness then lands in that facet.  Redundant rows
     change no Fourier-Motzkin projection, so each witness is the one the
     full system gives, and the cell keeps it; a vertex's region solves its
-    own witness when asked.  Stored rows stay complete.  The core is T's
-    equalities and vertex rows, strict: on the relative interior the argmin
-    is exactly T, and where those rows hold the minimum is attained on T's
-    vertices only, whose face of the lower hull holds exactly the terms in
-    T.  Never enumerates subsets of the support.
+    own witness when asked.  Stored rows stay complete.  The core, in
+    canonical rows, ties T & V and keeps the other vertex rows strict: on
+    the relative interior the argmin is exactly T, and where those rows
+    hold the minimum is attained on T's vertices only, whose face holds
+    exactly the terms in T.  Never enumerates subsets of the support.
     """
     sigma = frozenset(sigma)
     ambient = f.num_vars
@@ -397,7 +404,8 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
     budget = Budget() if budget is None else budget
     what = "normal complex, stratum %s" % (sorted(sigma),)
     if f.is_inf:
-        return PolyComplex(ambient, sigma, [Cell(ambient, sigma, [], [], frozenset())], _covers=True)
+        whole = Cell(ambient, sigma, [], [], frozenset(), core=((), ()))
+        return PolyComplex(ambient, sigma, [whole], _covers=True)
     # no term uses sigma, so u's lex order is that of its free coordinates
     full = sorted((u, c.value) for u, c in f.terms())
     scale = lcm(*(c.denominator for _, c in full))
@@ -431,34 +439,51 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
                 break
             S.add(min(T - {i}))
 
-    discovered: dict[frozenset, Cell] = {}
+    discovered: dict[frozenset, tuple] = {}  # vertex tie set -> (tie set, cell)
     queue: list[frozenset] = []
 
-    def register(T, p=None):
-        if T not in discovered:
-            eqs, ineqs = _tie_system(terms, scale, T)
-            strict = _tie_system(terms, scale, T, rows=vertices)[1]
-            cell = Cell(ambient, sigma, eqs, ineqs, label=label_of(T), core=(eqs, strict))
-            discovered[T] = cell if p is None else _handed(cell, p)
-            queue.append(T)
+    def register(TV, T, p=None):
+        eqs, strict = _tie_system(terms, scale, TV, rows=vertices)
+        core = ([canonical_row(c, r, equality=True) for c, r in eqs],
+                [canonical_row(c, r) for c, r in strict])
+        cell = Cell(ambient, sigma, *_tie_system(terms, scale, T), label=label_of(T), core=core)
+        discovered[TV] = (T, cell if p is None else _handed(cell, p))
+        queue.append(TV)
 
     for i in vertices:
-        register(frozenset({i}))
+        register(frozenset({i}), frozenset({i}))
     while queue:
-        T = queue.pop()
+        TV = queue.pop()
         for v in vertices:
-            if v in T:
+            if v in TV:
                 continue
             budget.charge(1, what)
-            eqs, ineqs = _tie_system(terms, scale, T | {v}, rows=vertices)
-            p = fm_solve(m, eqs, ineqs)
+            p = fm_solve(m, *_tie_system(terms, scale, TV | {v}, rows=vertices))
             if p is not None:
-                register(_tie_at(terms, scale, p), p)
-    return PolyComplex(ambient, sigma, [discovered[T] for T in sorted(discovered, key=sorted)],
-                       _covers=True)
+                U = _tie_at(terms, scale, p, among=vertices)
+                if U not in discovered:
+                    register(U, _tie_at(terms, scale, p), p)
+    return PolyComplex(ambient, sigma, [cell for _, cell in sorted(
+        discovered.values(), key=lambda tc: sorted(tc[0]))], _covers=True)
 
 
 # Refinement --------------------------------------------------------------------------
+
+
+def _core_within(inner, outer) -> bool:
+    """A sufficient test that the core inner = (eqs, strict) cuts out a set
+    inside outer's: every strict row of outer is one of inner's, and every
+    equality of outer lies in the span of inner's, right-hand sides included,
+    so on inner's set (where its equalities are consistent) outer's rows
+    hold.  Rows compare as tuples, so both cores hold canonical rows."""
+    (eqs, strict), (outer_eqs, outer_strict) = inner, outer
+    if not set(strict).issuperset(outer_strict):
+        return False
+    extra = [c + (r,) for c, r in set(outer_eqs).difference(eqs)]
+    if not extra:
+        return True
+    rows = [c + (r,) for c, r in eqs]
+    return len(echelon(rows + extra)[0]) == len(echelon(rows)[0])
 
 
 def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> PolyComplex:
@@ -481,7 +506,14 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
     face of b exactly when a's label contains b's.  When the start alone
     meets P, ri(P) lies in its relative interior and the pair keeps P's
     witness; else it is solved too, so every refined cell is handed its
-    witness.  Both steps need the cores to partition the stratum, so every
+    witness.  Containment of cores skips solves: when every strict row of
+    the start's core is one of P's and its equalities lie in the span of
+    P's, ri(P) lies in ri(start), so the start alone meets P and there is
+    no walk; when a cell's core lies in P's that way, ri(cell) lies in
+    ri(P), the pair's meet is the cell, and its witness is the cell's own.
+    Both tests are sufficient only, on rows compared as tuples (normal
+    complexes hold canonical cores); a pair neither decides is solved.
+    All of this needs the cores to partition the stratum, so every
     input must be a normal complex (marked _covers): any other raises
     InputError, and a point that no core holds InvariantViolationError.  Each
     prefix is charged one unit per next cell.
@@ -510,14 +542,24 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
             if start is None:
                 raise InvariantViolationError("no core of a normal complex holds at a point "
                                               "of its stratum")
+
+            def witness(cell, meet_eqs, meet_strict):
+                # ri(cell) inside ri(P) makes the meet the cell itself
+                if _core_within(cell.core, (eqs, strict)):
+                    return cell.relint_point()
+                return fm_solve(len(point), meet_eqs, (), meet_strict)
+
+            alone = _core_within((eqs, strict), cells[start].core)  # ri(P) inside ri(start)
             todo, seen, hits = [start], {start}, {}
             for j in todo:  # the walk appends to todo as it goes
                 cell = cells[j]
                 meet_eqs, meet_strict = [*eqs, *cell.core[0]], [*strict, *cell.core[1]]
-                p = point if j == start else fm_solve(len(point), meet_eqs, (), meet_strict)
+                p = point if j == start else witness(cell, meet_eqs, meet_strict)
                 if p is None:
                     continue
                 hits[j] = ([*reps, cell], meet_eqs, meet_strict, p)
+                if alone:
+                    break
                 if j not in near:
                     near[j] = [k for k, c in enumerate(cells) if k != j and (
                         c.label <= cell.label or cell.label <= c.label)]
@@ -525,7 +567,7 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
                 seen.update(near[j])
             if len(hits) > 1:  # ri(P) crosses other cells, so its meet with the start is smaller
                 meet = hits[start][:3]
-                hits[start] = (*meet, fm_solve(len(point), meet[1], (), meet[2]))
+                hits[start] = (*meet, witness(cells[start], *meet[1:]))
             for j in sorted(hits):
                 meet_reps, _, _, p = found[key + (j,)] = hits[j]
                 if p is None:

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -769,6 +770,75 @@ def test_normal_complex_faces_are_read_off_tie_sets(case):
     for (a, pa), (b, pb) in itertools.combinations(zip(cells, points), 2):
         assert (b.label <= a.label) == _holds(b.eqs, b.ineqs, *pa)
         assert (a.label <= b.label) == _holds(a.eqs, a.ineqs, *pb)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(near_chord_poly_in_stratum(), dense_poly_in_stratum(), poly_in_stratum()),
+       st.randoms(use_true_random=False))
+def test_vertex_only_cores_match_all_term_cores(case, rng):
+    # a core ties only the vertices of its tie set T; where they tie at the
+    # minimum, every term of T ties too, on their face of the lower hull, so
+    # the core that ties every term of T cuts out the same set
+    f, sigma = case
+    if f.is_inf:
+        return
+    free = [i for i in range(f.num_vars) if i not in sigma]
+    terms = merged_terms(f, sigma)
+    scale = math.lcm(*(c.denominator for _, c in terms))
+    int_terms = [(u, int(c * scale)) for u, c in terms]
+    index = {u: t for t, (u, _) in enumerate(terms)}
+    cells = normal_complex(f, sigma).cells
+    ties = [frozenset(index[tuple(u[i] for i in free)] for u in cell.label) for cell in cells]
+    vertices = sorted(t for T in ties if len(T) == 1 for t in T)
+    points = [_scaled(p) for p in probe_points(cells, len(free), rng)]
+    for cell, T in zip(cells, ties):
+        full = (_tie_system(int_terms, scale, T)[0],
+                _tie_system(int_terms, scale, T, rows=vertices)[1])
+        assert fm_solve(len(free), cell.core[0], [], cell.core[1]) == \
+            fm_solve(len(free), full[0], [], full[1])
+        for P, q in points:
+            assert _holds(*cell.core, P, q, strict=True) == _holds(*full, P, q, strict=True)
+
+
+@st.composite
+def poly_pair_in_stratum(draw):
+    """(f, g, monomial, sigma): f from poly_in_stratum, g and the monomial
+    with exponents up to 1 on the free coordinates only.  f * f puts terms
+    on the faces of f's lifted hull."""
+    f, sigma = draw(poly_in_stratum())
+    exps = st.tuples(*[st.just(0) if i in sigma else st.integers(0, 1)
+                       for i in range(f.num_vars)])
+    coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    g = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+    return f, poly(g.items(), f.num_vars), poly([(draw(exps), draw(coeffs))], f.num_vars), sigma
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_pair_in_stratum())
+@example((poly([((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((2, 0), 1), ((1, 1), 3)], 2),
+          poly([((0, 0), 1), ((0, 1), 0), ((1, 1), -1)], 2),
+          poly([((1, 2), Fraction(1, 2))], 2), set()))
+def test_refine_decides_contained_cores_without_solving(case):
+    # f squared and f times a monomial give f's subdivision with the same
+    # canonical cores, so each prefix's core lies in its start's and refine
+    # solves only the first complex's vertex regions, whose witnesses no
+    # builder handed over; f times g refines f's complex, and g is unrelated
+    f, g, mono, sigma = case
+    A = normal_complex(f, sigma)
+    for other, same in ((f * f, True), (f * mono, True), (f * g, False), (g, False)):
+        B = normal_complex(other, sigma)
+        unsolved = sum(not cell._solved for cell in A.cells)
+        solves = []
+
+        def counting(*args):
+            solves.append(args)
+            return fm_solve(*args)
+
+        with mock.patch.object(polyhedra, "fm_solve", counting):
+            R = refine([A, B])
+        assert_same_refinement(R, refine_by_product([A, B]))
+        if same:
+            assert len(solves) == unsolved
 
 
 def test_normal_complex_charges_before_each_solve(monkeypatch):
