@@ -217,18 +217,26 @@ class Cell:
     """A closed polyhedron inside one stratum, with a label.
 
     Rows are primitive integer (coeffs, rhs) over the cell's free
-    coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  The
-    cell holds one point, its witness relint_point(), handed over by its
-    builder (_handed) or solved on first use; tight rows and dim() are read
-    off it.  core is a pair (eqs, strict) of row lists, a.w = b and a.w < b,
-    cutting out exactly the relative interior, as fm_solve's eqs and strict:
-    given by the builder, else the rows tight at the witness.
+    coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  core
+    is a pair (eqs, strict) of row lists, a.w = b and a.w < b, cutting out
+    exactly the relative interior, as fm_solve's eqs and strict.  The cell
+    holds one point, its witness relint_point().  A builder passes both: the
+    core, and the witness, the point of its solve of exactly the cell's
+    point set or its relative interior.  fm_solve picks each coordinate,
+    highest column first, in ri of its fibre, and the fibre of ri C over a
+    point of ri D is ri of C's fibre (Rockafellar, Convex Analysis, Thm
+    6.8), so that point depends on the set alone.  A cell built without
+    them solves its witness on first use, and its core is its equalities
+    plus the rows tight at the witness, every other row strict.  dim() is
+    read off the core: its strict rows cut a nonempty open subset of the
+    solution set of its equalities.
     """
 
     __slots__ = ("ambient", "sigma", "free", "eqs", "ineqs", "label", "_core",
-                 "_relint", "_solved", "_tight", "_dim")
+                 "_relint", "_solved")
 
-    def __init__(self, ambient: int, sigma, eqs, ineqs, label=None, free=None, core=None):
+    def __init__(self, ambient: int, sigma, eqs, ineqs, label=None, free=None, core=None,
+                 witness=None):
         self.ambient = ambient
         self.sigma = frozenset(sigma)
         if any(i < 0 or i >= ambient for i in self.sigma):
@@ -243,10 +251,8 @@ class Cell:
                 raise InputError("row width %d does not match %d free coordinates" % (len(c), m))
         self.label = label
         self._core = core
-        self._relint = None
-        self._solved = False
-        self._tight = None
-        self._dim = None
+        self._relint = witness
+        self._solved = witness is not None
 
     def relint_point(self) -> Optional[tuple]:
         """The witness: fm_solve's point of the closed system, or None."""
@@ -255,47 +261,30 @@ class Cell:
             self._relint = fm_solve(len(self.free), self.eqs, self.ineqs)
         return self._relint
 
-    def _read_tight(self):
-        """Tight rows and dimension, read off the witness."""
-        if self._tight is None and self.relint_point() is not None:
-            P, q = _scaled(self._relint)
-            self._tight = frozenset(i for i, (c, r) in enumerate(self.ineqs)
-                                    if sum(map(mul, c, P)) == r * q)
-            rows = [c for c, _ in self.eqs] + [self.ineqs[i][0] for i in self._tight]
-            self._dim = len(self.free) - len(echelon(rows)[0])
-
     def dim(self) -> Optional[int]:
         """The affine-hull dimension, or None when the closed system is empty."""
-        self._read_tight()
-        return self._dim
+        if self.relint_point() is None:
+            return None
+        return len(self.free) - len(echelon([c for c, _ in self.core[0]])[0])
 
     @property
     def core(self):
-        """The builder's core, else the equalities plus the tight rows with
-        every other row strict (the infeasible 0 < 0 for an empty cell)."""
+        """The builder's core, else the equalities plus the rows tight at the
+        witness with every other row strict (the infeasible 0 < 0 for an
+        empty cell)."""
         if self._core is None:
-            self._read_tight()
-            if self._tight is None:
+            if self.relint_point() is None:
                 self._core = ((), [((0,) * len(self.free), 0)])
             else:
+                P, q = _scaled(self._relint)
                 eqs, strict = list(self.eqs), []
-                for i, row in enumerate(self.ineqs):
-                    (eqs if i in self._tight else strict).append(row)
+                for c, r in self.ineqs:
+                    (eqs if sum(map(mul, c, P)) == r * q else strict).append((c, r))
                 self._core = (eqs, strict)
         return self._core
 
     def __repr__(self) -> str:
         return "Cell(sigma=%s, dim=%s, label=%r)" % (sorted(self.sigma), self.dim(), self.label)
-
-
-def _handed(cell: Cell, point) -> Cell:
-    """cell, given its witness: the point of a builder's solve of exactly the
-    cell's point set or its relative interior.  fm_solve picks each
-    coordinate, highest column first, in ri of its fibre, and the fibre of
-    ri C over a point of ri D is ri of C's fibre (Rockafellar, Convex
-    Analysis, Thm 6.8), so that point depends on the set alone."""
-    cell._relint, cell._solved = point, True
-    return cell
 
 
 @dataclass
@@ -387,12 +376,13 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
     chain of facets, each cut out by a vertex row; the probe's
     relative-interior witness then lands in that facet.  Redundant rows
     change no Fourier-Motzkin projection, so each witness is the one the
-    full system gives, and the cell keeps it; a vertex's region solves its
-    own witness when asked.  Stored rows stay complete.  The core, in
-    canonical rows, ties T & V and keeps the other vertex rows strict: on
-    the relative interior the argmin is exactly T, and where those rows
-    hold the minimum is attained on T's vertices only, whose face holds
-    exactly the terms in T.  Never enumerates subsets of the support.
+    full system gives, and the cell is built with it; a vertex's region
+    solves its own witness when asked.  Stored rows stay complete.  Each
+    cell is built with its core, in canonical rows, which ties T & V and
+    keeps the other vertex rows strict: on the relative interior the argmin
+    is exactly T, and where those rows hold the minimum is attained on T's
+    vertices only, whose face holds exactly the terms in T.  Never
+    enumerates subsets of the support.
     """
     sigma = frozenset(sigma)
     ambient = f.num_vars
@@ -446,8 +436,8 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
         eqs, strict = _tie_system(terms, scale, TV, rows=vertices)
         core = ([canonical_row(c, r, equality=True) for c, r in eqs],
                 [canonical_row(c, r) for c, r in strict])
-        cell = Cell(ambient, sigma, *_tie_system(terms, scale, T), label=label_of(T), core=core)
-        discovered[TV] = (T, cell if p is None else _handed(cell, p))
+        discovered[TV] = (T, Cell(ambient, sigma, *_tie_system(terms, scale, T),
+                                  label=label_of(T), core=core, witness=p))
         queue.append(TV)
 
     for i in vertices:
@@ -494,8 +484,9 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
     relative interiors meet: then ri(A & B) = ri A & ri B and cl(A & B) =
     A & B (Rockafellar, Convex Analysis, Thm 6.5), a tuple meets only if its
     prefixes do, and one strict solve on the concatenated cores decides each
-    (prefix, cell) pair.  Cells are listed by key, with rows concatenated and
-    labels tupled in input order, 1-tuples for a single complex.
+    (prefix, cell) pair.  Cells are listed by key, with rows and cores
+    concatenated and labels tupled in input order, 1-tuples for a single
+    complex: by that theorem the concatenated cores cut out ri of the cell.
 
     Each prefix P keeps its witness; the next cell whose core holds there,
     the start, meets P with no solve.  The next cells that meet ri(P) are
@@ -505,7 +496,7 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
     the cell with tie set T has closed rows {w : T <= argmin(w)}, so a is a
     face of b exactly when a's label contains b's.  When the start alone
     meets P, ri(P) lies in its relative interior and the pair keeps P's
-    witness; else it is solved too, so every refined cell is handed its
+    witness; else it is solved too, so every refined cell is built with its
     witness.  Containment of cores skips solves: when every strict row of
     the start's core is one of P's and its equalities lie in the span of
     P's, ri(P) lies in ri(start), so the start alone meets P and there is
@@ -576,10 +567,10 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
                 if not all(_holds(c.eqs, c.ineqs, P, q) for c in meet_reps):
                     raise InvariantViolationError("refinement point escaped the input complexes")
         partial = found
-    refined = [_handed(Cell(first.ambient, first.sigma, [row for rep in reps for row in rep.eqs],
-                            [row for rep in reps for row in rep.ineqs],
-                            label=tuple(rep.label for rep in reps)), point)
-               for reps, _, _, point in partial.values()]
+    refined = [Cell(first.ambient, first.sigma, [row for rep in reps for row in rep.eqs],
+                    [row for rep in reps for row in rep.ineqs],
+                    label=tuple(rep.label for rep in reps), core=(eqs, strict), witness=point)
+               for reps, eqs, strict, point in partial.values()]
     return PolyComplex(first.ambient, first.sigma, refined)
 
 
@@ -589,21 +580,27 @@ def refine(complexes: Sequence[PolyComplex], budget: Budget | None = None) -> Po
 def quotient_lineality(cell: Cell) -> Cell:
     """The cell modulo the all-ones direction of its stratum.
 
-    Requires the cell to be invariant under that line (all row sums 0);
-    the last finite coordinate is normalized to 0 and dropped, so a cell
+    Requires the cell to be invariant under that line: every row sum is 0,
+    of the closed rows and of the core's.  The last finite coordinate is
+    normalized to 0 and dropped from the rows and from the core, so a cell
     with fewer free coordinates than its stratum has is already quotiented.
+    The closed rows are checked first, before any solve.
     """
     if len(cell.free) + len(cell.sigma) < cell.ambient:
         raise InputError("cell is already quotiented")
     if not cell.free:
         raise InputError("cannot quotient a zero-dimensional stratum")
-    if any(sum(c) for c, _ in itertools.chain(cell.eqs, cell.ineqs)):
-        raise InvariantViolationError("cell in stratum %s is not invariant under the "
-                                      "all-ones line" % (sorted(cell.sigma),))
+
+    def dropped(*parts):
+        if any(sum(c) for c, _ in itertools.chain(*parts)):
+            raise InvariantViolationError("cell in stratum %s is not invariant under the "
+                                          "all-ones line" % (sorted(cell.sigma),))
+        return [[(c[:-1], r) for c, r in part] for part in parts]
+
+    eqs, ineqs = dropped(cell.eqs, cell.ineqs)
     # the parent's witness has last coordinate 0: by the all-ones line that
     # coordinate's fibre is the whole line, chosen first, at 0; the rest is
     # the quotient system's own solve
     p = cell.relint_point()
-    return _handed(Cell(cell.ambient, cell.sigma, [(c[:-1], r) for c, r in cell.eqs],
-                        [(c[:-1], r) for c, r in cell.ineqs], label=cell.label,
-                        free=cell.free[:-1]), None if p is None else p[:-1])
+    return Cell(cell.ambient, cell.sigma, eqs, ineqs, label=cell.label, free=cell.free[:-1],
+                core=tuple(dropped(*cell.core)), witness=None if p is None else p[:-1])

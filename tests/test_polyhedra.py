@@ -407,14 +407,21 @@ def test_refine_rejects_inputs_over_different_spaces():
 
 
 def assert_handed_points_match_fresh_solves(cells):
-    """Witness, dimension and (when the builder gave none) core of each cell
-    match a fresh copy's; returns how many witnesses the builder handed over."""
+    """Witness, dimension and core of each cell match a fresh copy's, the
+    cores as sets: the same fm_solve point, and the same membership at every
+    witness and at probe points off them.  Returns how many witnesses the
+    builder handed over."""
     handed = sum(cell._solved for cell in cells)
+    m = len(cells[0].free) if cells else 0
+    points = [_scaled(p) for p in probe_points(cells, m, random.Random(len(cells)))]
     for cell in cells:
         copy = fresh(cell)
         assert (cell.relint_point(), cell.dim()) == (copy.relint_point(), copy.dim())
-        if cell._core is None:
-            assert cell.core == copy.core
+        (eqs, strict), (copy_eqs, copy_strict) = cell.core, copy.core
+        assert fm_solve(m, eqs, (), strict) == fm_solve(m, copy_eqs, (), copy_strict)
+        for P, q in points:
+            assert _holds(eqs, strict, P, q, strict=True) == \
+                _holds(copy_eqs, copy_strict, P, q, strict=True)
     return handed
 
 
@@ -889,6 +896,10 @@ def test_quotient_lineality():
 def test_quotient_rejects_non_invariant():
     with pytest.raises(InvariantViolationError):
         quotient_lineality(Cell(2, (), [], [((1, 0), 0)]))
+    # the rows hold the all-ones line but the given core does not: the
+    # quotient maps the core too, so it checks the core's rows as well
+    with pytest.raises(InvariantViolationError):
+        quotient_lineality(Cell(2, (), [], [((1, -1), 0)], core=((), [((1, 0), 0)])))
 
 
 def test_quotient_rejects_a_quotiented_or_zero_dimensional_cell():
