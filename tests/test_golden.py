@@ -68,6 +68,7 @@ CASES = {
     "tropicalize-padic-d3": (["tropicalize", "--input", _inp("padic.json"), "--degree", "3"], 0),
     "variety-example27-g-d4": (["variety", "--ideal", _inp("example27_g_d4.json")], 0),
     "variety-tower-d3": (["variety", "--verbose", "--ideal", _inp("tower_d3.json")], 0),
+    "variety-point-d4": (["variety", "--verbose", "--ideal", _inp("point_d4.json")], 0),
     "groebner-complex-padic-d3": (["groebner-complex", "--ideal", _inp("padic_d3.json")], 0),
     "groebner-complex-point-inf-d4": (["groebner-complex", "--ideal", _inp("point_inf_d4.json"),
                                        "--verbose"], 0),
