@@ -3,8 +3,8 @@
 A cell lives in one stratum (the points whose infinite coordinates are
 exactly sigma) and is stored as a closed system of equalities and
 inequalities over the finite coordinates, plus an opaque label; a complex
-holds the cells of one stratum.  Cell rows are primitive integers
-(canonical_row); fm_solve takes int rows as given.  Rows stay integer
+holds the cells of one stratum.  Cell and fm_solve take int rows as given
+(_rows); builders make each row primitive (canonical_row).  Rows stay integer
 through equality substitution and each Fourier-Motzkin step; rationals
 appear only in bounds and points, and a point P / q meets rows and tie
 sets in integers.  Feasibility, points in the relative interior and
@@ -26,7 +26,7 @@ from .errors import InputError, InvariantViolationError
 from .linalg import echelon
 from .polynomials import TropPoly
 
-Row = tuple  # (coeffs: tuple[int, ...], rhs: int), primitive: the gcd of all entries is 1
+Row = tuple  # (coeffs: tuple[int, ...], rhs: int), primitive in every built cell
 
 
 def _scaled(xs) -> tuple[list[int], int]:
@@ -48,7 +48,7 @@ def _scaled(xs) -> tuple[list[int], int]:
 def canonical_row(coeffs, rhs, equality: bool = False) -> Row:
     """Primitive integer form; equalities get a positive leading coefficient."""
     ints = (*coeffs, rhs)
-    if not all(type(v) is int for v in ints):
+    if not set(map(type, ints)) <= {int}:
         ints = _scaled(ints)[0]
     g = gcd(*ints)
     if g > 1:
@@ -117,13 +117,13 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs: Sequence[Row],
     For a closed system the returned point lies in the relative interior:
     equalities are eliminated first and each remaining variable is chosen
     inside the relative interior of its feasible interval (its midpoint when
-    bounded).  Int rows are taken as given: echelon's reduced form over d
-    and _dedupe's primitive rows do not depend on a row's scale.
+    bounded).  Int rows are taken as given (_rows): echelon's reduced form
+    over d and _dedupe's primitive rows do not depend on a row's scale.
     """
-    rows = _normalize_rows(ineqs, m, False) + _normalize_rows(strict, m, True)
+    rows = [(*row, False) for row in _rows(ineqs, m)] + [(*row, True) for row in _rows(strict, m)]
     pivots, prows, d = [], [], 1
     if eqs:
-        pivots, prows, d = echelon([c + (r,) for c, r, _ in _normalize_rows(eqs, m, False)])
+        pivots, prows, d = echelon([c + (r,) for c, r in _rows(eqs, m)])
         if pivots and pivots[-1] == m:
             return None  # the equalities reduce to 0 = nonzero
         if d < 0:
@@ -183,17 +183,18 @@ def fm_solve(m: int, eqs: Sequence[Row], ineqs: Sequence[Row],
     return tuple(point)
 
 
-def _normalize_rows(rows, m, strict: bool):
-    """(coeffs, rhs, strict) int rows; only rows with a non-int entry are scaled."""
+def _rows(rows, m: int, equality: bool = False) -> list:
+    """Cell's and fm_solve's rows of width m: an all-int row as given (the row
+    object itself when its coefficients are a tuple), any other canonical_row."""
     out = []
-    for coeffs, rhs in rows:
+    for row in rows:
+        coeffs, rhs = row
         if len(coeffs) != m:
-            raise InputError("row has wrong width")
+            raise InputError("row width %d does not match %d free coordinates" % (len(coeffs), m))
         if type(rhs) is int and set(map(type, coeffs)) <= {int}:
-            coeffs = tuple(coeffs)
+            out.append(row if type(row) is tuple and type(coeffs) is tuple else (tuple(coeffs), rhs))
         else:
-            coeffs, rhs = canonical_row(coeffs, rhs)
-        out.append((coeffs, rhs, strict))
+            out.append(canonical_row(coeffs, rhs, equality))
     return out
 
 
@@ -216,8 +217,8 @@ def _holds(eqs, ineqs, P: Sequence[int], q: int, strict: bool = False) -> bool:
 class Cell:
     """A closed polyhedron inside one stratum, with a label.
 
-    Rows are primitive integer (coeffs, rhs) over the cell's free
-    coordinates; equality rows mean a.w = b, inequality rows a.w <= b.  core
+    Rows are integer (coeffs, rhs) over the cell's free coordinates, as _rows
+    reads them; equality rows mean a.w = b, inequality rows a.w <= b.  core
     is a pair (eqs, strict) of row lists, a.w = b and a.w < b, cutting out
     exactly the relative interior, as fm_solve's eqs and strict.  The cell
     holds one point, its witness relint_point().  A builder passes both: the
@@ -243,12 +244,8 @@ class Cell:
             raise InputError("sigma indices out of range")
         self.free = tuple(free) if free is not None else tuple(
             i for i in range(ambient) if i not in self.sigma)
-        m = len(self.free)
-        self.eqs = tuple(canonical_row(c, r, equality=True) for c, r in eqs)
-        self.ineqs = tuple(canonical_row(c, r) for c, r in ineqs)
-        for c, _ in itertools.chain(self.eqs, self.ineqs):
-            if len(c) != m:
-                raise InputError("row width %d does not match %d free coordinates" % (len(c), m))
+        self.eqs = tuple(_rows(eqs, len(self.free), equality=True))
+        self.ineqs = tuple(_rows(ineqs, len(self.free)))
         self.label = label
         self._core = core
         self._relint = witness
@@ -306,12 +303,13 @@ class PolyComplex:
 
 
 def _tie_system(terms, scale: int, T, rows=None):
-    """Integer rows of the closed cell where the terms in T attain the minimum.
+    """Canonical rows of the closed cell where the terms in T attain the minimum.
 
     terms are (u, c) with c the coefficient times scale.  The representative
     rep = min(T) ties with each other t in T and is at most every term
     outside T: scale * (u_rep - u) . w = c - c_rep, and <= for the rest.
     Given rows, the inequalities are only those against the terms in rows.
+    No other builder makes a row that is not primitive.
     """
     rep = min(T)
     urep, crep = terms[rep]
@@ -319,7 +317,7 @@ def _tie_system(terms, scale: int, T, rows=None):
     for t in range(len(terms)) if rows is None else sorted(T.union(rows)):
         if t != rep:
             u, c = terms[t]
-            row = (tuple(scale * (a - b) for a, b in zip(urep, u)), c - crep)
+            row = canonical_row([scale * (a - b) for a, b in zip(urep, u)], c - crep, t in T)
             (eqs if t in T else ineqs).append(row)
     return eqs, ineqs
 
@@ -433,9 +431,7 @@ def normal_complex(f: TropPoly, sigma=(), budget: Budget | None = None) -> PolyC
     queue: list[frozenset] = []
 
     def register(TV, T, p=None):
-        eqs, strict = _tie_system(terms, scale, TV, rows=vertices)
-        core = ([canonical_row(c, r, equality=True) for c, r in eqs],
-                [canonical_row(c, r) for c, r in strict])
+        core = _tie_system(terms, scale, TV, rows=vertices)
         discovered[TV] = (T, Cell(ambient, sigma, *_tie_system(terms, scale, T),
                                   label=label_of(T), core=core, witness=p))
         queue.append(TV)
@@ -584,7 +580,9 @@ def quotient_lineality(cell: Cell) -> Cell:
     of the closed rows and of the core's.  The last finite coordinate is
     normalized to 0 and dropped from the rows and from the core, so a cell
     with fewer free coordinates than its stratum has is already quotiented.
-    The closed rows are checked first, before any solve.
+    The closed rows are checked first, before any solve.  Canonical rows
+    stay canonical: the dropped entry is minus the sum of the others, so the
+    gcd does not change, nor does the leading nonzero entry.
     """
     if len(cell.free) + len(cell.sigma) < cell.ambient:
         raise InputError("cell is already quotiented")

@@ -14,7 +14,7 @@ from tropideal.groebner import (GroebnerComplex, VarietySubcomplex, groebner_com
 from tropideal.ideals import (ClassicalInput, QPoly, Valuation, initial_ideal,
                               nonrealizable_ideal, point_ideal, tropicalize)
 from tropideal.matroids import circuits
-from tropideal.polyhedra import fm_solve, normal_complex, refine
+from tropideal.polyhedra import canonical_row, fm_solve, normal_complex, refine
 from tropideal.polynomials import TropPoly
 from tropideal.semiring import INF, Trop
 
@@ -157,13 +157,21 @@ def test_witness_stability_on_cells():
 def assert_fingerprints_match_initial_bases(I):
     """Oracle: each cell's label-read fingerprint and in_variety against the
     initial matroids that initial_layers_by_label_sets builds at the cell's
-    witness by contracting on ground labels."""
+    witness by contracting on ground labels.  Also the invariant Cell takes
+    on trust from its builders: every row that a cell of G or of its
+    projective variety stores, its core's included, is canonical."""
     G = groebner_complex(I)
     for sigma, gc in G.all_cells():
         layers = initial_layers_by_label_sets(I, gc.witness)
         want = tuple(frozenset(N.basis_masks()) for N in layers)
         assert gc.fingerprint == want, (sorted(sigma), gc.cell.label)
         assert gc.in_variety == (not any(loops(N) for N in layers))
+    for H in (G, variety(G, "projective")):
+        for sigma, gc in H.all_cells():
+            cell = gc.cell
+            for eqs, ineqs in ((cell.eqs, cell.ineqs), cell.core):
+                assert all(row == canonical_row(*row, True) for row in eqs), sorted(sigma)
+                assert all(row == canonical_row(*row) for row in ineqs), sorted(sigma)
 
 
 @pytest.mark.parametrize("D", [2, 3, 4])

@@ -82,6 +82,53 @@ def test_canonical_row_int_path_matches_fraction_path(row, equality):
     assert all(type(v) is int for v in (*got[0], got[1]))
 
 
+def test_cell_keeps_int_rows_and_reads_other_rows_canonically():
+    # all-int rows are taken as given, the row objects themselves: neither
+    # rescaled nor, for an equality, sign-flipped
+    eq, ineq = ((-2, 4), 6), ((3, 0), 9)
+    cell = Cell(2, (), [eq], [ineq])
+    assert cell.eqs[0] is eq and cell.ineqs[0] is ineq
+    assert Cell(2, (), [([-2, 4], 6)], []).eqs == (((-2, 4), 6),)
+    # string and Fraction rows are read by canonical_row, equalities with a
+    # positive leading entry, inequalities keeping their sign
+    cell = Cell(2, (), [(("-2", "4"), "6"), ((Fraction(0), Fraction(-3, 2)), Fraction(3))],
+                [(("-2", "0"), "4"), ((Fraction(3), Fraction(0)), Fraction(9, 2))])
+    assert cell.eqs == (((1, -2), -3), ((0, 1), -2))
+    assert cell.ineqs == (((-1, 0), 2), ((2, 0), 3))
+    for c, r in cell.eqs + cell.ineqs:
+        assert all(type(v) is int for v in (*c, r))
+
+
+def test_cell_and_fm_solve_raise_the_same_width_error():
+    messages = set()
+    for row in (((1, 2, 3), 0), (("1",), "0")):
+        for build in (lambda: Cell(2, (), [row], []), lambda: Cell(2, (), [], [row]),
+                      lambda: fm_solve(2, [row], []), lambda: fm_solve(2, [], [row]),
+                      lambda: fm_solve(2, [], [], [row])):
+            with pytest.raises(InputError) as err:
+                build()
+            messages.add(str(err.value))
+    assert messages == {"row width 3 does not match 2 free coordinates",
+                        "row width 1 does not match 2 free coordinates"}
+
+
+def test_refined_cells_share_their_input_cells_rows():
+    # refine hands Cell its inputs' canonical rows, which the intake keeps:
+    # a refined cell holds no row object of its own
+    A = axis_complex(0)
+    B = normal_complex(poly([((1, 0), 0), ((0, 1), Fraction(1, 2)), ((2, 0), Fraction(3, 4)),
+                             ((0, 0), 0)], 2))
+    R = refine([A, B])
+    assert R.cell_count() > len(A.cells)
+    for cell in R.cells:
+        reps = [next(c for c in X.cells if c.label == label)
+                for X, label in zip((A, B), cell.label)]
+        for rows, inputs in ((cell.eqs, [r for rep in reps for r in rep.eqs]),
+                             (cell.ineqs, [r for rep in reps for r in rep.ineqs])):
+            assert len(rows) == len(inputs)
+            assert all(row is given for row, given in zip(rows, inputs))
+
+
 def dedupe_by_fractions(ineqs):
     """Oracle: _dedupe with each direction's bound as the Fraction rhs / g."""
     best = {}
