@@ -92,6 +92,7 @@ CASES = {
     "nullstellensatz-point-inf-d4": (["nullstellensatz", "--ideal", _inp("point_inf_d4.json")], 0),
     "compare-tower-point": (["compare", "--ideal", _inp("tower.json"),
                              "--other", _inp("point.json")], 0),
+    "nonrealizable-n2-d3": (["nonrealizable", "--n", "2", "--degree", "3"], 0),
     "cap-refusal": (["nonrealizable", "--n", "2", "--degree", "3", "--cap", "100"], 3),
     "unknown-subcommand": (["frobnicate", "--ideal", _inp("point.json")], 64),
 }
