@@ -7,14 +7,18 @@ Each case runs in a fresh Python process that imports `tropideal` from the
 Groebner complex, each timed apart with `time.perf_counter`, and repeats the
 pair three times; a case whose first build plus `groebner_complex` takes
 over 60 s runs once.  Per case the file records the median build and
-`groebner_complex` seconds, every run, the peak RSS, the number of cells
-and the sha256 of
+`groebner_complex` seconds, every run, two peak RSS readings, the number
+of cells and the sha256 of
 `json.dumps(groebner_complex_to_json(G, verbose=True), sort_keys=True)`,
-so two files from different commits can be compared case by case.  The
-peak RSS is the process's `ru_maxrss` read right after the first build
-and `groebner_complex`, before that JSON is built and before the pair
-repeats: the pipeline's own peak, imports included.  Budgets are raised
-far past any case here, so no run is refused.
+so two files from different commits can be compared case by case.  Both
+readings are the process's `ru_maxrss`, imports included:
+`build_peak_rss_mb` right after the first build, before
+`groebner_complex`, so the builder's own peak is not hidden behind the
+Groebner step's; `peak_rss_mb` right after the first build and
+`groebner_complex`, before that JSON is built and before the pair repeats:
+the pipeline's own peak.  The cases are the divisibility towers
+`nonrealizable_ideal(n, D)` and Example 2.7's g tropicalized at D=4 and
+D=6.  Budgets are raised far past any case here, so no run is refused.
 
 Stdlib only.
 """
@@ -43,6 +47,7 @@ CASES = {
     "tower-4-3": ("tower", 4, 3),
     "tower-5-3": ("tower", 5, 3),
     "example27-g-d4": ("tropicalize", "tests/golden/inputs/example27_g.json", 4),
+    "example27-g-d6": ("tropicalize", "tests/golden/inputs/example27_g.json", 6),
 }
 SLOW_S = 60.0
 CAP = 10 ** 15
@@ -72,6 +77,8 @@ def run_case(name: str) -> dict:
         t0 = time.perf_counter()
         ideal = _build(CASES[name])
         t1 = time.perf_counter()
+        if not runs:
+            build_peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         G = groebner_complex(ideal, Budget(CAP))
         t2 = time.perf_counter()
         if not runs:
@@ -89,6 +96,7 @@ def run_case(name: str) -> dict:
         "build_s": statistics.median(r["build_s"] for r in runs),
         "groebner_complex_s": statistics.median(r["groebner_complex_s"] for r in runs),
         "runs": runs,
+        "build_peak_rss_mb": build_peak_rss_mb,
         "peak_rss_mb": peak_rss_mb,
         "cells": cells,
         "sha256": digest,
@@ -118,9 +126,10 @@ def main(argv=None) -> int:
         proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--one", name],
                               capture_output=True, text=True, check=True)
         results[name] = json.loads(proc.stdout)
-        print("%-16s build %8.3f s  groebner_complex %8.3f s  %7.1f MB  %s"
-              % (name, results[name]["build_s"], results[name]["groebner_complex_s"],
-                 results[name]["peak_rss_mb"], results[name]["sha256"][:16]), file=sys.stderr)
+        r = results[name]
+        print("%-16s build %8.3f s %7.1f MB  groebner_complex %8.3f s %7.1f MB  %s"
+              % (name, r["build_s"], r["build_peak_rss_mb"], r["groebner_complex_s"],
+                 r["peak_rss_mb"], r["sha256"][:16]), file=sys.stderr)
     path = Path(args.out) / ("BENCH_%s.json" % args.label)
     path.write_text(json.dumps({"label": args.label, "machine": machine(), "cases": results},
                                indent=2, sort_keys=True) + "\n")
