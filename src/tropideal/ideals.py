@@ -269,13 +269,10 @@ def _layer_from_row_space(ground: Sequence[tuple], pivots: list[int],
     rows = [(p, [(c, reduced[i][c]) for c in free if reduced[i][c]])
             for i, p in enumerate(pivots)]
     free_mask = _mask_of(free)
-    val: dict[int, int] = {}
-    for R, minors in _nonzero_minors(rows):
-        shift = R.bit_count() * vd
-        base = R | free_mask
-        for C, det in minors.items():
-            val[base ^ C] = valuation.of_int(det) - shift
-    return VMatroid(ground, corank, val)
+    # R lies outside free_mask and C inside it, so the masks are distinct
+    return VMatroid(ground, corank,
+                    (((R | free_mask) ^ C, valuation.of_int(det) - R.bit_count() * vd)
+                     for R, minors in _nonzero_minors(rows) for C, det in minors.items()))
 
 
 def tropicalize(inp: ClassicalInput, D: int, budget: Budget | None = None) -> TruncIdeal:
@@ -333,12 +330,7 @@ def point_ideal(a: Sequence[Trop], D: int, budget: Budget | None = None) -> Trun
     for d in range(D + 1):
         budget.charge(math.comb(len(a) + d - 1, d), "point ideal layer %d" % d)
         ground = tuple(mon.monomials_of_degree(len(a), d))
-        val = {}
-        for i, u in enumerate(ground):
-            v = dot(a, u)
-            if not v.is_inf:
-                val[1 << i] = v.value
-        layers.append(VMatroid(ground, 1, val))
+        layers.append(VMatroid(ground, 1, [(1 << i, dot(a, u)) for i, u in enumerate(ground)]))
     I = TruncIdeal(len(a), layers, mode="rational")
     witness = check_compatibility(I, budget)
     if witness is not None:
@@ -366,12 +358,9 @@ def nonrealizable_ideal(n: int, D: int, budget: Budget | None = None) -> TruncId
         # (the ground elements a degree-k monomial divides, the limit d - k + 1)
         divisors = [(_mask_of(i for i, u in enumerate(ground) if mon.divides(v, u)), d - k + 1)
                     for k in range(1, d + 1) for v in mon.monomials_of_degree(nv, k)]
-        val = {}
-        for B in itertools.combinations(range(len(ground)), d + 1):
-            mask = _mask_of(B)
-            if all((divided & mask).bit_count() <= limit for divided, limit in divisors):
-                val[mask] = 0
-        layers.append(VMatroid(ground, d + 1, val))
+        bases = (B for B in map(_mask_of, itertools.combinations(range(len(ground)), d + 1))
+                 if all((divided & B).bit_count() <= limit for divided, limit in divisors))
+        layers.append(VMatroid(ground, d + 1, ((B, 0) for B in bases)))
     return TruncIdeal(nv, layers, mode="rational")
 
 
@@ -516,7 +505,7 @@ def _basis_table(M: VMatroid, num_vars: int, sigma) -> tuple[TropPoly, dict]:
     width = max(total).bit_length()
     packed = [sum(e << (width * i) for i, e in enumerate(u)) for u in M.ground]
     best: dict[int, tuple[int, list[int]]] = {}
-    for B, p in M.int_valuation_items():
+    for B, p in M._val.items():
         if B & S != BS:
             continue
         s = 0

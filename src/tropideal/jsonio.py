@@ -129,7 +129,7 @@ def vmatroid_to_json(M: VMatroid, boolean: bool = False) -> dict:
         den = M.den
         out["valuation"] = [{"set": list(_bits(m)),
                              "val": str(v) if den == 1 else str(Fraction(v, den))}
-                            for m, v in sorted(M.int_valuation_items())]
+                            for m, v in sorted(M._val.items())]
     return out
 
 

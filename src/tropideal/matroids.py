@@ -60,8 +60,10 @@ class VMatroid:
     The valuation is defined up to a global tropical scalar.  It is stored
     as ints _val over one denominator den > 0, p(B) = _val[B] / den, in the
     canonical form: the minimum value is 0 and gcd(den, *_val) is 1.  Values
-    may be given as ints, Fractions, Trops or rational strings; the pair
-    form lists each set once, with INF entries skipped.
+    may be given as ints, Fractions, Trops or rational strings.  The
+    valuation is a mapping or any iterable of (set, value) pairs, read once,
+    that lists each set once, with INF entries skipped; the layer builders
+    hand their pairs over as they make them, so each layer is held once.
     """
 
     __slots__ = ("ground", "rank", "_index", "_val", "den")
@@ -131,10 +133,6 @@ class VMatroid:
     def valuation_items(self) -> list[tuple[int, Fraction]]:
         return [(m, Fraction(v, self.den)) for m, v in sorted(self._val.items())]
 
-    def int_valuation_items(self):
-        """Unsorted pairs (mask, p(B) * den), the ints the valuation is stored as."""
-        return self._val.items()
-
     def bases_as_sets(self) -> list[frozenset]:
         return [frozenset(self.ground[i] for i in _bits(m)) for m in self.basis_masks()]
 
@@ -145,12 +143,12 @@ class VMatroid:
         Bases are masks or label sets, each listed once; the rank is the
         size of the first.
         """
-        bases = list(bases)
-        if not bases:
+        bases = iter(bases)
+        first = next(bases, None)
+        if first is None:
             raise InvalidMatroidError("a matroid needs at least one basis")
-        first = bases[0]
         rank = first.bit_count() if isinstance(first, int) else len(first)
-        return cls(ground, rank, [(B, 0) for B in bases])
+        return cls(ground, rank, ((B, 0) for B in itertools.chain((first,), bases)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, VMatroid) and self.ground == other.ground

@@ -311,6 +311,28 @@ def test_minors_walk_budget_charges_before_any_minor(monkeypatch):
     assert walked == []
 
 
+def test_builders_hold_each_layer_once():
+    # the builders stream their (set, value) pairs into VMatroid, which is
+    # the only holder of a layer's valuation; a builder that filled a dict
+    # of its own for VMatroid to copy would peak near twice what it keeps
+    import json
+    import tracemalloc
+    from pathlib import Path
+
+    from tropideal.jsonio import classical_input_from_json
+    path = Path(__file__).parent / "golden" / "inputs" / "example27_g.json"
+    g = classical_input_from_json(json.loads(path.read_text()))
+    for build in (lambda: tropicalize(g, 5), lambda: nonrealizable_ideal(3, 3)):
+        tracemalloc.start()
+        try:
+            ideal = build()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * held, (peak, held)
+        del ideal
+
+
 def test_padic_prime_check_is_fast_and_bounded():
     import time
     t0 = time.perf_counter()

@@ -743,3 +743,12 @@ def test_a_set_valued_twice_is_rejected():
         VMatroid("abc", 2, [("ab", INF), ("ac", 1), ("ab", 0)])
     with pytest.raises(InvalidMatroidError, match="valued twice"):
         VMatroid.from_bases("abc", ["ab", "ac", "ba"])
+    # the layer builders hand their pairs over as one-shot generators
+    with pytest.raises(InvalidMatroidError, match="valued twice"):
+        VMatroid("abc", 2, ((m, v) for m, v in [(0b011, 0), (0b101, 1), (0b011, 2)]))
+    with pytest.raises(InvalidMatroidError, match="valued twice"):
+        VMatroid("abc", 2, ((m, v) for m, v in [(0b011, INF), (0b101, 1), (0b011, INF)]))
+    with pytest.raises(InvalidMatroidError, match="valued twice"):
+        VMatroid.from_bases("abc", (m for m in [0b011, 0b101, 0b011]))
+    pairs = [(0b011, INF), (0b101, 1), (0b110, Trop(2))]
+    assert VMatroid("abc", 2, (p for p in pairs)) == VMatroid("abc", 2, pairs)
